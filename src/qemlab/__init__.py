@@ -6,14 +6,14 @@ oracles, plus the filtration ordering of interacting repellers.
 """
 
 from .dynamics import (Box, Builtin, Domain, MapSystem, NoiseModel, RegionSpec,
-                       WeightField, builtin_labels, cemetery, constant_weight,
-                       eval_weight, geometric_potential, is_cemetery,
-                       make_system, region_fraction, step_random, zero_weight)
+                       WeightField, builtin_labels, constant_weight,
+                       eval_weight, geometric_potential, make_system,
+                       region_fraction, zero_weight)
 from .ulam import (AnnealedMatrix, GridPartition, assemble_operator,
                    build_grid, export_matrix, load_matrix, restrict_operator)
 from .spectral import (NonConvergenceError, SpectralTriple, SupportReport,
-                       assemble_qem, gap_estimate, leading_left, leading_pair,
-                       solve_triple, support_check)
+                       assemble_qem, leading_left, leading_pair, solve_triple,
+                       support_check)
 from .conditioned_mc import (EnsembleExtinctError, EnsembleStats,
                              IndependenceReport, escape_rate_mc,
                              run_conditioned, starting_point_independence)

@@ -1,7 +1,13 @@
 """Config-driven experiment runner.
 
-    qemlab <spectrum|mc|sweep|filtration|compare> --config cfg.json
-           [--out DIR] [--seed N] [--threads N] [--format csv|json] [--svg]
+    qemlab <spectrum|mc|sweep|filtration> --config cfg.json
+           [--out DIR] [--seed N] [--svg] [--export-matrix]
+    qemlab compare A/qem.csv B/qem.csv [--dictionary K]
+
+``sweep`` solves its epsilons one after another; ``--export-matrix`` makes
+``spectrum`` also write the operator as ``operator.json``.  ``compare``
+prints the weak-* discrepancy and, in 1d, the 1-Wasserstein distance of two
+quasi-ergodic vectors, using the metrics of :mod:`qemlab.equilibrium`.
 
 Configs are JSON with a versioned ``schema`` field; see README for the full
 layout.  Exit codes: 0 success, 2 config error, 3 numerical non-convergence,
@@ -16,7 +22,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,6 +145,12 @@ class ExperimentConfig:
         eps = self.noise.get("epsilon", 0.0)
         return [float(e) for e in eps] if isinstance(eps, list) else [float(eps)]
 
+    def single_epsilon(self, command: str) -> float:
+        epsilons = self.epsilons()
+        if len(epsilons) != 1:
+            raise ConfigError("epsilon-list", f"{command} expects a single epsilon")
+        return epsilons[0]
+
     def solver_kwargs(self) -> dict:
         return {
             "tol": float(self.solver.get("tol", 1e-10)),
@@ -209,13 +220,11 @@ def write_svg_line(path: Path, xs, ys, title: str) -> None:
 
 
 def _vectors_csv(path: Path, grid: GridPartition, triple) -> None:
-    centers = grid.centers()
     coord_cols = [f"center_{ax}" for ax in "xy"[:grid.dimension]]
-    rows = []
-    for i in range(grid.n_cells):
-        rows.append([i, *centers[i], triple.right[i], triple.left[i],
-                     triple.qem[i]])
-    write_csv(path, ["cell_index", *coord_cols, "right", "left", "qem"], rows)
+    table = np.column_stack([grid.centers(), triple.right, triple.left,
+                             triple.qem]).tolist()
+    write_csv(path, ["cell_index", *coord_cols, "right", "left", "qem"],
+              ([i, *row] for i, row in enumerate(table)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +245,14 @@ def _assemble_and_solve(config: ExperimentConfig, epsilon: float):
 
 
 def cmd_spectrum(config: ExperimentConfig, out: Path, args) -> int:
-    epsilons = config.epsilons()
-    if len(epsilons) != 1:
-        raise ConfigError("epsilon-list", "spectrum expects a single epsilon")
-    _, grid, matrix, triple = _assemble_and_solve(config, epsilons[0])
+    epsilon = config.single_epsilon("spectrum")
+    _, grid, matrix, triple = _assemble_and_solve(config, epsilon)
     payload = dict(triple.scalars())
     payload["metadata"] = matrix.metadata
     write_json(out / "spectrum.json", payload)
     _vectors_csv(out / "qem.csv", grid, triple)
     if args.export_matrix:
-        export_matrix(matrix, out / f"operator.{args.format}", fmt=args.format)
+        export_matrix(matrix, out / "operator.json")
     return EXIT_OK
 
 
@@ -253,8 +260,7 @@ def cmd_mc(config: ExperimentConfig, out: Path, args) -> int:
     builtin = config.builtin()
     region = config.region_spec(builtin)
     weight = config.weight_field(builtin)
-    epsilons = config.epsilons()
-    noise = NoiseModel(epsilons[0], builtin.system.dimension)
+    noise = NoiseModel(config.single_epsilon("mc"), builtin.system.dimension)
     mc = config.mc
     observables = {name: _expression_observable(name, builtin.system.dimension)
                    for name in mc.get("observables", ["x"])}
@@ -291,32 +297,23 @@ def cmd_sweep(config: ExperimentConfig, out: Path, args) -> int:
     grid = build_grid(builtin.system.domain, int(config.grid["resolution"]))
     reference = _reference_vector(config, builtin, grid)
     dictionary = TestDictionary(dimension=builtin.system.dimension)
+    centers = grid.centers()
 
-    def one(eps: float):
+    rows, runtimes, failures = [], [], []
+    for eps in epsilons:
         t0 = time.perf_counter()
         try:
-            _, g, matrix, triple = _assemble_and_solve(config, eps)
+            _, _, _, triple = _assemble_and_solve(config, eps)
         except Exception as exc:  # flagged below; partial results still land
-            return exc
-        return g, triple, time.perf_counter() - t0
-
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        solved = list(pool.map(one, epsilons))
-
-    rows, runtimes = [], []
-    failures = []
-    for eps, result in zip(epsilons, solved):
-        if isinstance(result, Exception):
-            failures.append((eps, result))
+            failures.append((eps, exc))
             continue
-        g, triple, dt = result
-        disc = (weak_star_discrepancy(triple.qem, reference, dictionary, g)
+        runtimes.append((eps, time.perf_counter() - t0))
+        disc = (weak_star_discrepancy(triple.qem, reference, dictionary, centers)
                 if reference is not None else math.nan)
-        w1 = (w1_1d(triple.qem, reference, g)
-              if reference is not None and g.dimension == 1 else math.nan)
+        w1 = (w1_1d(triple.qem, reference, centers, grid.cell_volume)
+              if reference is not None and grid.dimension == 1 else math.nan)
         rows.append((eps, triple.lam, triple.gap_ratio, disc, w1))
-        runtimes.append((eps, dt))
-        _vectors_csv(out / f"qem_eps_{eps:g}.csv", g, triple)
+        _vectors_csv(out / f"qem_eps_{eps:g}.csv", grid, triple)
     write_csv(out / "sweep.csv",
               ["epsilon", "lambda", "gap_ratio", "discrepancy", "w1"], rows)
     write_csv(out / "runtimes.csv", ["epsilon", "seconds"], runtimes)
@@ -379,7 +376,8 @@ def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
         grid = build_grid(builtin.system.domain, int(config.grid["resolution"]))
         region = config.region_spec(builtin)
         weight = config.weight_field(builtin)
-        noise = NoiseModel(config.epsilons()[0], builtin.system.dimension)
+        noise = NoiseModel(config.single_epsilon("filtration"),
+                           builtin.system.dimension)
         matrix = assemble_operator(builtin.system, noise, weight, region, grid,
                                    samples_per_cell=config.samples_per_cell,
                                    seed=config.seed)
@@ -407,24 +405,17 @@ def _cells_in_boxes(grid: GridPartition, boxes_payload) -> np.ndarray:
 
 
 def cmd_compare(args) -> int:
-    mu_grid, mu = _read_qem_csv(args.inputs[0])
-    nu_grid, nu = _read_qem_csv(args.inputs[1])
-    if mu_grid.shape != nu_grid.shape or not np.allclose(mu_grid, nu_grid):
+    centers, mu = _read_qem_csv(args.inputs[0])
+    nu_centers, nu = _read_qem_csv(args.inputs[1])
+    if centers.shape != nu_centers.shape or not np.allclose(centers, nu_centers):
         raise ConfigError("grid-mismatch", "qem files live on different grids")
-    centers = mu_grid
-    d = centers.shape[1]
-    dictionary = TestDictionary(k_max=args.dictionary, dimension=d)
-    diff = mu - nu
-    disc = max(abs(float(np.dot(diff, f(centers))))
-               for _, f in dictionary.members())
+    dictionary = TestDictionary(k_max=args.dictionary, dimension=centers.shape[1])
+    disc = weak_star_discrepancy(mu, nu, dictionary, centers)
     print(f"weak_star_discrepancy {disc!r}")
-    if d == 1:
-        order = np.argsort(centers[:, 0])
-        gaps = np.diff(centers[order, 0])
-        h = float(np.min(gaps)) if gaps.size else 1.0
-        cdf = np.cumsum(diff[order])
-        w1 = float(np.sum(np.abs(cdf[:-1]) * np.maximum(gaps, h)))
-        print(f"w1 {w1!r}")
+    if centers.shape[1] == 1:
+        gaps = np.diff(np.sort(centers[:, 0]))
+        h = float(np.min(gaps)) if gaps.size else 1.0  # cell width
+        print(f"w1 {w1_1d(mu, nu, centers, h)!r}")
     return EXIT_OK
 
 
@@ -453,11 +444,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--svg", action="store_true")
         p.add_argument("--export-matrix", action="store_true",
-                       help="also write the assembled operator as a triplet file")
+                       help="also write the assembled operator as operator.json")
     p = sub.add_parser("compare")
     p.add_argument("inputs", nargs=2)
     p.add_argument("--dictionary", type=int, default=8)

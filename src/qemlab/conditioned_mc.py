@@ -77,18 +77,6 @@ class EnsembleStats:
     resample_times: list[int] = field(default_factory=list)
     occupation: Array | None = None
 
-    @property
-    def conditioned_average(self) -> float:
-        if len(self.averages) != 1:
-            raise ValueError("run has several observables; use .averages")
-        return next(iter(self.averages.values()))
-
-    @property
-    def standard_error(self) -> float:
-        if len(self.standard_errors) != 1:
-            raise ValueError("run has several observables; use .standard_errors")
-        return next(iter(self.standard_errors.values()))
-
     def scalars(self) -> dict:
         return {
             "averages": self.averages,

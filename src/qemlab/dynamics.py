@@ -16,8 +16,6 @@ Conventions
   vectorised over the leading axis.
 * Boxes are half open, ``[lo, hi)`` per axis.  On wrapped (torus) axes the
   representative interval is ``[lo, hi)`` and arithmetic is mod the width.
-* Absorption is modelled by a distinguished cemetery point with all
-  coordinates ``+inf``; once a trajectory is there it never leaves.
 """
 
 from __future__ import annotations
@@ -29,15 +27,6 @@ from typing import Callable
 import numpy as np
 
 Array = np.ndarray
-
-
-def cemetery(dimension: int) -> Array:
-    """The absorbing point: all coordinates +inf."""
-    return np.full(dimension, np.inf)
-
-
-def is_cemetery(point) -> bool:
-    return not bool(np.all(np.isfinite(point)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +148,6 @@ class RegionSpec:
             inside |= box.contains(p)
         return inside if np.ndim(points) > 1 else bool(inside[0])
 
-    membership = contains  # alias: point -> inside/outside
-
     @property
     def volume(self) -> float:
         return sum(b.volume for b in self.boxes)
@@ -220,14 +207,6 @@ class NoiseModel:
         if self.epsilon == 0.0:
             return np.zeros((n, self.dimension))
         return rng.uniform(-self.epsilon, self.epsilon, size=(n, self.dimension))
-
-    def density(self, offsets: Array) -> Array:
-        """Kernel density, ``(2 eps)^-d`` on the support cube, 0 outside."""
-        if self.epsilon == 0.0:
-            raise ValueError("epsilon=0 noise has no density (point mass)")
-        o = np.atleast_2d(offsets)
-        inside = np.all(np.abs(o) <= self.epsilon, axis=1)
-        return inside / (2.0 * self.epsilon) ** self.dimension
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +349,6 @@ class MapSystem:
     unstable_log_expansion: Callable[[Array], Array]
     domain: Domain
     label: str
-    branch_edges: tuple[float, ...] = ()  # 1d discontinuity coordinates
-
-    def on_branch_boundary(self, x, tol: float = 1e-12) -> bool:
-        """Flag points on the (measure-zero) branch boundary set.
-
-        Boundary points are assigned to the left-closed branch by all
-        evaluations; this flag lets callers detect the tie-break.
-        """
-        if not self.branch_edges:
-            return False
-        x0 = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
-        return any(abs(x0 - e) <= tol for e in self.branch_edges)
 
 
 def step_points(system: MapSystem, noise: NoiseModel, points: Array,
@@ -393,21 +360,6 @@ def step_points(system: MapSystem, noise: NoiseModel, points: Array,
     base = system.forward(np.atleast_2d(points))
     delta = noise.sample(rng, base.shape[0])
     return system.domain.apply_boundary(base, base + delta)
-
-
-def step_random(system: MapSystem, noise: NoiseModel, x, rng) -> Array:
-    """One random step of a single point; absorbed points go to the cemetery.
-
-    Deterministic given the generator state; with ``epsilon = 0`` this is the
-    deterministic map itself.
-    """
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if is_cemetery(pt):
-        return cemetery(system.dimension)
-    new, alive = step_points(system, noise, pt[None, :], rng)
-    if not alive[0]:
-        return cemetery(system.dimension)
-    return new[0]
 
 
 def geometric_potential(system: MapSystem, x) -> float:
@@ -453,7 +405,6 @@ def ternary_hole() -> Builtin:
         unstable_log_expansion=lambda p: np.full(p.shape[0], math.log(3.0)),
         domain=dom,
         label="ternary_hole",
-        branch_edges=(1.0 / 3.0, 2.0 / 3.0),
     )
     survivor = RegionSpec(
         (Box((0.0,), (1.0 / 3.0,)), Box((2.0 / 3.0,), (1.0,))),
@@ -472,7 +423,6 @@ def five_hole() -> Builtin:
         unstable_log_expansion=lambda p: np.full(p.shape[0], math.log(5.0)),
         domain=dom,
         label="five_hole",
-        branch_edges=tuple(k / 5.0 for k in (1, 2, 3, 4)),
     )
     survivor = RegionSpec((Box((0.0,), (3.0 / 5.0,)),), label="survivor:five")
     return Builtin("five_hole", system, survivor, 3.0 / 5.0)
@@ -500,7 +450,6 @@ def open_baker() -> Builtin:
         unstable_log_expansion=lambda p: np.full(p.shape[0], math.log(3.0)),
         domain=dom,
         label="open_baker",
-        branch_edges=(1.0 / 3.0, 2.0 / 3.0),
     )
     survivor = RegionSpec(
         (Box((0.0, 0.0), (1.0 / 3.0, 1.0)), Box((2.0 / 3.0, 0.0), (1.0, 1.0))),
@@ -550,7 +499,7 @@ def _two_repeller_forward(p: Array) -> Array:
 
 def two_repeller() -> Builtin:
     """Two independent repellers: the ternary system on [0,1) and the
-    five-branch system shifted to [2,3); anything else is cemetery.
+    five-branch system shifted to [2,3); anything else is absorbed.
 
     Each box is its own torus, so the two components never communicate and
     the global escape eigenvalue is the larger of the two (2/3).
@@ -567,7 +516,6 @@ def two_repeller() -> Builtin:
         unstable_log_expansion=lambda p: np.log(jac(p)),
         domain=dom,
         label="two_repeller",
-        branch_edges=(1.0 / 3.0, 2.0 / 3.0, 2.2, 2.4, 2.6, 2.8),
     )
     survivor = RegionSpec(
         (Box((0.0,), (1.0 / 3.0,)), Box((2.0 / 3.0,), (1.0,)),

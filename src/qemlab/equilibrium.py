@@ -155,23 +155,6 @@ class ReferenceMeasure:
     words: list[tuple[int, ...]]
     masses: Array
 
-    def mass(self, word: tuple[int, ...]) -> float:
-        try:
-            return float(self.masses[self.words.index(tuple(word))])
-        except ValueError:
-            return 0.0
-
-    def marginalize(self) -> "ReferenceMeasure":
-        """Sum depth-k masses over the last symbol (yields depth k-1)."""
-        if self.depth < 2:
-            raise ValueError("cannot marginalize below depth 1")
-        agg: dict[tuple[int, ...], float] = {}
-        for w, m in zip(self.words, self.masses):
-            agg[w[:-1]] = agg.get(w[:-1], 0.0) + float(m)
-        words = sorted(agg)
-        return ReferenceMeasure(self.model, self.depth - 1, words,
-                                np.asarray([agg[w] for w in words]))
-
     def intervals(self) -> Array:
         return np.asarray([self.model.cylinder_interval(w) for w in self.words])
 
@@ -190,21 +173,6 @@ class ReferenceMeasure:
             if total > 0:
                 out += m * overlap / total
         return out
-
-    def write_csv(self, path, grid: GridPartition | None = None) -> None:
-        """Write ``cylinder,mass`` rows; with a grid, append its projection."""
-        from pathlib import Path
-
-        lines = ["cylinder,mass"]
-        lines.extend(f"{''.join(map(str, w))},{float(m)!r}"
-                     for w, m in zip(self.words, self.masses))
-        Path(path).write_text("\n".join(lines) + "\n")
-        if grid is not None:
-            proj = self.grid_projection(grid)
-            out = Path(path).with_suffix(".projection.csv")
-            rows = ["cell_index,mass"]
-            rows.extend(f"{i},{float(v)!r}" for i, v in enumerate(proj))
-            out.write_text("\n".join(rows) + "\n")
 
     def mean(self) -> float:
         iv = self.intervals()
@@ -276,33 +244,38 @@ class TestDictionary:
 
 
 def weak_star_discrepancy(mu: Array, nu: Array, dictionary: TestDictionary,
-                          grid: GridPartition) -> float:
-    """max over dictionary members f of |sum_i (mu_i - nu_i) f(center_i)|."""
+                          centers: Array) -> float:
+    """max over dictionary members f of |sum_i (mu_i - nu_i) f(center_i)|.
+
+    ``centers`` holds one cell center per row, shape ``(n_cells, d)``.
+    """
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    if mu.shape != (grid.n_cells,) or nu.shape != (grid.n_cells,):
-        raise ValueError("vectors do not match the grid")
+    centers = np.asarray(centers, dtype=float)
+    if mu.shape != (centers.shape[0],) or nu.shape != (centers.shape[0],):
+        raise ValueError("vectors do not match the cell centers")
     diff = mu - nu
-    centers = grid.centers()
     return max(abs(float(np.dot(diff, f(centers))))
                for _, f in dictionary.members())
 
 
-def w1_1d(mu: Array, nu: Array, grid: GridPartition) -> float:
-    """Exact 1-Wasserstein distance between two grid vectors (1d).
+def w1_1d(mu: Array, nu: Array, centers: Array, cell_volume: float) -> float:
+    """Exact 1-Wasserstein distance between two cell vectors (1d).
 
     Computed as the integral of |CDF_mu - CDF_nu| with cell masses placed at
-    cell centers; gaps between grid boxes contribute their own segments.
+    the ``(n_cells, 1)`` cell centers, each cell ``cell_volume`` wide; gaps
+    between grid boxes contribute their own segments.
     """
-    if grid.dimension != 1:
-        raise ValueError("w1_1d requires a 1d grid")
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim != 2 or centers.shape[1] != 1:
+        raise ValueError("w1_1d requires 1d cell centers")
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    if mu.shape != (grid.n_cells,) or nu.shape != (grid.n_cells,):
-        raise ValueError("vectors do not match the grid")
-    centers = grid.centers()[:, 0]
+    if mu.shape != (centers.shape[0],) or nu.shape != (centers.shape[0],):
+        raise ValueError("vectors do not match the cell centers")
+    centers = centers[:, 0]
     order = np.argsort(centers)
-    h = grid.cell_volume
+    h = cell_volume
     cdf_diff = np.cumsum(mu[order] - nu[order])
     dist = float(np.sum(np.abs(cdf_diff)) * h)
     x = centers[order]

@@ -75,12 +75,6 @@ class ConnectionGraph:
     def ids(self) -> tuple[int, ...]:
         return tuple(n.id for n in self.nodes)
 
-    def pressure(self, node_id: int) -> float:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n.pressure
-        raise KeyError(node_id)
-
     def successors(self) -> dict[int, set[int]]:
         out: dict[int, set[int]] = {n.id: set() for n in self.nodes}
         for a, b in self.edges:
@@ -150,9 +144,6 @@ class FiltrationOrder:
     @property
     def t(self) -> int:
         return len(self.indices) - 1
-
-    def rank_of(self, node_id: int) -> int:
-        return self.relabel[node_id]
 
     def to_dict(self) -> dict:
         return {

@@ -101,21 +101,15 @@ def assemble_qem(right: Array, left: Array, cell_volume: float) -> Array:
     return mass / pairing
 
 
-def gap_estimate(matrix: AnnealedMatrix, triple: "SpectralTriple",
-                 tol: float = 1e-8, max_iters: int = 10_000,
-                 seed: int = 0) -> float:
+def _deflated_ratio(matrix, triple, tol, max_iters, seed):
     """Estimate |lambda_2| / lambda_1 by power iteration after deflation.
 
     The dominant eigenspace is projected out through the left/right pair each
     step, and the 2-norm growth factor of the deflated iteration estimates
-    |lambda_2|.  When the ratio fails to settle (e.g. a complex pair), the
-    returned value is a conservative upper bound, clipped to [0, 1].
+    |lambda_2|.  Returns ``(ratio, converged)``; when the ratio fails to
+    settle (e.g. a complex pair), it is a conservative upper bound, clipped
+    to [0, 1].
     """
-    ratio, _converged = _deflated_ratio(matrix, triple, tol, max_iters, seed)
-    return ratio
-
-
-def _deflated_ratio(matrix, triple, tol, max_iters, seed):
     lam, r, l = triple.lam, triple.right, triple.left
     denom = float(np.dot(l, r))
     if denom == 0.0:

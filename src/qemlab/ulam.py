@@ -312,8 +312,7 @@ def _strata_counts(samples_per_cell, dimension: int) -> tuple[int, ...]:
 
 def assemble_operator(system: MapSystem, noise: NoiseModel, weight: WeightField,
                       region: RegionSpec, grid: GridPartition,
-                      samples_per_cell=3, seed: int = 0,
-                      region_subsamples: int = 512) -> AnnealedMatrix:
+                      samples_per_cell=3, seed: int = 0) -> AnnealedMatrix:
     """Assemble the Ulam matrix of the annealed weighted killed operator.
 
     ``samples_per_cell`` is the total per-cell stratum budget (an int, mapped
@@ -325,7 +324,7 @@ def assemble_operator(system: MapSystem, noise: NoiseModel, weight: WeightField,
     eps = noise.epsilon
     counts = _strata_counts(samples_per_cell, d)
     n_strata = int(np.prod(counts))
-    frac = region_fractions(region, grid, subsamples=region_subsamples, seed=seed)
+    frac = region_fractions(region, grid, seed=seed)
     if not np.any(frac > 0):
         raise ValueError("empty conditioning region: no grid cell meets it")
     res = grid.resolution
@@ -430,39 +429,30 @@ def assemble_operator(system: MapSystem, noise: NoiseModel, weight: WeightField,
                           cell_volume=grid.cell_volume, metadata=metadata)
 
 
-def export_matrix(matrix: AnnealedMatrix, path, fmt: str = "csv") -> None:
-    """Write the operator as a self-describing triplet file.
+def export_matrix(matrix: AnnealedMatrix, path) -> None:
+    """Write the operator as a self-describing JSON triplet file.
 
-    ``csv`` gives two header lines (n_cells + metadata JSON) followed by
-    ``i,j,value`` rows; ``json`` wraps the same content in one object.
+    The object holds ``n_cells``, ``metadata``, ``cell_volume``,
+    ``row_weight`` and the ``[i, j, value]`` entries; :func:`load_matrix`
+    reads it back.
     """
     import json
     from pathlib import Path
 
     rows_i = np.repeat(np.arange(matrix.n_cells), np.diff(matrix.indptr))
-    if fmt == "csv":
-        lines = [f"# n_cells {matrix.n_cells}",
-                 "# metadata " + json.dumps(matrix.metadata, sort_keys=True),
-                 "i,j,value"]
-        lines.extend(f"{i},{j},{float(v)!r}"
-                     for i, j, v in zip(rows_i, matrix.indices, matrix.data))
-        Path(path).write_text("\n".join(lines) + "\n")
-    elif fmt == "json":
-        payload = {
-            "n_cells": matrix.n_cells,
-            "metadata": matrix.metadata,
-            "cell_volume": matrix.cell_volume,
-            "row_weight": matrix.row_weight.tolist(),
-            "entries": [[int(i), int(j), float(v)] for i, j, v in
-                        zip(rows_i, matrix.indices, matrix.data)],
-        }
-        Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        raise ValueError(f"unknown export format {fmt!r}")
+    payload = {
+        "n_cells": matrix.n_cells,
+        "metadata": matrix.metadata,
+        "cell_volume": matrix.cell_volume,
+        "row_weight": matrix.row_weight.tolist(),
+        "entries": [[int(i), int(j), float(v)] for i, j, v in
+                    zip(rows_i, matrix.indices, matrix.data)],
+    }
+    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_matrix(path) -> AnnealedMatrix:
-    """Read a matrix written by :func:`export_matrix` (json format only)."""
+    """Read a matrix written by :func:`export_matrix`."""
     import json
     from pathlib import Path
 

@@ -65,7 +65,7 @@ def test_criterion_02_conditioned_stability_1d(ternary_fine):
     var = float(qem @ x ** 2 - mean ** 2)
     assert abs(mean - 0.5) <= 0.01
     assert abs(var - 0.125) <= 0.01
-    w1 = {eps: w1_1d(triples[eps].qem, proj, grid)
+    w1 = {eps: w1_1d(triples[eps].qem, proj, grid.centers(), grid.cell_volume)
           for eps in (1e-2, 3e-3, 1e-3)}
     assert w1[1e-2] > w1[3e-3] > w1[1e-3]
     report(2, f"lambda={lam:.6f}, mean={mean:.4f}, var={var:.4f}, "
@@ -180,7 +180,8 @@ def test_criterion_06_weight_correspondence():
     worst = 0.0
     for i in range(len(keys)):
         for j in range(i + 1, len(keys)):
-            d = w1_1d(on_nested(qems[keys[i]]), on_nested(qems[keys[j]]), grid)
+            d = w1_1d(on_nested(qems[keys[i]]), on_nested(qems[keys[j]]),
+                      grid.centers(), grid.cell_volume)
             worst = max(worst, d)
             assert d <= 2.0 * h, f"{keys[i]} vs {keys[j]}: w1={d}"
     report(6, f"three measures agree on the nested region, "

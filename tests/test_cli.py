@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qemlab.cli import (EXIT_CONFIG, EXIT_EXTINCT, EXIT_OK, ConfigError,
                         load_config, main)
+from qemlab.equilibrium import TestDictionary, w1_1d, weak_star_discrepancy
 
 
 def write_config(path, **overrides):
@@ -63,6 +65,28 @@ class TestConfigValidation:
         assert err.value.code == "missing-config"
 
 
+# config additions that let each command reach its epsilon check
+SINGLE_EPSILON_EXTRAS = {
+    "spectrum": {},
+    "mc": {"mc": {"n": 10, "n_particles": 100, "start": [0.1]}},
+    "filtration": {"system": {"label": "two_repeller"},
+                   "grid": {"resolution": 27},
+                   "filtration": {
+                       "nodes": [{"id": 1, "pressure": -0.5},
+                                 {"id": 2, "pressure": -0.4}],
+                       "strata": {"2": [[[0.0], [1.0]]], "1": [[[2.0], [3.0]]]}}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SINGLE_EPSILON_EXTRAS))
+def test_single_epsilon_commands_reject_a_list(tmp_path, capsys, command):
+    path, _ = write_config(tmp_path, noise={"epsilon": [1e-2, 1e-3]},
+                           **SINGLE_EPSILON_EXTRAS[command])
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "error[epsilon-list]" in capsys.readouterr().err
+
+
 class TestSpectrumCommand:
     def test_writes_artifacts_and_lambda(self, tmp_path):
         path, _ = write_config(tmp_path, grid={"resolution": 243})
@@ -106,7 +130,7 @@ class TestSpectrumCommand:
         path, _ = write_config(tmp_path, grid={"resolution": 27})
         out = tmp_path / "out"
         assert main(["spectrum", "--config", path, "--out", str(out),
-                     "--export-matrix", "--format", "json"]) == EXIT_OK
+                     "--export-matrix"]) == EXIT_OK
         from qemlab.ulam import load_matrix
         M = load_matrix(out / "operator.json")
         assert M.n_cells == 27
@@ -256,6 +280,28 @@ class TestCompareCommand:
         text = capsys.readouterr().out
         assert "weak_star_discrepancy 0.0" in text
         assert "w1 0.0" in text
+
+    def test_compare_prints_library_metrics(self, tmp_path, capsys):
+        files = []
+        for eps in (1e-2, 1e-3):
+            cfg_dir = tmp_path / f"eps_{eps:g}"
+            cfg_dir.mkdir()
+            path, _ = write_config(cfg_dir, grid={"resolution": 243},
+                                   noise={"epsilon": eps}, seed=1)
+            main(["spectrum", "--config", path, "--out", str(cfg_dir)])
+            files.append(str(cfg_dir / "qem.csv"))
+        capsys.readouterr()
+        assert main(["compare", *files]) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+
+        mu, nu = (np.loadtxt(f, delimiter=",", skiprows=1) for f in files)
+        centers = mu[:, 1:2]
+        cell_width = float(np.min(np.diff(np.sort(centers[:, 0]))))
+        disc = weak_star_discrepancy(mu[:, -1], nu[:, -1], TestDictionary(),
+                                     centers)
+        w1 = w1_1d(mu[:, -1], nu[:, -1], centers, cell_width)
+        assert w1 > 0.0
+        assert printed == [f"weak_star_discrepancy {disc!r}", f"w1 {w1!r}"]
 
 
 class TestSeedOverride:

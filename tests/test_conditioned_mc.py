@@ -174,5 +174,5 @@ class TestOccupationMeasure:
                               TERNARY.survivor, grid, 3, seed=13)
         triple = solve_triple(M, with_gap=False)
         disc = weak_star_discrepancy(stats.occupation, triple.qem,
-                                     TestDictionary(), grid)
+                                     TestDictionary(), grid.centers())
         assert disc <= 0.05

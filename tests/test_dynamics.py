@@ -4,31 +4,37 @@ import numpy as np
 import pytest
 
 from qemlab.dynamics import (Box, Domain, NoiseModel, WeightField,
-                             builtin_labels, cemetery, constant_weight,
-                             eval_weight, geometric_potential, is_cemetery,
-                             make_system, region_fraction, step_points,
-                             step_random, zero_weight)
+                             builtin_labels, constant_weight, eval_weight,
+                             geometric_potential, make_system, region_fraction,
+                             step_points, zero_weight)
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def step_one(system, noise, x, generator):
+    """One random step of a single point: (new point, alive flag)."""
+    new, alive = step_points(system, noise, np.atleast_2d(x), generator)
+    return new[0], bool(alive[0])
+
+
 class TestStepRandom:
     def test_ternary_deterministic_step(self):
         b = make_system("ternary_hole")
-        out = step_random(b.system, NoiseModel(0.0, 1), [0.1], rng())
+        out, alive = step_one(b.system, NoiseModel(0.0, 1), [0.1], rng())
+        assert alive
         assert out[0] == pytest.approx(0.3)
 
     def test_noise_stays_in_kernel_support(self):
         b = make_system("ternary_hole")
         for seed in range(20):
-            out = step_random(b.system, NoiseModel(0.01, 1), [0.1], rng(seed))
+            out, _ = step_one(b.system, NoiseModel(0.01, 1), [0.1], rng(seed))
             assert 0.29 <= out[0] <= 0.31
 
     def test_baker_fixed_point(self):
         b = make_system("open_baker")
-        out = step_random(b.system, NoiseModel(0.0, 2), [0.0, 0.0], rng())
+        out, _ = step_one(b.system, NoiseModel(0.0, 2), [0.0, 0.0], rng())
         assert np.allclose(out, [0.0, 0.0])
 
     @pytest.mark.parametrize("label", builtin_labels())
@@ -36,25 +42,20 @@ class TestStepRandom:
         b = make_system(label)
         d = b.system.dimension
         pts = np.asarray([box.lo for box in b.system.domain.boxes]) + 0.1379
-        for p in pts:
-            out = step_random(b.system, NoiseModel(0.0, d), p, rng())
-            assert np.allclose(out, b.system.forward(p[None, :])[0])
+        new, alive = step_points(b.system, NoiseModel(0.0, d), pts, rng())
+        assert alive.all()
+        assert np.allclose(new, b.system.forward(pts))
 
     def test_seeded_step_is_bit_reproducible(self):
         b = make_system("five_hole")
         noise = NoiseModel(2e-3, 1)
-        a = step_random(b.system, noise, [0.2], np.random.default_rng(42))
-        c = step_random(b.system, noise, [0.2], np.random.default_rng(42))
+        a, _ = step_one(b.system, noise, [0.2], np.random.default_rng(42))
+        c, _ = step_one(b.system, noise, [0.2], np.random.default_rng(42))
         assert a[0] == c[0]
 
-    def test_cemetery_is_absorbing(self):
-        b = make_system("ternary_hole")
-        dead = cemetery(1)
-        out = step_random(b.system, NoiseModel(0.0, 1), dead, rng())
-        assert is_cemetery(out)
-
     def test_absorbing_boundary_returns_cemetery(self):
-        # expanding map on [0,1) with absorbing edges: noise can push out
+        # expanding map on [0,1) with absorbing edges: noise can push out,
+        # and a point pushed out comes back with alive=False
         dom = Domain((Box((0.0,), (1.0,), (False,)),))
         system = make_system("ternary_hole").system
         absorbing = type(system)(
@@ -62,11 +63,10 @@ class TestStepRandom:
             jacobian_det=system.jacobian_det,
             unstable_log_expansion=system.unstable_log_expansion,
             domain=dom, label="absorbing")
-        hits = 0
-        for seed in range(200):
-            out = step_random(absorbing, NoiseModel(0.05, 1), [0.333], rng(seed))
-            hits += is_cemetery(out)
-        assert hits > 0  # 3*0.333=0.999, half the kernel exits
+        pts = np.full((200, 1), 0.333)
+        new, alive = step_points(absorbing, NoiseModel(0.05, 1), pts, rng())
+        assert not alive.all()  # 3*0.333=0.999, half the kernel exits
+        assert ((new[alive, 0] >= 0.0) & (new[alive, 0] < 1.0)).all()
 
     def test_two_repeller_preserves_boxes(self):
         b = make_system("two_repeller")
@@ -107,11 +107,6 @@ class TestGeometricPotential:
             == pytest.approx(-math.log(3.0))
         assert geometric_potential(make_system("five_hole").system, [0.1]) \
             == pytest.approx(-math.log(5.0))
-
-    def test_branch_boundary_flag(self):
-        system = make_system("ternary_hole").system
-        assert system.on_branch_boundary([1.0 / 3.0])
-        assert not system.on_branch_boundary([0.25])
 
 
 class TestWeights:
@@ -160,22 +155,6 @@ class TestNoiseModel:
         s = noise.sample(rng(1), 5000)
         assert s.shape == (5000, 2)
         assert np.all(np.abs(s) <= 0.02)
-
-    def test_density_integrates_to_one(self):
-        noise = NoiseModel(0.03, 1)
-        m = 2001
-        xs = (-0.03 + (np.arange(m) + 0.5) * 0.06 / m)[:, None]
-        integral = float(np.sum(noise.density(xs)) * 0.06 / m)
-        assert abs(integral - 1.0) < 1e-6
-
-    def test_density_2d(self):
-        noise = NoiseModel(0.01, 2)
-        m = 101
-        ax = -0.01 + (np.arange(m) + 0.5) * 0.02 / m
-        gx, gy = np.meshgrid(ax, ax)
-        pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        integral = float(np.sum(noise.density(pts)) * (0.02 / m) ** 2)
-        assert abs(integral - 1.0) < 1e-6
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):

@@ -191,7 +191,7 @@ class TestExport:
     def test_json_round_trip(self, tmp_path):
         M, _ = ternary_matrix(27, eps=1e-3, samples=3, seed=5)
         path = tmp_path / "operator.json"
-        export_matrix(M, path, fmt="json")
+        export_matrix(M, path)
         loaded = load_matrix(path)
         assert loaded.n_cells == M.n_cells
         assert np.array_equal(loaded.indptr, M.indptr)
@@ -199,26 +199,6 @@ class TestExport:
         assert np.array_equal(loaded.data, M.data)
         assert loaded.metadata == M.metadata
         assert loaded.cell_volume == M.cell_volume
-
-    def test_csv_triplets(self, tmp_path):
-        M, _ = ternary_matrix(3)
-        path = tmp_path / "operator.csv"
-        export_matrix(M, path, fmt="csv")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# n_cells 3"
-        assert lines[1].startswith("# metadata {")
-        assert lines[2] == "i,j,value"
-        triplets = [line.split(",") for line in lines[3:]]
-        assert len(triplets) == M.nnz
-        dense = np.zeros((3, 3))
-        for i, j, v in triplets:
-            dense[int(i), int(j)] = float(v)
-        assert np.array_equal(dense, M.toarray())
-
-    def test_unknown_format(self, tmp_path):
-        M, _ = ternary_matrix(3)
-        with pytest.raises(ValueError):
-            export_matrix(M, tmp_path / "x", fmt="hdf5")
 
 
 class TestApply:
