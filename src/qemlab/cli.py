@@ -405,6 +405,14 @@ def _cells_in_boxes(grid: GridPartition, boxes_payload) -> np.ndarray:
 
 
 def cmd_compare(args) -> int:
+    """Print the weak-* discrepancy and, in 1d, the W1 of two ``qem.csv``.
+
+    ``qem.csv`` has no cell width, so W1 takes it as the smallest spacing
+    between the file's centers.  That spacing can be a few ulps off
+    ``GridPartition.cell_volume``, so the printed W1 can differ in the last
+    digits from ``w1_1d`` with the grid's cell width, which is how ``sweep``
+    computes its ``w1`` column.
+    """
     centers, mu = _read_qem_csv(args.inputs[0])
     nu_centers, nu = _read_qem_csv(args.inputs[1])
     if centers.shape != nu_centers.shape or not np.allclose(centers, nu_centers):

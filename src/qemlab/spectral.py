@@ -8,6 +8,10 @@ Perron pair and never needs a general eigensolver.  The right eigenvector g
 their normalized product
 
     qem_i = g_i * m_i * vol_i / sum_j g_j * m_j * vol_j.
+
+The spectral gap |lambda_2| / lambda_1 comes from a restarted Arnoldi method
+on the operator with the Perron pair projected out; it counts as converged
+only when its Ritz residual is at most ``tol * lambda_1``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import numpy as np
 from .ulam import AnnealedMatrix
 
 Array = np.ndarray
+
+KRYLOV_DIM = 40  # Arnoldi basis size of the spectral-gap solver
 
 
 class NonConvergenceError(RuntimeError):
@@ -102,52 +108,56 @@ def assemble_qem(right: Array, left: Array, cell_volume: float) -> Array:
 
 
 def _deflated_ratio(matrix, triple, tol, max_iters, seed):
-    """Estimate |lambda_2| / lambda_1 by power iteration after deflation.
+    """|lambda_2| / lambda_1 by restarted Arnoldi on the deflated operator.
 
-    The dominant eigenspace is projected out through the left/right pair each
-    step, and the 2-norm growth factor of the deflated iteration estimates
-    |lambda_2|.  Returns ``(ratio, converged)``; when the ratio fails to
-    settle (e.g. a complex pair), it is a conservative upper bound, clipped
-    to [0, 1].
+    The Perron pair is projected out, ``x -> Mx - r (l.Mx) / (l.r)``, and
+    Arnoldi builds a Krylov basis of ``KRYLOV_DIM`` vectors for that
+    operator, fully reorthogonalised (classical Gram-Schmidt, two passes).
+    The Ritz value of largest modulus of the small Hessenberg matrix
+    estimates lambda_2; complex and equal-modulus pairs come out exactly.
+    It is accepted once its Ritz residual ``|h_{m+1,m}| |y_m| / |y|`` is at
+    most ``tol * lambda_1``, or when the basis spans an invariant subspace.
+    Otherwise Arnoldi restarts from the real span of that Ritz vector.
+    Returns ``(ratio, converged)``; past ``max_iters`` matvecs the last Ritz
+    estimate comes back with ``converged=False`` and is not a bound.
     """
     lam, r, l = triple.lam, triple.right, triple.left
     denom = float(np.dot(l, r))
-    if denom == 0.0:
-        return 1.0, False
-    rng = np.random.default_rng([int(seed)])
-    v = rng.standard_normal(matrix.n_cells)
-
-    def project(x):
-        return x - r * (np.dot(l, x) / denom)
-
-    v = project(v)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return 0.0, True
-    v /= nv
-    window = 16  # geometric mean over a window absorbs complex-pair beats
-    ratios: list[float] = []
-    means: list[float] = []
-    settled = 0
-    for _ in range(max_iters):
-        w = project(matrix.apply(v))
-        nw = float(np.linalg.norm(w))
-        if nw <= lam * 1e-300:
+    n = matrix.n_cells
+    m = min(KRYLOV_DIM, n)
+    basis = np.empty((m + 1, n))
+    hess = np.zeros((m + 1, m))
+    v = np.random.default_rng([int(seed)]).standard_normal(n)
+    theta, used = 0.0, 0
+    while used < max_iters:
+        v = v - r * (np.dot(l, v) / denom)
+        nv = float(np.linalg.norm(v))
+        if nv == 0.0:
             return 0.0, True
-        ratios.append(nw)
-        v = w / nw
-        if len(ratios) < window:
-            continue
-        gm = float(np.exp(np.mean(np.log(ratios[-window:]))))
-        means.append(gm)
-        if len(means) > 1 and abs(means[-1] - means[-2]) <= tol * lam:
-            settled += 1
-            if settled >= 5:
-                return min(1.0, gm / lam), True
-        else:
-            settled = 0
-    upper = max(means[-20:]) if means else max(ratios)
-    return min(1.0, upper / lam), False
+        basis[0] = v / nv
+        k = min(m, max_iters - used)
+        for j in range(k):
+            w = matrix.apply(basis[j])
+            w -= r * (np.dot(l, w) / denom)
+            h = basis[:j + 1] @ w
+            w -= h @ basis[:j + 1]
+            h2 = basis[:j + 1] @ w
+            w -= h2 @ basis[:j + 1]
+            hess[:j + 1, j] = h + h2
+            hess[j + 1, j] = beta = float(np.linalg.norm(w))
+            used += 1
+            if beta <= tol * lam:
+                k = j + 1
+                break
+            basis[j + 1] = w / beta
+        vals, vecs = np.linalg.eig(hess[:k, :k])
+        i = int(np.argmax(np.abs(vals)))
+        theta, y = float(abs(vals[i])), vecs[:, i]  # eig gives |y| = 1
+        residual = abs(hess[k, k - 1] * y[-1])
+        if residual <= tol * lam:
+            return theta / lam, True
+        v = (y.real + y.imag) @ basis[:k]
+    return theta / lam, False
 
 
 @dataclass(eq=False)
@@ -155,8 +165,10 @@ class SpectralTriple:
     """Dominant spectral data of an assembled operator.
 
     lam > 0; right >= 0 with sup norm 1; left >= 0 with integral 1;
-    pairing = sum(right * left * vol); qem sums to 1; gap_ratio estimates
-    |lambda_2| / lambda_1.
+    pairing = sum(right * left * vol); qem sums to 1; gap_ratio is the
+    Arnoldi estimate of |lambda_2| / lambda_1 (NaN when no gap was asked
+    for), and gap_converged says its Ritz residual is at most
+    ``tol * lambda_1``.
     """
 
     lam: float
@@ -167,7 +179,7 @@ class SpectralTriple:
     right_residual: float
     left_residual: float
     gap_ratio: float
-    gap_converged: bool = True
+    gap_converged: bool = False
     cell_volume: float = 1.0
 
     def scalars(self) -> dict:
@@ -187,7 +199,9 @@ def solve_triple(matrix: AnnealedMatrix, tol: float = 1e-10,
     """Full dominant-eigendata pipeline for one assembled matrix.
 
     Tiny negative eigenvector entries from roundoff are clamped to zero
-    before the quasi-ergodic vector is formed.
+    before the quasi-ergodic vector is formed.  The gap solve uses the
+    tolerance ``max(tol, 1e-8)`` and at most ``min(max_iters, 10_000)``
+    matvecs; with ``with_gap=False`` the gap is NaN and not converged.
     """
     lam_r, right, res_r = leading_pair(matrix, tol, max_iters)
     lam_l, left, res_l = leading_left(matrix, tol, max_iters)
@@ -199,12 +213,8 @@ def solve_triple(matrix: AnnealedMatrix, tol: float = 1e-10,
                             qem=qem, right_residual=res_r, left_residual=res_l,
                             gap_ratio=math.nan, cell_volume=matrix.cell_volume)
     if with_gap:
-        ratio, converged = _deflated_ratio(matrix, triple, max(tol, 1e-8),
-                                           min(max_iters, 10_000), seed)
-        triple.gap_ratio = ratio
-        triple.gap_converged = converged
-    else:
-        triple.gap_ratio = math.nan
+        triple.gap_ratio, triple.gap_converged = _deflated_ratio(
+            matrix, triple, max(tol, 1e-8), min(max_iters, 10_000), seed)
     return triple
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qemlab.dynamics import NoiseModel, WeightField, \
     constant_weight, make_system, zero_weight
@@ -101,6 +102,106 @@ class TestGapEstimate:
     def test_diagonal_spectrum(self):
         t = solve_triple(matrix_from_dense(np.diag([1.0, 0.5])))
         assert t.gap_ratio == pytest.approx(0.5, abs=1e-6)
+
+    def test_without_gap_not_converged(self):
+        scalars = solve_triple(matrix_from_dense(RANK1), with_gap=False).scalars()
+        assert math.isnan(scalars["gap_ratio"])
+        assert scalars["gap_converged"] is False
+
+
+def _builtin_operator(label, resolution, epsilon, samples):
+    b = make_system(label)
+    grid = build_grid(b.system.domain, resolution)
+    M = assemble_operator(b.system, NoiseModel(epsilon, b.system.dimension),
+                          zero_weight(), b.survivor, grid, samples, seed=7)
+    return M, grid
+
+
+def _dense_ratio(M):
+    moduli = np.sort(np.abs(np.linalg.eigvals(M.toarray())))
+    return moduli[-2] / moduli[-1]
+
+
+def _two_repeller_stratum():
+    M, grid = _builtin_operator("two_repeller", 243, 1e-3, 15)
+    return restrict_operator(M, np.flatnonzero(grid.centers()[:, 0] < 1.5))
+
+
+BUILTIN_GAP_CASES = {
+    "ternary_hole-729": lambda: _builtin_operator("ternary_hole", 729, 1e-3, 3)[0],
+    "five_hole-625": lambda: _builtin_operator("five_hole", 625, 1e-3, 3)[0],
+    "open_baker-27x27": lambda: _builtin_operator("open_baker", 27, 1e-3,
+                                                  (3, 1))[0],
+    "two_repeller-243": lambda: _builtin_operator("two_repeller", 243, 1e-3,
+                                                  15)[0],
+    "two_repeller-stratum": _two_repeller_stratum,
+    "smooth_perturbed-243": lambda: _builtin_operator("smooth_perturbed", 243,
+                                                      1e-3, 3)[0],
+}
+
+
+class TestGapAgainstDenseEigenvalues:
+    @pytest.mark.parametrize("case", sorted(BUILTIN_GAP_CASES))
+    def test_builtin_gap(self, case):
+        M = BUILTIN_GAP_CASES[case]()
+        assert M.n_cells <= 729
+        t = solve_triple(M, seed=1)
+        assert t.gap_converged
+        assert abs(t.gap_ratio - _dense_ratio(M)) <= 1e-6
+
+    @pytest.mark.parametrize("label,resolution,samples", [
+        ("ternary_hole", 729, 1), ("five_hole", 625, 1),
+        ("open_baker", 27, (1, 1))])
+    def test_noiseless_gap_converges(self, label, resolution, samples):
+        # nearly defective at eps 0, so dense eigenvalues are no reference
+        M, _ = _builtin_operator(label, resolution, 0.0, samples)
+        t = solve_triple(M, seed=1)
+        assert t.gap_converged
+        assert 0.0 <= t.gap_ratio < 0.01
+
+
+def _planted_matrix(n, kind, seed):
+    """Nonnegative n x n matrix whose subdominant eigenvalues are a planted
+    complex pair or a planted +-mu pair.
+
+    A = alpha r l^T / (l.r) + S K S^-1, where S = [r | basis of l-perp] and
+    K is zero in its first row and column, so (alpha, r, l) is the Perron
+    triple and the rest of the spectrum is that of K.  alpha is raised until
+    every entry is nonnegative.
+    """
+    rng = np.random.default_rng(seed)
+    r, l = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n)
+    q, _ = np.linalg.qr(np.column_stack([l, rng.standard_normal((n, n - 1))]))
+    S = np.column_stack([r, q[:, 1:]])
+    mu = rng.uniform(0.2, 0.9)
+    if kind == "complex":
+        angle = rng.uniform(0.3, 2.8)
+        c, s = np.cos(angle), np.sin(angle)
+        block = mu * np.array([[c, -s], [s, c]])
+    else:
+        block = np.diag([mu, -mu])
+    K = np.zeros((n, n))
+    K[1:3, 1:3] = block
+    K[3:, 3:] = np.diag(rng.uniform(-0.5, 0.5, n - 3) * mu)
+    B = S @ K @ np.linalg.inv(S)
+    base = np.outer(r, l) / np.dot(l, r)
+    alpha = max(1.0, 1.1 * float(np.max(-B / base)))
+    return alpha * base + B
+
+
+class TestGapProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 12), kind=st.sampled_from(["complex", "pm"]),
+           seed=st.integers(0, 2 ** 32 - 1), gap_seed=st.integers(0, 1000))
+    def test_planted_subdominant_pair(self, n, kind, seed, gap_seed):
+        A = _planted_matrix(n, kind, seed)
+        assert np.all(A >= 0.0)
+        M = matrix_from_dense(A)
+        t = solve_triple(M, seed=gap_seed)
+        assert t.gap_converged
+        assert abs(t.gap_ratio - _dense_ratio(M)) <= 1e-8
+        again = solve_triple(M, seed=gap_seed)
+        assert again.gap_ratio == t.gap_ratio
 
 
 class TestSupportCheck:
