@@ -12,7 +12,8 @@ quasi-ergodic vectors, using the metrics of :mod:`qemlab.equilibrium`.
 Configs are JSON with a versioned ``schema`` field; see README for the full
 layout.  Exit codes: 0 success, 2 config error, 3 numerical non-convergence,
 4 ensemble extinct.  Given the same config and seed, re-runs write
-byte-identical primary artifacts (timings go to a separate runtimes file).
+byte-identical primary artifacts (timings go to a separate runtimes file,
+and ``mc`` writes its per-block resampling counters to ``diagnostics.json``).
 """
 
 from __future__ import annotations
@@ -273,6 +274,7 @@ def cmd_mc(config: ExperimentConfig, out: Path, args) -> int:
                             resample_threshold=float(mc.get("resample_threshold", 0.5)),
                             seed=config.seed)
     write_json(out / "mc.json", stats.scalars())
+    write_json(out / "diagnostics.json", stats.diagnostics())
     write_csv(out / "mass_series.csv", ["step", "log_mean_mass"],
               [(t, float(v)) for t, v in enumerate(stats.log_mass_series)])
     return EXIT_OK

@@ -26,7 +26,20 @@ Small blocks on long horizons can collapse: once a block resamples from a
 handful of ancestors its particle cloud narrows, the killing acts on it
 coherently, and the block dies in a burst.  Populations of a few hundred
 particles per block (a few thousand in total) keep that risk negligible;
-a fully extinct ensemble raises EnsembleExtinctError either way.
+a fully extinct ensemble raises EnsembleExtinctError either way.  Each run
+reports, per block, how often it resampled, its smallest ESS fraction and
+whether it died out (``EnsembleStats.diagnostics``, which the ``mc`` command
+writes to ``diagnostics.json``).
+
+The ensemble is stepped as whole arrays.  Every slot, dead or alive, is
+mapped, perturbed by its own noise draw and evaluated; a slot is dead
+exactly when its mass is 0 (log-mass -inf), and the sums of dead slots are
+never read.  Mass 0 comes from leaving the region or from a weight of 0, so
+a zero weight kills.  Blocks are contiguous slot ranges, so their ESS tests
+and their systematic resamplings run in one pass over all blocks, with one
+uniform per resampling block.  Runs are deterministic given the seed; the
+draws differ from versions that stepped only live particles, so ``mc.json``
+for a given seed differs from theirs.
 """
 
 from __future__ import annotations
@@ -52,7 +65,7 @@ def _seed_key(seed) -> list[int]:
 
 
 class EnsembleExtinctError(RuntimeError):
-    """Every particle died before the requested horizon."""
+    """The ensemble's mass fell to 0 before the requested horizon."""
 
     def __init__(self, time: int):
         super().__init__(f"ensemble extinct at step {time}")
@@ -64,7 +77,11 @@ class EnsembleStats:
     """Summary of one conditioned run.
 
     ``log_mass_series[t]`` is log of the mean particle mass after t steps
-    (the unnormalized survival-mass curve used for escape-rate fits).
+    (the unnormalized survival-mass curve used for escape-rate fits).  The
+    per-block lists have one entry per jackknife block: how many steps it
+    resampled at, and the smallest ESS / block size after any step (before
+    its resampling; 0 once extinct).  ``extinct_blocks`` counts the blocks
+    with no mass left at the end.
     """
 
     averages: dict[str, float]
@@ -76,6 +93,9 @@ class EnsembleStats:
     n_particles: int
     resample_times: list[int] = field(default_factory=list)
     occupation: Array | None = None
+    block_resamplings: list[int] = field(default_factory=list)
+    block_min_ess_fraction: list[float] = field(default_factory=list)
+    extinct_blocks: int = 0
 
     def scalars(self) -> dict:
         return {
@@ -86,6 +106,15 @@ class EnsembleStats:
             "n_steps": self.n_steps,
             "n_particles": self.n_particles,
             "n_resamplings": len(self.resample_times),
+        }
+
+    def diagnostics(self) -> dict:
+        """Per-block resampling counters, apart from the primary results."""
+        return {
+            "n_blocks": len(self.block_resamplings),
+            "block_resamplings": self.block_resamplings,
+            "block_min_ess_fraction": self.block_min_ess_fraction,
+            "extinct_blocks": self.extinct_blocks,
         }
 
 
@@ -101,21 +130,90 @@ def _coords(positions: Array, dimension: int) -> Array:
     return positions[:, 0] if dimension == 1 else positions
 
 
-def _systematic_resample(weights: Array, n_out: int,
-                         rng: np.random.Generator) -> Array:
-    """Low-variance resampling: n_out evenly spaced quantiles with one jitter."""
-    cum = np.cumsum(weights)
-    cum /= cum[-1]
-    u = (rng.uniform(0.0, 1.0) + np.arange(n_out)) / n_out
-    return np.searchsorted(cum, u)
+def _resample_counts(weights: Array, sizes: Array, jitter: Array) -> Array:
+    """Offspring counts of systematic resampling, one block per row.
+
+    Row b holds block b's nonnegative weights in its first ``sizes[b]``
+    entries, zeros after them, and draws ``sizes[b]`` offspring at the
+    evenly spaced quantiles ``(jitter[b] + j) / sizes[b]``, each of which
+    picks the first slot whose normalised cumulative weight reaches it (Douc,
+    Cappe & Moulines, 2005).  The counts equal those of ``searchsorted`` on
+    the same quantiles.  With every jitter in [2**-53, 1], as ``1 - U`` is
+    for a uniform draw U in [0, 1), no quantile is 0, so zero weights get no
+    offspring.
+    """
+    cum = np.cumsum(weights, axis=1)
+    cum /= cum[np.arange(sizes.size), sizes - 1][:, None]
+    m = sizes[:, None]
+    u = jitter[:, None]
+    # quantiles at or below each cumulative weight; the floor is exact up to
+    # rounding, and one step either way puts it where the quantiles do
+    below = np.floor(cum * m - u) + 1.0
+    below += (u + below) / m <= cum
+    below -= (u + (below - 1.0)) / m > cum
+    np.minimum(below, m, out=below)
+    return np.diff(below.astype(np.int64), axis=1, prepend=0)
 
 
-def _log_mean_mass(log_mass: Array, alive: Array) -> float:
-    if not np.any(alive):
-        return -math.inf
-    m = log_mass[alive]
-    peak = float(np.max(m))
-    return peak + math.log(float(np.sum(np.exp(m - peak)))) - math.log(log_mass.size)
+class _Blocks:
+    """The jackknife blocks: contiguous slot ranges of near-equal size."""
+
+    def __init__(self, n_particles: int):
+        self.block_of = np.arange(n_particles) * JACKKNIFE_BLOCKS // n_particles
+        sizes = np.bincount(self.block_of)
+        self.sizes = sizes[sizes > 0]
+        self.starts = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
+        # row b lists block b's slots, padded with its last slot
+        offsets = np.arange(self.sizes.max())
+        self.table = self.starts[:, None] + np.minimum(offsets, self.sizes[:, None] - 1)
+        self.in_block = offsets < self.sizes[:, None]
+        self._identity = np.arange(n_particles)
+
+    def weights(self, log_mass: Array) -> tuple[Array, Array, Array]:
+        """Each block's peak log-mass, every slot's mass relative to its
+        block's peak, and each block's total of those.
+
+        Dead slots (log-mass -inf) weigh 0; an extinct block has peak -inf
+        and total 0.
+        """
+        peak = np.maximum.reduceat(log_mass, self.starts)
+        shift = np.where(peak > -math.inf, peak, 0.0)
+        w = np.exp(log_mass - np.repeat(shift, self.sizes))
+        return peak, w, np.add.reduceat(w, self.starts)
+
+    def ess_fractions(self, w: Array, total: Array) -> Array:
+        """Effective sample size over block size, 0 for extinct blocks."""
+        ess = np.zeros(self.sizes.size)
+        np.divide(total * total, np.add.reduceat(w * w, self.starts) * self.sizes,
+                  out=ess, where=total > 0.0)
+        return ess
+
+    def sources(self, w: Array, fire: Array, jitter: Array) -> Array:
+        """The slot each slot copies after systematic resampling of the
+        blocks flagged in ``fire``, with one jitter per such block (see
+        ``_resample_counts``); slots of other blocks copy themselves."""
+        fired = np.flatnonzero(fire)
+        rows = self.table[fired]
+        counts = _resample_counts(w[rows] * self.in_block[fired],
+                                  self.sizes[fired], jitter)
+        src = self._identity.copy()
+        src[np.repeat(fire, self.sizes)] = np.repeat(rows.ravel(), counts.ravel())
+        return src
+
+
+def _log_mean_mass(peak: Array, total: Array, n_particles: int) -> float:
+    """log of the mean slot mass from per-block peaks and relative totals."""
+    top = float(np.max(peak))
+    if top == -math.inf:
+        return top
+    return (top + math.log(float(np.sum(total * np.exp(peak - top))))
+            - math.log(n_particles))
+
+
+def _constant_log_weight(weight: WeightField) -> float | None:
+    if callable(weight.log_weight) or weight.support_cutoff is not None:
+        return None
+    return float(weight.log_weight)
 
 
 def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
@@ -127,7 +225,7 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
 
     ``start`` is either a point inside the region or a RegionSpec to sample
     uniformly from.  Deterministic given ``seed``.  Raises
-    EnsembleExtinctError when all particles die before time n.
+    EnsembleExtinctError when the ensemble's mass is 0 at some step <= n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -143,66 +241,76 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
         pt = np.atleast_1d(np.asarray(start, dtype=float))
         pos = np.tile(pt, (n_particles, 1))
 
-    log_mass = np.zeros(n_particles)
-    alive = np.asarray(region.contains(pos), dtype=bool).copy()
-    if not np.any(alive):
+    # a slot is alive exactly while its log-mass is finite
+    log_mass = np.where(region.contains(pos), 0.0, -math.inf)
+    if not np.any(log_mass > -math.inf):
         raise EnsembleExtinctError(0)  # started inside the killing region
+    const_lw = _constant_log_weight(weight)
     birk = {name: np.zeros(n_particles) for name in obs}
-    series = np.empty(n + 1)
-    series[0] = _log_mean_mass(log_mass, alive)
     resample_times: list[int] = []
     occ = (np.zeros(occupation_grid.n_cells)
            if occupation_grid is not None else None)
     occ_window = (n // 4, (3 * n) // 4)
-    block_of = np.minimum(np.arange(n_particles) * JACKKNIFE_BLOCKS // n_particles,
-                          JACKKNIFE_BLOCKS - 1)
-    block_slots = [np.flatnonzero(block_of == b) for b in range(JACKKNIFE_BLOCKS)]
+
+    blocks = _Blocks(n_particles)
+    sizes = blocks.sizes
+    block_resamplings = np.zeros(sizes.size, dtype=np.int64)
+    min_ess = np.ones(sizes.size)
+
+    series = np.empty(n + 1)
+    peak, _, total = blocks.weights(log_mass)
+    series[0] = _log_mean_mass(peak, total, n_particles)
 
     for t in range(n):
-        ids = np.flatnonzero(alive)
-        coords = _coords(pos[ids], d)
+        coords = _coords(pos, d)
         for name, h in obs.items():
-            birk[name][ids] += np.asarray(h(coords), dtype=float)
-        log_mass[ids] += np.log(weight.values(pos[ids]))
+            birk[name] += np.asarray(h(coords), dtype=float)
+        if const_lw is None:
+            with np.errstate(divide="ignore"):  # weight 0 gives mass 0: dead
+                log_mass += np.log(weight.values(pos))
+        elif const_lw != 0.0:
+            log_mass += const_lw
         if occ is not None and occ_window[0] <= t < occ_window[1]:
-            w = np.exp(log_mass[ids] - np.max(log_mass[ids]))
-            cells = occupation_grid.find_cells(pos[ids])
-            good = cells >= 0
-            occ += np.bincount(cells[good], weights=w[good],
-                               minlength=occupation_grid.n_cells) / np.sum(w)
+            top = np.max(log_mass)
+            if top > -math.inf:
+                w = np.exp(log_mass - top)
+                cells = occupation_grid.find_cells(pos)
+                good = cells >= 0
+                occ += np.bincount(cells[good], weights=w[good],
+                                   minlength=occupation_grid.n_cells) / np.sum(w)
 
-        new_pos, moved_alive = step_points(system, noise, pos[ids], rng)
-        pos[ids] = new_pos
-        still = moved_alive & region.contains(new_pos)
-        alive[ids] = still
-        if not np.any(alive):
+        new_pos, moved_alive = step_points(system, noise, pos, rng)
+        if not np.all(moved_alive):  # keep absorbed slots on domain points
+            new_pos[~moved_alive] = pos[~moved_alive]
+        pos = new_pos
+        log_mass = np.where(moved_alive & region.contains(pos), log_mass,
+                            -math.inf)
+
+        peak, w, total = blocks.weights(log_mass)
+        series[t + 1] = _log_mean_mass(peak, total, n_particles)
+        if series[t + 1] == -math.inf:
             raise EnsembleExtinctError(t + 1)
-        series[t + 1] = _log_mean_mass(log_mass, alive)
+        ess = blocks.ess_fractions(w, total)
+        np.minimum(min_ess, ess, out=min_ess)
+        fire = (total > 0.0) & (ess < resample_threshold)
+        if not np.any(fire):
+            continue
 
-        if resample_threshold > 0.0:
-            fired = False
-            for slots in block_slots:
-                live = slots[alive[slots]]
-                if live.size == 0:
-                    continue  # extinct block: stays extinct, carries no mass
-                w = np.exp(log_mass[live] - np.max(log_mass[live]))
-                ess = float(np.sum(w)) ** 2 / float(np.sum(w * w))
-                if ess >= resample_threshold * slots.size:
-                    continue
-                # equal-mass reset preserving the block's total mass
-                peak = float(np.max(log_mass[live]))
-                block_total = peak + math.log(float(np.sum(np.exp(log_mass[live] - peak))))
-                picks = live[_systematic_resample(w, slots.size, rng)]
-                pos[slots] = pos[picks]
-                for name in birk:
-                    birk[name][slots] = birk[name][picks]
-                log_mass[slots] = block_total - math.log(slots.size)
-                alive[slots] = True
-                fired = True
-            if fired:
-                resample_times.append(t + 1)
+        # equal-mass reset of every firing block, preserving its total mass
+        src = blocks.sources(w, fire, 1.0 - rng.uniform(size=np.count_nonzero(fire)))
+        pos = np.take(pos, src, axis=0)
+        for name in birk:
+            birk[name] = np.take(birk[name], src)
+        level = np.zeros(sizes.size)
+        level[fire] = peak[fire] + np.log(total[fire]) - np.log(sizes[fire])
+        log_mass = np.where(np.repeat(fire, sizes), np.repeat(level, sizes),
+                            log_mass)
+        block_resamplings += fire
+        resample_times.append(t + 1)
 
-    averages, errors = _ratio_with_jackknife(log_mass, alive, birk, n, block_of)
+    alive = log_mass > -math.inf
+    averages, errors = _ratio_with_jackknife(log_mass, alive, birk, n,
+                                            blocks.block_of)
     stats = EnsembleStats(
         averages=averages,
         standard_errors=errors,
@@ -213,6 +321,9 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
         n_particles=n_particles,
         resample_times=resample_times,
         occupation=(occ / occ.sum() if occ is not None and occ.sum() > 0 else occ),
+        block_resamplings=block_resamplings.tolist(),
+        block_min_ess_fraction=min_ess.tolist(),
+        extinct_blocks=int(np.sum(total == 0.0)),
     )
     try:
         stats.escape_rate_estimate = escape_rate_mc(stats)

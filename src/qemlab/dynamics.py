@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -69,9 +70,9 @@ class Box:
     def contains(self, points: Array) -> Array:
         """Half-open membership test, vectorised over the leading axis."""
         p = np.atleast_2d(points)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        ok = np.all((p >= lo) & (p < hi), axis=1)
+        ok = (p[:, 0] >= self.lo[0]) & (p[:, 0] < self.hi[0])
+        for k in range(1, self.dimension):
+            ok &= (p[:, k] >= self.lo[k]) & (p[:, k] < self.hi[k])
         return ok if np.ndim(points) > 1 else bool(ok[0])
 
 
@@ -94,10 +95,26 @@ class Domain:
         """Index of the box containing each point (-1 when outside all)."""
         p = np.atleast_2d(points)
         out = np.full(p.shape[0], -1, dtype=np.int64)
-        for b, box in enumerate(self.boxes):
-            hit = box.contains(p)
-            out[(out < 0) & hit] = b
+        for b in range(len(self.boxes) - 1, -1, -1):  # the first box wins
+            out[self.boxes[b].contains(p)] = b
         return out
+
+    @cached_property
+    def _axis_tables(self) -> list[tuple[Array, Array, Array, bool, bool]]:
+        """Per axis: each box's ``lo``, width and wrap flag, then whether
+        every box wraps the axis and whether every wrapped width is 1.
+
+        The tables carry one extra last entry (lo 0, width 1, no wrap), so
+        the index -1 that ``locate`` gives points outside every box picks it.
+        """
+        tables = []
+        for k in range(self.dimension):
+            lo = np.array([b.lo[k] for b in self.boxes] + [0.0], dtype=float)
+            width = np.array([b.widths[k] for b in self.boxes] + [1.0])
+            wrap = np.array([b.wrap[k] for b in self.boxes] + [False])
+            tables.append((lo, width, wrap, bool(np.all(wrap[:-1])),
+                           bool(np.all(width[wrap] == 1.0))))
+        return tables
 
     def apply_boundary(self, base: Array, moved: Array) -> tuple[Array, Array]:
         """Wrap or absorb ``moved`` relative to the box containing ``base``.
@@ -105,29 +122,37 @@ class Domain:
         ``base`` is the unperturbed image T(x) and ``moved = base + delta``.
         Since the noise amplitude is small compared with box sizes, the box
         of ``base`` decides which torus the offset wraps on.  Returns
-        ``(adjusted_points, alive_mask)``; dead entries are left untouched
+        ``(adjusted_points, alive_mask)``; dead rows hold unspecified values
         and must be masked by the caller.
         """
         pts = np.array(np.atleast_2d(moved), dtype=float)
-        bs = np.atleast_2d(base)
-        which = self.locate(bs)
+        which = self.locate(np.atleast_2d(base))
         alive = which >= 0
-        for b, box in enumerate(self.boxes):
-            sel = which == b
-            if not np.any(sel):
+        for k, (lo_b, width_b, wrap_b, all_wrap, unit) in enumerate(self._axis_tables):
+            x = pts[:, k]
+            lo = lo_b[which]
+            if all_wrap:
+                x[:] = lo + _wrap_mod(x - lo, 1.0 if unit else width_b[which])
                 continue
-            lo = np.asarray(box.lo)
-            w = box.widths
-            sub = pts[sel]
-            for k in range(box.dimension):
-                if box.wrap[k]:
-                    sub[:, k] = lo[k] + np.mod(sub[:, k] - lo[k], w[k])
-                else:
-                    bad = (sub[:, k] < lo[k]) | (sub[:, k] >= lo[k] + w[k])
-                    idx = np.flatnonzero(sel)[bad]
-                    alive[idx] = False
-            pts[sel] = sub
+            width = width_b[which]
+            wraps = wrap_b[which]
+            alive &= wraps | ~((x < lo) | (x >= lo + width))
+            if np.any(wraps):
+                x[wraps] = (lo + _wrap_mod(x - lo, 1.0 if unit else width))[wraps]
         return pts, alive
+
+
+def _wrap_mod(a: Array, w) -> Array:
+    """``np.mod(a, w)``, bitwise, for positive ``w``.
+
+    For a scalar ``w == 1`` it is ``a - floor(a)``: exact wherever the
+    remainder is, rounded the same way elsewhere (-0.0 included), and free
+    of libm ``fmod``, which is many times slower; other widths go to
+    ``np.mod``.
+    """
+    if np.isscalar(w) and w == 1.0:
+        return a - np.floor(a)
+    return np.mod(a, w)
 
 
 @dataclass(frozen=True)
@@ -392,7 +417,7 @@ def _interval_domain(lo=0.0, hi=1.0) -> Domain:
 
 
 def _ternary_forward(p: Array) -> Array:
-    return np.mod(3.0 * p, 1.0)
+    return _wrap_mod(3.0 * p, 1.0)
 
 
 def ternary_hole() -> Builtin:
@@ -418,7 +443,7 @@ def five_hole() -> Builtin:
     dom = _interval_domain()
     system = MapSystem(
         dimension=1,
-        forward=lambda p: np.mod(5.0 * p, 1.0),
+        forward=lambda p: _wrap_mod(5.0 * p, 1.0),
         jacobian_det=lambda p: np.full(p.shape[0], 5.0),
         unstable_log_expansion=lambda p: np.full(p.shape[0], math.log(5.0)),
         domain=dom,
@@ -469,7 +494,7 @@ def smooth_perturbed(a: float = 0.03) -> Builtin:
     dom = _interval_domain()
 
     def fwd(p: Array) -> Array:
-        return np.mod(3.0 * p + a * np.sin(2.0 * np.pi * p), 1.0)
+        return _wrap_mod(3.0 * p + a * np.sin(2.0 * np.pi * p), 1.0)
 
     def jac(p: Array) -> Array:
         return 3.0 + 2.0 * np.pi * a * np.cos(2.0 * np.pi * p[:, 0])
@@ -492,8 +517,8 @@ def smooth_perturbed(a: float = 0.03) -> Builtin:
 def _two_repeller_forward(p: Array) -> Array:
     out = np.empty_like(p)
     left = p[:, 0] < 1.5
-    out[left, 0] = np.mod(3.0 * p[left, 0], 1.0)
-    out[~left, 0] = 2.0 + np.mod(5.0 * (p[~left, 0] - 2.0), 1.0)
+    out[left, 0] = _wrap_mod(3.0 * p[left, 0], 1.0)
+    out[~left, 0] = 2.0 + _wrap_mod(5.0 * (p[~left, 0] - 2.0), 1.0)
     return out
 
 

@@ -148,6 +148,21 @@ class TestMcCommand:
         assert abs(payload["averages"]["x"] - 0.5) < 0.1
         assert (out / "mass_series.csv").exists()
 
+    def test_writes_block_diagnostics(self, tmp_path):
+        path, _ = write_config(
+            tmp_path, mc={"n": 200, "n_particles": 2000, "start": [0.1]})
+        out = tmp_path / "out"
+        assert main(["mc", "--config", path, "--out", str(out)]) == EXIT_OK
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["n_blocks"] == 10 and diag["extinct_blocks"] == 0
+        assert len(diag["block_resamplings"]) == 10
+        assert all(0.0 < f <= 1.0 for f in diag["block_min_ess_fraction"])
+        payload = json.loads((out / "mc.json").read_text())
+        assert max(diag["block_resamplings"]) <= payload["n_resamplings"]
+        assert sorted(payload) == [
+            "averages", "escape_rate_estimate", "n_particles", "n_resamplings",
+            "n_steps", "standard_errors", "survival_fraction"]
+
     def test_extinct_exit_code(self, tmp_path):
         path, _ = write_config(
             tmp_path, noise={"epsilon": 0.0},

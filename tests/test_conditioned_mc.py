@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qemlab.conditioned_mc import (EnsembleExtinctError, escape_rate_mc,
-                                   run_conditioned,
+from qemlab.conditioned_mc import (EnsembleExtinctError, _Blocks,
+                                   escape_rate_mc, run_conditioned,
                                    starting_point_independence)
-from qemlab.dynamics import (Box, NoiseModel, RegionSpec, constant_weight,
-                             make_system, zero_weight)
+from qemlab.dynamics import (Box, Domain, MapSystem, NoiseModel, RegionSpec,
+                             WeightField, constant_weight, make_system,
+                             zero_weight)
 from qemlab.equilibrium import TestDictionary, weak_star_discrepancy
 from qemlab.spectral import solve_triple
 from qemlab.ulam import assemble_operator, build_grid
@@ -98,6 +101,110 @@ class TestRunConditioned:
         ratio = math.exp(-s2.escape_rate_estimate) \
             / math.exp(-s0.escape_rate_estimate)
         assert ratio == pytest.approx(2.0, rel=1e-6)
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_weight_kills(self):
+        # every particle reaches ~0.9 after two steps, where the weight is 0
+        weight = WeightField(0.0, support_cutoff=RegionSpec(
+            (Box((0.0,), (1.0 / 3.0,)),)), taper_width=0.0)
+        with pytest.raises(EnsembleExtinctError) as err:
+            run_conditioned(TERNARY.system, NOISE, weight, TERNARY.survivor,
+                            np.array([0.1]), n=8, n_particles=1000,
+                            observables=X, seed=1)
+        assert err.value.time == 3
+
+
+    def test_absorbed_slots_stay_on_the_domain(self):
+        # dead slots are stepped too, so an absorbed particle must not hand
+        # the map a point outside the domain it is defined on
+        def forward(p):
+            if not np.all((p >= 0.0) & (p < 1.0)):
+                raise ValueError("point outside the domain")
+            return np.mod(3.0 * p, 1.0)
+
+        t = TERNARY.system
+        system = MapSystem(1, forward, t.jacobian_det, t.unstable_log_expansion,
+                           Domain((Box((0.0,), (1.0,), (False,)),)), "absorbing")
+        stats = run_conditioned(system, NoiseModel(0.05, 1), zero_weight(),
+                                FULL, FULL, n=50, n_particles=500,
+                                observables=X, seed=3)
+        assert stats.log_mass_series[-1] < stats.log_mass_series[0]
+
+
+class TestBlockDiagnostics:
+    def test_counts_on_uneven_blocks(self):
+        stats = run_conditioned(TERNARY.system, NOISE, zero_weight(),
+                                TERNARY.survivor, np.array([0.1]), n=300,
+                                n_particles=3003, observables=X, seed=14)
+        counts = stats.block_resamplings
+        assert len(counts) == len(stats.block_min_ess_fraction) == 10
+        assert max(counts) <= len(stats.resample_times) <= sum(counts)
+        assert all(0.0 < f < 0.5 for f in stats.block_min_ess_fraction)
+        assert stats.extinct_blocks == 0
+        assert stats.diagnostics()["n_blocks"] == 10
+
+    def test_zero_threshold_never_resamples(self):
+        stats = run_conditioned(TERNARY.system, NOISE, zero_weight(),
+                                TERNARY.survivor, np.array([0.1]), n=12,
+                                n_particles=2000, observables=X,
+                                resample_threshold=0.0, seed=7)
+        assert stats.block_resamplings == [0] * 10
+        assert all(0.0 < f <= 1.0 for f in stats.block_min_ess_fraction)
+
+    def test_extinct_blocks_are_counted(self):
+        # blocks of 10 particles under wide noise: some die out, not all
+        stats = run_conditioned(TERNARY.system, NoiseModel(0.1, 1),
+                                zero_weight(), TERNARY.survivor,
+                                TERNARY.survivor, n=100, n_particles=100,
+                                observables=X, seed=1)
+        dead = sum(f == 0.0 for f in stats.block_min_ess_fraction)
+        assert 0 < stats.extinct_blocks == dead < 10
+        assert stats.survival_fraction <= 1.0 - dead / 10
+
+
+def _systematic_resample(weights, n_out, jitter):
+    """Reference: systematic resampling of one block by searchsorted."""
+    cum = np.cumsum(weights)
+    cum /= cum[-1]
+    u = (jitter + np.arange(n_out)) / n_out
+    return np.searchsorted(cum, u)
+
+
+class TestAllBlockResampling:
+    @settings(max_examples=150, deadline=None)
+    @given(n_particles=st.sampled_from([10, 1003, 2000]) | st.integers(2, 400),
+           kind=st.sampled_from(["random", "equal", "near_equal", "tiny"]),
+           dead=st.floats(0.0, 0.95), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_matches_per_block_searchsorted(self, n_particles, kind, dead,
+                                            seed, data):
+        blocks = _Blocks(n_particles)
+        rng = np.random.default_rng(seed)
+        # near-equal weights put cumulative weights within ulps of the
+        # quantiles, where rounding decides the counts
+        w = {"random": rng.exponential(size=n_particles),
+             "equal": np.ones(n_particles),
+             "near_equal": 1.0 + rng.integers(-64, 65, n_particles) * 2.0 ** -52,
+             "tiny": np.exp(-700.0 * rng.uniform(size=n_particles))}[kind]
+        w[rng.uniform(size=n_particles) < dead] = 0.0
+        n_blocks = blocks.sizes.size
+        totals = np.add.reduceat(w, blocks.starts)
+        fire = data.draw(arrays(bool, n_blocks)) & (totals > 0.0)
+        jitter = np.asarray(data.draw(st.lists(
+            st.sampled_from([2.0 ** -53, 1.0]) | st.floats(2.0 ** -53, 1.0),
+            min_size=int(fire.sum()), max_size=int(fire.sum()))), dtype=float)
+        src = blocks.sources(w, fire, jitter)
+        k = 0
+        for b, (lo, m) in enumerate(zip(blocks.starts, blocks.sizes)):
+            slots = np.arange(lo, lo + m)
+            if fire[b]:
+                want = slots[_systematic_resample(w[slots], m, jitter[k])]
+                k += 1
+                assert np.all(w[src[slots]] > 0.0)
+            else:
+                want = slots
+            assert np.array_equal(src[slots], want), b
 
 
 class TestEscapeRate:

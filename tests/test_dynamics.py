@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qemlab.dynamics import (Box, Domain, NoiseModel, WeightField,
+from qemlab.dynamics import (Box, Domain, NoiseModel, WeightField, _wrap_mod,
                              builtin_labels, constant_weight, eval_weight,
                              geometric_potential, make_system, region_fraction,
                              step_points, zero_weight)
@@ -74,6 +76,71 @@ class TestStepRandom:
         new, alive = step_points(b.system, NoiseModel(1e-3, 1), pts, rng(3))
         assert alive.all()
         assert (new[:2, 0] < 1.0).all() and (new[2:, 0] >= 2.0).all()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _per_box_boundary(domain, base, moved):
+    """Reference: the boundary rule applied box by box, axis by axis."""
+    pts = np.array(np.atleast_2d(moved), dtype=float)
+    bs = np.atleast_2d(base)
+    which = np.full(bs.shape[0], -1)
+    for b, box in enumerate(domain.boxes):
+        hit = np.all((bs >= np.asarray(box.lo)) & (bs < np.asarray(box.hi)), axis=1)
+        which[(which < 0) & hit] = b
+    alive = which >= 0
+    for b, box in enumerate(domain.boxes):
+        sel = which == b
+        lo, w = np.asarray(box.lo), box.widths
+        sub = pts[sel]
+        for k in range(box.dimension):
+            if box.wrap[k]:
+                sub[:, k] = lo[k] + np.mod(sub[:, k] - lo[k], w[k])
+            else:
+                bad = (sub[:, k] < lo[k]) | (sub[:, k] >= lo[k] + w[k])
+                alive[np.flatnonzero(sel)[bad]] = False
+        pts[sel] = sub
+    return pts, alive, which
+
+
+BOUNDARY_DOMAINS = {
+    "two_repeller": make_system("two_repeller").system.domain,
+    "absorbing": Domain((Box((0.0,), (1.0,), (False,)),)),
+    "open_baker": make_system("open_baker").system.domain,
+    "mixed_2d": Domain((Box((0.0, -1.0), (2.0, 0.5), (True, False)),
+                        Box((2.5, 0.0), (3.0, 1.0), (False, True)))),
+}
+
+
+class TestBoundaryKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(a=arrays(float, st.integers(1, 40), elements=FINITE),
+           w=st.just(1.0) | st.floats(1e-3, 1e3))
+    def test_wrap_mod_is_bitwise_np_mod(self, a, w):
+        assert np.array_equal(_bits(_wrap_mod(a, w)), _bits(np.mod(a, w)))
+
+    def test_wrap_mod_signed_zero_and_tiny(self):
+        a = np.array([-0.0, 0.0, -1e-300, -5e-324, -1.0, -3.0, 1.0 - 2 ** -53])
+        assert np.array_equal(_bits(_wrap_mod(a, 1.0)), _bits(np.mod(a, 1.0)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(sorted(BOUNDARY_DOMAINS)), data=st.data())
+    def test_apply_boundary_matches_per_box_rule(self, name, data):
+        domain = BOUNDARY_DOMAINS[name]
+        d = domain.dimension
+        n = data.draw(st.integers(1, 40))
+        base = data.draw(arrays(float, (n, d), elements=st.floats(-1.5, 3.5)))
+        delta = data.draw(arrays(float, (n, d), elements=st.floats(-0.6, 0.6)))
+        got, alive = domain.apply_boundary(base, base + delta)
+        want, want_alive, which = _per_box_boundary(domain, base, base + delta)
+        assert np.array_equal(alive, want_alive)
+        located = which >= 0  # rows outside every box are unspecified
+        assert np.array_equal(_bits(got[located]), _bits(want[located]))
 
 
 class TestJacobians:
