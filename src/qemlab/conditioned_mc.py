@@ -37,9 +37,12 @@ exactly when its mass is 0 (log-mass -inf), and the sums of dead slots are
 never read.  Mass 0 comes from leaving the region or from a weight of 0, so
 a zero weight kills.  Blocks are contiguous slot ranges, so their ESS tests
 and their systematic resamplings run in one pass over all blocks, with one
-uniform per resampling block.  Runs are deterministic given the seed; the
-draws differ from versions that stepped only live particles, so ``mc.json``
-for a given seed differs from theirs.
+uniform per resampling block.  A step costs the same for every slot, so its
+cost scales with ``n_particles``, not with the survivors: a dead slot comes
+back only when its block resamples, and a run that seldom resamples
+(``resample_threshold`` 0, say) keeps paying for its dead slots.  Runs are
+deterministic given the seed; the draws differ from versions that stepped
+only live particles, so ``mc.json`` for a given seed differs from theirs.
 """
 
 from __future__ import annotations
@@ -267,7 +270,9 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
             birk[name] += np.asarray(h(coords), dtype=float)
         if const_lw is None:
             with np.errstate(divide="ignore"):  # weight 0 gives mass 0: dead
-                log_mass += np.log(weight.values(pos))
+                log_weight = np.log(weight.values(pos))
+            # dead slots stay dead, whatever the weight is where they sit
+            np.add(log_mass, log_weight, out=log_mass, where=log_mass > -math.inf)
         elif const_lw != 0.0:
             log_mass += const_lw
         if occ is not None and occ_window[0] <= t < occ_window[1]:

@@ -100,9 +100,9 @@ class Domain:
         return out
 
     @cached_property
-    def _axis_tables(self) -> list[tuple[Array, Array, Array, bool, bool]]:
+    def _axis_tables(self) -> list[tuple[Array, Array, Array, bool]]:
         """Per axis: each box's ``lo``, width and wrap flag, then whether
-        every box wraps the axis and whether every wrapped width is 1.
+        every wrapped width is 1.
 
         The tables carry one extra last entry (lo 0, width 1, no wrap), so
         the index -1 that ``locate`` gives points outside every box picks it.
@@ -112,8 +112,7 @@ class Domain:
             lo = np.array([b.lo[k] for b in self.boxes] + [0.0], dtype=float)
             width = np.array([b.widths[k] for b in self.boxes] + [1.0])
             wrap = np.array([b.wrap[k] for b in self.boxes] + [False])
-            tables.append((lo, width, wrap, bool(np.all(wrap[:-1])),
-                           bool(np.all(width[wrap] == 1.0))))
+            tables.append((lo, width, wrap, bool(np.all(width[wrap] == 1.0))))
         return tables
 
     def apply_boundary(self, base: Array, moved: Array) -> tuple[Array, Array]:
@@ -128,17 +127,13 @@ class Domain:
         pts = np.array(np.atleast_2d(moved), dtype=float)
         which = self.locate(np.atleast_2d(base))
         alive = which >= 0
-        for k, (lo_b, width_b, wrap_b, all_wrap, unit) in enumerate(self._axis_tables):
+        for k, (lo_b, width_b, wrap_b, unit) in enumerate(self._axis_tables):
             x = pts[:, k]
             lo = lo_b[which]
-            if all_wrap:
-                x[:] = lo + _wrap_mod(x - lo, 1.0 if unit else width_b[which])
-                continue
             width = width_b[which]
             wraps = wrap_b[which]
             alive &= wraps | ~((x < lo) | (x >= lo + width))
-            if np.any(wraps):
-                x[wraps] = (lo + _wrap_mod(x - lo, 1.0 if unit else width))[wraps]
+            np.copyto(x, lo + _wrap_mod(x - lo, 1.0 if unit else width), where=wraps)
         return pts, alive
 
 

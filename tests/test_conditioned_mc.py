@@ -102,7 +102,6 @@ class TestRunConditioned:
             / math.exp(-s0.escape_rate_estimate)
         assert ratio == pytest.approx(2.0, rel=1e-6)
 
-
     @pytest.mark.filterwarnings("error")
     def test_zero_weight_kills(self):
         # every particle reaches ~0.9 after two steps, where the weight is 0
@@ -114,6 +113,23 @@ class TestRunConditioned:
                             observables=X, seed=1)
         assert err.value.time == 3
 
+    @pytest.mark.filterwarnings("error")
+    def test_weight_off_the_region_is_never_read(self):
+        # dead slots sit in the hole, where this log-weight is NaN; they
+        # must stay dead, so the run equals the one with phi = 0
+        survivor = TERNARY.survivor
+
+        def phi(p):
+            return np.where(survivor.contains(p), 0.0, math.nan)
+
+        kw = dict(n=200, n_particles=2000, observables=X, seed=5)
+        nan_off = run_conditioned(TERNARY.system, NOISE, WeightField(phi),
+                                  survivor, np.array([0.1]), **kw)
+        plain = run_conditioned(TERNARY.system, NOISE, zero_weight(),
+                                survivor, np.array([0.1]), **kw)
+        assert np.all(np.isfinite(nan_off.log_mass_series))
+        assert np.array_equal(nan_off.log_mass_series, plain.log_mass_series)
+        assert nan_off.averages == plain.averages
 
     def test_absorbed_slots_stay_on_the_domain(self):
         # dead slots are stepped too, so an absorbed particle must not hand
