@@ -12,8 +12,11 @@ quasi-ergodic vectors, using the metrics of :mod:`qemlab.equilibrium`.
 Configs are JSON with a versioned ``schema`` field; see README for the full
 layout.  Exit codes: 0 success, 2 config error, 3 numerical non-convergence,
 4 ensemble extinct.  Given the same config and seed, re-runs write
-byte-identical primary artifacts (timings go to a separate runtimes file,
-and ``mc`` writes its per-block resampling counters to ``diagnostics.json``).
+byte-identical primary artifacts.  Timings go to a separate runtimes file
+and counters to ``diagnostics.json``: per-block resampling counts for
+``mc``; for ``spectrum`` and ``filtration``, and per epsilon for ``sweep``,
+how many assembly strata fell back to a point mass or were absorbed off the
+domain.
 """
 
 from __future__ import annotations
@@ -251,6 +254,7 @@ def cmd_spectrum(config: ExperimentConfig, out: Path, args) -> int:
     payload = dict(triple.scalars())
     payload["metadata"] = matrix.metadata
     write_json(out / "spectrum.json", payload)
+    write_json(out / "diagnostics.json", matrix.diagnostics)
     _vectors_csv(out / "qem.csv", grid, triple)
     if args.export_matrix:
         export_matrix(matrix, out / "operator.json")
@@ -301,15 +305,16 @@ def cmd_sweep(config: ExperimentConfig, out: Path, args) -> int:
     dictionary = TestDictionary(dimension=builtin.system.dimension)
     centers = grid.centers()
 
-    rows, runtimes, failures = [], [], []
+    rows, runtimes, diagnostics, failures = [], [], {}, []
     for eps in epsilons:
         t0 = time.perf_counter()
         try:
-            _, _, _, triple = _assemble_and_solve(config, eps)
+            _, _, matrix, triple = _assemble_and_solve(config, eps)
         except Exception as exc:  # flagged below; partial results still land
             failures.append((eps, exc))
             continue
         runtimes.append((eps, time.perf_counter() - t0))
+        diagnostics[f"{eps:g}"] = matrix.diagnostics
         disc = (weak_star_discrepancy(triple.qem, reference, dictionary, centers)
                 if reference is not None else math.nan)
         w1 = (w1_1d(triple.qem, reference, centers, grid.cell_volume)
@@ -319,6 +324,7 @@ def cmd_sweep(config: ExperimentConfig, out: Path, args) -> int:
     write_csv(out / "sweep.csv",
               ["epsilon", "lambda", "gap_ratio", "discrepancy", "w1"], rows)
     write_csv(out / "runtimes.csv", ["epsilon", "seconds"], runtimes)
+    write_json(out / "diagnostics.json", diagnostics)
     write_series(out / "series_lambda.txt", [r[0] for r in rows],
                  [r[1] for r in rows])
     if reference is not None:
@@ -383,6 +389,7 @@ def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
         matrix = assemble_operator(builtin.system, noise, weight, region, grid,
                                    samples_per_cell=config.samples_per_cell,
                                    seed=config.seed)
+        write_json(out / "diagnostics.json", matrix.diagnostics)
         strata_cells = {int(k): _cells_in_boxes(grid, v)
                         for k, v in strata.items()}
         report = stratified_qem_workflow(matrix, order, strata_cells,

@@ -269,8 +269,7 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
         for name, h in obs.items():
             birk[name] += np.asarray(h(coords), dtype=float)
         if const_lw is None:
-            with np.errstate(divide="ignore"):  # weight 0 gives mass 0: dead
-                log_weight = np.log(weight.values(pos))
+            log_weight = weight.effective_log_values(pos)  # -inf kills
             # dead slots stay dead, whatever the weight is where they sit
             np.add(log_mass, log_weight, out=log_mass, where=log_mass > -math.inf)
         elif const_lw != 0.0:

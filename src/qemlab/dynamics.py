@@ -173,39 +173,39 @@ class RegionSpec:
         return sum(b.volume for b in self.boxes)
 
 
-def region_fraction(region: RegionSpec, cell_lo, cell_hi,
-                    subsamples: int = 512, seed=0) -> float:
+def region_fraction(region: RegionSpec, cell_lo, cell_hi) -> float:
     """Fraction of the cell ``[cell_lo, cell_hi)`` covered by ``region``.
 
-    Exact (0 or 1) when the cell lies entirely inside one region box or
-    intersects none of them; otherwise a stratified jittered-sample
-    estimate with ``~subsamples`` points.
+    Exact for any union of boxes, overlapping or not: each box is clipped to
+    the cell, the clipped faces split every axis into intervals (coordinate
+    compression), and the covered volume sums the products of interval
+    lengths over the elementary sub-boxes that some clipped box covers.  A
+    cell inside one region box gives exactly 1, one that meets none 0.
     """
     lo = np.asarray(cell_lo, dtype=float)
     hi = np.asarray(cell_hi, dtype=float)
     if np.any(hi <= lo):
         raise ValueError("degenerate cell")
-    d = lo.size
-    for box in region.boxes:
-        if np.all(lo >= np.asarray(box.lo)) and np.all(hi <= np.asarray(box.hi)):
-            return 1.0
-    overlaps = False
-    for box in region.boxes:
-        if np.all(np.minimum(hi, box.hi) > np.maximum(lo, box.lo)):
-            overlaps = True
-            break
-    if not overlaps:
+    box_lo = np.array([b.lo for b in region.boxes], dtype=float)
+    box_hi = np.array([b.hi for b in region.boxes], dtype=float)
+    if np.any(np.all((lo >= box_lo) & (hi <= box_hi), axis=1)):
+        return 1.0
+    box_lo = np.clip(box_lo, lo, hi)
+    box_hi = np.clip(box_hi, lo, hi)
+    meets = np.all(box_hi > box_lo, axis=1)
+    box_lo, box_hi = box_lo[meets], box_hi[meets]
+    if box_lo.shape[0] == 0:
         return 0.0
-    if subsamples < 1:
-        raise ValueError("subsamples must be >= 1")
-    m = max(1, round(subsamples ** (1.0 / d)))
-    rng = np.random.default_rng([int(seed)] if np.isscalar(seed) else list(seed))
-    axes = [np.linspace(0.0, 1.0, m, endpoint=False) + 0.5 / m for _ in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    pts = pts + rng.uniform(-0.5 / m, 0.5 / m, size=pts.shape)
-    pts = lo + pts * (hi - lo)
-    return float(np.mean(region.contains(pts)))
+    # a repeated cut only adds an empty interval
+    cuts = [np.sort(np.concatenate([box_lo[:, k], box_hi[:, k]]))
+            for k in range(lo.size)]
+    mids = np.stack([g.ravel() for g in np.meshgrid(
+        *[(c[:-1] + c[1:]) / 2.0 for c in cuts], indexing="ij")], axis=1)
+    sizes = np.stack([g.ravel() for g in np.meshgrid(
+        *[np.diff(c) for c in cuts], indexing="ij")], axis=1)
+    covered = np.any(np.all((mids[:, None, :] >= box_lo)
+                            & (mids[:, None, :] < box_hi), axis=2), axis=1)
+    return float(np.sum(np.prod(sizes[covered], axis=1)) / np.prod(hi - lo))
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +335,16 @@ class WeightField:
         if self.support_cutoff is not None:
             w = w * self._taper(points)
         return w
+
+    def effective_log_values(self, points: Array) -> Array:
+        """Log of :meth:`values`, summed as phi + log(taper) without ``exp``,
+        so phi below about -745, where e^{phi} underflows to 0, stays finite.
+        A taper of 0 gives -inf."""
+        log_w = self.log_values(points)
+        if self.support_cutoff is not None:
+            with np.errstate(divide="ignore"):
+                log_w = log_w + np.log(self._taper(points))
+        return log_w
 
 
 def eval_weight(weight: WeightField, x) -> float:

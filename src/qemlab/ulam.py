@@ -23,10 +23,21 @@ stratum straddles a branch discontinuity (one stratum per cell suffices on
 branch-aligned grids, for any eps).  Strata whose corner images are
 inconsistent with a single monotone branch (detected via the jittered
 midpoint image and the Jacobian) fall back to a point mass at the midpoint
-image, which keeps non-aligned grids sane.
+image, which keeps non-aligned grids sane.  The matrix's ``diagnostics``
+count those point masses and the strata absorbed off the domain.
 
 Cells straddling the boundary of Y receive fractional killing weights from
-:func:`qemlab.dynamics.region_fraction`.
+:func:`qemlab.dynamics.region_fraction`, exact for any union of boxes.
+
+The assembly runs on whole arrays, a fixed number of source cells per pass:
+cell boxes, strata, corner and midpoint images, the branch-consistency test,
+the per-axis CDFs and their tensor products are computed for every stratum
+of the pass at once.  Each (row, column) sum is accumulated by ``bincount``
+in the order of the per-cell definition (stratum by stratum, axis 0
+outermost), so the matrices are bitwise those of assembling one cell, one
+stratum and one axis at a time.  The jitter streams of
+``default_rng([seed, cell])`` are reproduced bitwise for all cells of a pass
+at once, so no generator is built per cell.
 """
 
 from __future__ import annotations
@@ -160,6 +171,7 @@ class AnnealedMatrix:
     cell_volume: float
     metadata: dict
     cell_ids: Array | None = None
+    diagnostics: dict = field(default_factory=dict)
     _row_ids: Array | None = field(default=None, repr=False)
 
     def _rows(self) -> Array:
@@ -223,57 +235,167 @@ def _h_antideriv(t: Array, eps: float) -> Array:
                     np.where(t >= eps, t, (t + eps) ** 2 / (4.0 * eps)))
 
 
-def _segment_cdf(z: Array, p: float, q: float, eps: float) -> Array:
-    """CDF of Z = U[p,q] + U[-eps,eps] evaluated at the points z."""
-    if q > p:
-        return (_h_antideriv(z - p, eps) - _h_antideriv(z - q, eps)) / (q - p)
+def _segment_cdf(z: Array, p: Array, q: Array, eps: float) -> Array:
+    """CDF of Z = U[p,q] + U[-eps,eps] at the points z, elementwise in p, q.
+
+    Where ``q == p`` the segment is a point mass at p.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = (_h_antideriv(z - p, eps) - _h_antideriv(z - q, eps)) / (q - p)
     if eps > 0.0:
-        return np.clip((z - p + eps) / (2.0 * eps), 0.0, 1.0)
-    return (z > p).astype(float)
+        point = np.clip((z - p + eps) / (2.0 * eps), 0.0, 1.0)
+    else:
+        point = (z > p).astype(float)
+    return np.where(q > p, spread, point)
 
 
-def _axis_cell_masses(p: float, q: float, eps: float, res: int, width: float,
-                      wrap: bool) -> tuple[Array, Array]:
-    """Per-cell masses along one box axis (box-local coordinates).
+def _axis_cell_masses(p: Array, q: Array, eps: float, res: int, width: Array,
+                      wrap: Array) -> tuple[Array, Array, Array]:
+    """Target-cell masses of the segments [p, q] along their box axes.
 
-    Returns (cell coordinates, masses).  Wrapped axes fold the support back
-    into [0, width); absorbing axes drop the overhang.  Coordinates may
-    repeat when the support wraps onto itself; callers must accumulate.
+    Coordinates are box-local, one segment per entry of the inputs.  Wrapped
+    axes fold the support back into [0, width) once per copy of the circle it
+    meets; absorbing axes drop the overhang.  Returns ``(segment, cell,
+    mass)`` grouped by segment, then copy, then cell; cells may repeat
+    within a segment when its support wraps onto itself, so callers must
+    accumulate.
     """
     h = width / res
-    lo_s, hi_s = p - eps, q + eps
-    if wrap:
-        k0 = int(np.floor(lo_s / width))
-        k1 = int(np.floor(hi_s / width + 1e-15))
-    else:
-        k0 = k1 = 0
-    coords_all, masses_all = [], []
-    for k in range(k0, k1 + 1):
-        shift = k * width
-        pp, qq = p - shift, q - shift
-        c0 = max(0, int(np.floor((pp - eps) / h)))
-        c1 = min(res - 1, int(np.floor((qq + eps) / h)))
-        if c1 < c0:
-            continue
-        edges = (np.arange(c0, c1 + 2)) * h
-        cdf = _segment_cdf(edges, pp, qq, eps)
-        masses = np.diff(cdf)
-        keep = masses > 1e-14  # corner-extrapolation roundoff floor
-        if np.any(keep):
-            coords_all.append(np.arange(c0, c1 + 1)[keep])
-            masses_all.append(masses[keep])
-    if not coords_all:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    return np.concatenate(coords_all), np.concatenate(masses_all)
+    k0 = np.where(wrap, np.floor((p - eps) / width), 0.0).astype(np.int64)
+    k1 = np.where(wrap, np.floor((q + eps) / width + 1e-15), 0.0).astype(np.int64)
+    seg, copy = _ragged(k1 - k0 + 1)
+    shift = (k0[seg] + copy) * width[seg]
+    pp = p[seg] - shift
+    qq = q[seg] - shift
+    hh = h[seg]
+    c0 = np.maximum(0, np.floor((pp - eps) / hh).astype(np.int64))
+    c1 = np.minimum(res - 1, np.floor((qq + eps) / hh).astype(np.int64))
+    piece, rank = _ragged(np.where(c1 >= c0, c1 - c0 + 2, 0))
+    cells = c0[piece] + rank
+    cdf = _segment_cdf(cells * hh[piece], pp[piece], qq[piece], eps)
+    masses = np.diff(cdf)
+    # a mass joins an edge to the next one of the same copy; the floor drops
+    # corner-extrapolation roundoff
+    keep = (piece[1:] == piece[:-1]) & (masses > 1e-14)
+    return seg[piece[:-1][keep]], cells[:-1][keep], masses[keep]
+
+
+def _ragged(sizes: Array) -> tuple[Array, Array]:
+    """Flat layout of groups of the given sizes: each item's group and its
+    rank within the group."""
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    starts = np.cumsum(sizes) - sizes
+    return owner, np.arange(owner.size) - starts[owner]
+
+
+# ---------------------------------------------------------------------------
+# per-cell jitter streams
+# ---------------------------------------------------------------------------
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+_B32, _B16 = np.uint64(32), np.uint64(16)
+_PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))
+
+
+def _seed_sequence_words(entropy: list[Array]) -> list[Array]:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)``, elementwise.
+
+    ``entropy`` lists the 32-bit entropy words, held in uint64 arrays.  The
+    hash constants advance the same way for every element, so each round is
+    one array operation.
+    """
+    const = [0x43B0D7E5]
+
+    def hashmix(value):
+        value = value ^ np.uint64(const[0])
+        const[0] = const[0] * 0x931E8875 & 0xFFFFFFFF
+        value = value * np.uint64(const[0]) & _LOW32
+        return value ^ value >> _B16
+
+    def mix(x, y):
+        r = np.uint64(0xCA01F9DD) * x - np.uint64(0x4973F715) * y & _LOW32
+        return r ^ r >> _B16
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD
+    out = []
+    for k in range(8):
+        value = pool[k % 4] ^ np.uint64(const)
+        const = const * 0x58F38DED & 0xFFFFFFFF
+        value = value * np.uint64(const) & _LOW32
+        out.append(value ^ value >> _B16)
+    return [out[2 * k] | out[2 * k + 1] << _B32 for k in range(4)]
+
+
+def _mul_high(a: Array, b) -> Array:
+    """High 64 bits of the 128-bit products ``a * b`` of uint64 values."""
+    a0, a1, b0, b1 = a & _LOW32, a >> _B32, b & _LOW32, b >> _B32
+    mid = (a0 * b0 >> _B32) + (a0 * b1 & _LOW32) + (a1 * b0 & _LOW32)
+    return a1 * b1 + (a0 * b1 >> _B32) + (a1 * b0 >> _B32) + (mid >> _B32)
+
+
+def _pcg_step(state: tuple[Array, Array], inc: tuple[Array, Array]
+              ) -> tuple[Array, Array]:
+    """PCG64's LCG step ``state * mult + inc`` mod 2^128, on (high, low)
+    uint64 halves."""
+    (hi, lo), (m_hi, m_lo) = state, _PCG_MULT
+    prod_lo = lo * m_lo
+    new_lo = prod_lo + inc[1]
+    carry = (new_lo < prod_lo).astype(np.uint64)
+    return hi * m_lo + lo * m_hi + _mul_high(lo, m_lo) + inc[0] + carry, new_lo
+
+
+def _cell_jitter(seed: int, cells: Array, size: int) -> Array:
+    """``default_rng([seed, i]).uniform(-0.5, 0.5, size)`` for each cell i,
+    bitwise, for all cells at once.
+
+    ``default_rng`` seeds PCG64 (a 128-bit LCG with XSL-RR output) from a
+    ``SeedSequence`` of the 32-bit words of ``seed`` and ``i``; both are
+    reproduced here on uint64 arrays, about 50 times faster than building
+    one generator per cell.  The tests compare it with ``default_rng``.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    cells = np.asarray(cells, dtype=np.uint64)
+    words = [np.full(cells.size, seed >> 32 * k & 0xFFFFFFFF, dtype=np.uint64)
+             for k in range(max(1, -(-seed.bit_length() // 32)))]
+    s_hi, s_lo, i_hi, i_lo = _seed_sequence_words(words + [cells])
+    one = np.uint64(1)
+    inc = (i_hi << one | i_lo >> np.uint64(63), i_lo << one | one)
+    # seeding: step from 0, add the initial state, step again
+    hi, lo = _pcg_step((np.zeros_like(s_hi), np.zeros_like(s_lo)), inc)
+    lo_sum = lo + s_lo
+    state = _pcg_step((hi + s_hi + (lo_sum < lo).astype(np.uint64), lo_sum), inc)
+    out = np.empty((cells.size, size))
+    for k in range(size):
+        state = _pcg_step(state, inc)
+        x, rot = state[0] ^ state[1], state[0] >> np.uint64(58)
+        draw = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+        # uniform(low, high) is low + (high - low) * (53 random bits) / 2^53
+        out[:, k] = -0.5 + 1.0 * ((draw >> np.uint64(11)).astype(float)
+                                  * (1.0 / 9007199254740992.0))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # region fractions per cell
 # ---------------------------------------------------------------------------
 
-def region_fractions(region: RegionSpec, grid: GridPartition,
-                     subsamples: int = 512, seed=0) -> Array:
-    """Covered fraction of every grid cell, exact where cells do not straddle."""
+def region_fractions(region: RegionSpec, grid: GridPartition) -> Array:
+    """Covered fraction of every grid cell, exact for any union of boxes.
+
+    Cells inside or outside the region get 1 or 0 directly; each cell that
+    straddles its boundary gets :func:`qemlab.dynamics.region_fraction`.
+    """
     n = grid.n_cells
     centers = grid.centers()
     h = np.asarray(grid.boxes[0].widths) / grid.resolution
@@ -288,14 +410,23 @@ def region_fractions(region: RegionSpec, grid: GridPartition,
                           axis=1)
     frac = np.where(inside, 1.0, 0.0)
     for i in np.flatnonzero(touches & ~inside):
-        frac[i] = region_fraction(region, lo_all[i], hi_all[i],
-                                  subsamples=subsamples, seed=[int(seed), 7, int(i)])
+        frac[i] = region_fraction(region, lo_all[i], hi_all[i])
     return frac
 
 
 # ---------------------------------------------------------------------------
 # operator assembly
 # ---------------------------------------------------------------------------
+
+# Source cells per assembly pass.  A pass holds a few arrays with one entry
+# per (stratum, target cell) pair of its cells, so this bounds the working
+# memory on any grid.  Measured on the benchmark workloads, 128 is as fast as
+# 256 or 512 and keeps peak memory at the 32-cell level; 512 adds 5 MB to
+# sweep_1d.
+_CHUNK_CELLS = 128
+
+_ETA = 1e-12  # relative corner shrink, keeps evaluations off branch edges
+
 
 def _strata_counts(samples_per_cell, dimension: int) -> tuple[int, ...]:
     if isinstance(samples_per_cell, (tuple, list)):
@@ -310,6 +441,130 @@ def _strata_counts(samples_per_cell, dimension: int) -> tuple[int, ...]:
     return (per_axis,) * dimension
 
 
+class _Assembly:
+    """One operator assembly: the inputs every pass reads, the stratum
+    template, per-box tables and the assembly counters."""
+
+    def __init__(self, system: MapSystem, region: RegionSpec,
+                 grid: GridPartition, eps: float, seed: int,
+                 counts: tuple[int, ...], frac: Array, weights: Array):
+        self.system, self.region, self.grid = system, region, grid
+        self.eps, self.seed, self.frac, self.weights = eps, seed, frac, weights
+        d = grid.dimension
+        # stratum lower corners and widths relative to the cell, and the
+        # shrunken corner offsets within a stratum
+        rel_axes = [(np.arange(m) / m) for m in counts]
+        self.rel_lo = np.stack([g.ravel() for g in
+                                np.meshgrid(*rel_axes, indexing="ij")], axis=1)
+        self.rel_w = np.asarray([1.0 / m for m in counts])
+        corner_signs = np.array(list(product((0.0, 1.0), repeat=d)))
+        self.shr = corner_signs * (1.0 - 2.0 * _ETA) + _ETA
+        self.stratum_mass = 1.0 / self.rel_lo.shape[0]
+        # place value of each axis in a cell's row-major index within its box
+        self.place = grid.resolution ** np.arange(d - 1, -1, -1)
+        # one row per grid box and per domain box
+        self.grid_lo = np.array([b.lo for b in grid.boxes], dtype=float)
+        self.grid_w = np.array([b.widths for b in grid.boxes])
+        domain = system.domain.boxes
+        self.dom_lo = np.array([b.lo for b in domain], dtype=float)
+        self.dom_w = np.array([b.widths for b in domain])
+        self.dom_wrap = np.array([b.wrap for b in domain], dtype=bool)
+        self.counters = {"point_mass_strata": 0, "absorbed_strata": 0}
+
+    def strata(self, cells: Array) -> tuple[Array, Array, Array, Array]:
+        """Kept strata of the cells, in cell then stratum order: the
+        position of their cell in ``cells``, their lower corners, widths and
+        jittered midpoints.
+
+        Cell boxes are those of :meth:`GridPartition.cell_box`, with the
+        width taken as ``(lo + h) - lo``.
+        """
+        grid, d = self.grid, self.grid.dimension
+        res, n_strata = grid.resolution, self.rel_lo.shape[0]
+        box = cells // grid.cells_per_box
+        digits = (cells % grid.cells_per_box)[:, None] // self.place % res
+        h = self.grid_w[box] / res
+        lo = self.grid_lo[box] + digits * h
+        h = (lo + h) - lo
+        s_lo = lo[:, None, :] + self.rel_lo * h[:, None, :]
+        s_w = self.rel_w * h
+        jitter = _cell_jitter(self.seed, cells, n_strata * d).reshape(-1, n_strata, d)
+        mids = (s_lo + (0.5 + jitter) * s_w[:, None, :]).reshape(-1, d)
+        kept = np.flatnonzero(self.region.contains(mids))  # source-side killing
+        owner = kept // n_strata
+        return owner, s_lo.reshape(-1, d)[kept], s_w[owner], mids[kept]
+
+    def images(self, s_lo: Array, s_w: Array, mids: Array
+               ) -> tuple[Array, Array, Array, Array]:
+        """Image segments of strata: the mask of strata that stay on the
+        domain, then their domain box and box-local segment ends.
+
+        A stratum's image is the box spanned by its shrunken corner images,
+        re-expanded.  When that is inconsistent with one monotone branch
+        (midpoint image outside it, volume off the Jacobian's by more than a
+        factor 2, or wider than the box) the image is a point mass at the
+        midpoint image.  A stratum whose midpoint image leaves the domain is
+        absorbed.
+        """
+        system, d = self.system, self.grid.dimension
+        corners = s_lo[:, None, :] + self.shr * s_w[:, None, :]
+        img_corners = system.forward(corners.reshape(-1, d)).reshape(corners.shape)
+        img_mids = system.forward(mids)
+        jac_mid = system.jacobian_det(mids)
+        box = system.domain.locate(img_mids)
+        alive = box >= 0
+        box, img_corners, s_w = box[alive], img_corners[alive], s_w[alive]
+        blo, bw = self.dom_lo[box], self.dom_w[box]
+        cmin = img_corners.min(axis=1) - blo
+        cmax = img_corners.max(axis=1) - blo
+        centerp = (cmin + cmax) / 2.0
+        half = (cmax - cmin) / 2.0 / (1.0 - 2.0 * _ETA)
+        mid_rel = img_mids[alive] - blo
+        vol_ratio = (np.prod(2.0 * half, axis=1) /
+                     (jac_mid[alive] * np.prod(s_w, axis=1) + 1e-300))
+        consistent = (np.all(mid_rel >= cmin - 1e-12, axis=1)
+                      & np.all(mid_rel <= cmax + 1e-12, axis=1)
+                      & (0.5 <= vol_ratio) & (vol_ratio <= 2.0)
+                      & np.all(2.0 * half <= bw * (1.0 + 1e-9), axis=1))
+        self.counters["absorbed_strata"] += int(np.count_nonzero(~alive))
+        self.counters["point_mass_strata"] += int(np.count_nonzero(~consistent))
+        centerp = np.where(consistent[:, None], centerp, mid_rel)
+        half = np.where(consistent[:, None], half, 0.0)
+        return alive, box, centerp - half, centerp + half
+
+    def rows(self, cells: Array) -> tuple[Array, Array, Array]:
+        """CSR pieces of the rows of ``cells`` (sorted): their entry counts,
+        then the columns and values of their entries."""
+        grid, d = self.grid, self.grid.dimension
+        res, n = grid.resolution, grid.n_cells
+        owner, s_lo, s_w, mids = self.strata(cells)
+        alive, box, p, q = self.images(s_lo, s_w, mids)
+        owner = owner[alive]
+        # one segment per (stratum, axis), stratum-major
+        seg, cell, mass = _axis_cell_masses(p.ravel(), q.ravel(), self.eps, res,
+                                            self.dom_w[box].ravel(),
+                                            self.dom_wrap[box].ravel())
+        per_axis = np.bincount(seg, minlength=p.size).reshape(p.shape)
+        axis_start = (np.cumsum(per_axis) - per_axis.ravel()).reshape(p.shape)
+        # tensor product of each stratum's axis masses, axis 0 outermost
+        stratum, rank = _ragged(np.prod(per_axis, axis=1))
+        stride = np.cumprod(np.column_stack([np.ones(len(per_axis), np.int64),
+                                             per_axis[:, :0:-1]]), axis=1)[:, ::-1]
+        item = (axis_start[stratum]
+                + rank[:, None] // stride[stratum] % per_axis[stratum])
+        col = box[stratum] * grid.cells_per_box + cell[item] @ self.place
+        val = np.prod(mass[item], axis=1) * self.stratum_mass * self.frac[col]
+        # bincount sums each (row, column) in input order, stratum by stratum
+        # as the per-cell definition does; reduceat would sum pairwise
+        keys, slot = np.unique(owner[stratum] * n + col, return_inverse=True)
+        total = np.bincount(slot, weights=val)
+        nz = total > 1e-300
+        keys, total = keys[nz], total[nz]
+        row = keys // n
+        return (np.bincount(row, minlength=cells.size), keys % n,
+                total * self.weights[cells[row]])
+
+
 def assemble_operator(system: MapSystem, noise: NoiseModel, weight: WeightField,
                       region: RegionSpec, grid: GridPartition,
                       samples_per_cell=3, seed: int = 0) -> AnnealedMatrix:
@@ -319,101 +574,29 @@ def assemble_operator(system: MapSystem, noise: NoiseModel, weight: WeightField,
     to an even per-axis split) or an explicit per-axis tuple.  Assembly is
     deterministic given ``seed``: per-cell jitter streams are derived from
     (seed, cell index), so the result is independent of evaluation order.
+    The matrix's ``diagnostics`` count the strata that fell back to a point
+    mass and those absorbed off the domain.
     """
-    d = grid.dimension
-    eps = noise.epsilon
-    counts = _strata_counts(samples_per_cell, d)
-    n_strata = int(np.prod(counts))
-    frac = region_fractions(region, grid, seed=seed)
+    counts = _strata_counts(samples_per_cell, grid.dimension)
+    frac = region_fractions(region, grid)
     if not np.any(frac > 0):
         raise ValueError("empty conditioning region: no grid cell meets it")
-    res = grid.resolution
-    cells_per_box = grid.cells_per_box
     weights_at_centers = weight.values(grid.centers())
-
-    # stratum template in cell-relative coordinates
-    rel_axes = [(np.arange(m) / m) for m in counts]
-    rel_lo = np.stack([g.ravel() for g in
-                       np.meshgrid(*rel_axes, indexing="ij")], axis=1)
-    rel_w = np.asarray([1.0 / m for m in counts])
-    corner_signs = np.array(list(product((0.0, 1.0), repeat=d)))
-    eta = 1e-12  # relative corner shrink, keeps evaluations off branch edges
-
-    rows: list[tuple[Array, Array]] = []
-    empty = (np.empty(0, dtype=np.int64), np.empty(0))
-    for i in range(grid.n_cells):
-        if frac[i] <= 0.0 or weights_at_centers[i] <= 0.0:
-            rows.append(empty)
-            continue
-        lo_i, hi_i = grid.cell_box(i)
-        h = hi_i - lo_i
-        s_lo = lo_i + rel_lo * h                      # (n_strata, d)
-        s_w = rel_w * h                               # (d,)
-        rng = np.random.default_rng([int(seed), int(i)])
-        jitter = rng.uniform(-0.5, 0.5, size=(n_strata, d))
-        mids = s_lo + (0.5 + jitter) * s_w
-        keep = region.contains(mids)                  # source-side killing
-        if not np.any(keep):
-            rows.append(empty)
-            continue
-        # corner images, shrunken inside each stratum
-        shr = corner_signs * (1.0 - 2.0 * eta) + eta  # (2^d, d)
-        corners = s_lo[:, None, :] + shr[None, :, :] * s_w  # (n_strata, 2^d, d)
-        img_corners = system.forward(corners.reshape(-1, d)).reshape(n_strata, -1, d)
-        img_mids = system.forward(mids)
-        jac_mid = system.jacobian_det(mids)
-        boxes_of = system.domain.locate(img_mids)
-
-        ids_parts, val_parts = [], []
-        stratum_mass = 1.0 / n_strata
-        for s in np.flatnonzero(keep):
-            b = boxes_of[s]
-            if b < 0:
-                continue  # image left the domain: absorbed
-            box = system.domain.boxes[b]
-            blo = np.asarray(box.lo)
-            bw = box.widths
-            cmin = img_corners[s].min(axis=0) - blo
-            cmax = img_corners[s].max(axis=0) - blo
-            centerp = (cmin + cmax) / 2.0
-            half = (cmax - cmin) / 2.0 / (1.0 - 2.0 * eta)
-            mid_rel = img_mids[s] - blo
-            vol_ratio = (np.prod(2.0 * half) /
-                         (jac_mid[s] * np.prod(s_w) + 1e-300))
-            consistent = (np.all(mid_rel >= cmin - 1e-12)
-                          and np.all(mid_rel <= cmax + 1e-12)
-                          and 0.5 <= vol_ratio <= 2.0
-                          and np.all(2.0 * half <= bw * (1.0 + 1e-9)))
-            if not consistent:
-                centerp = mid_rel
-                half = np.zeros(d)  # branch crossing: point mass at midpoint
-            per_axis = []
-            for k in range(d):
-                ax = _axis_cell_masses(centerp[k] - half[k], centerp[k] + half[k],
-                                       eps, res, bw[k], box.wrap[k])
-                per_axis.append(ax)
-            if any(a[0].size == 0 for a in per_axis):
-                continue
-            cell_ids = per_axis[0][0]
-            masses = per_axis[0][1]
-            for k in range(1, d):
-                ck, mk = per_axis[k]
-                cell_ids = (cell_ids[:, None] * res + ck[None, :]).ravel()
-                masses = (masses[:, None] * mk[None, :]).ravel()
-            ids_parts.append(b * cells_per_box + cell_ids)
-            val_parts.append(masses * stratum_mass)
-        if not ids_parts:
-            rows.append(empty)
-            continue
-        ids = np.concatenate(ids_parts)
-        vals = np.concatenate(val_parts) * frac[ids]
-        dense = np.bincount(ids, weights=vals, minlength=grid.n_cells)
-        nz = np.flatnonzero(dense > 1e-300)
-        rows.append((nz.astype(np.int64), dense[nz] * weights_at_centers[i]))
-
-    indptr, indices, data = _csr_from_rows(grid.n_cells, rows)
+    job = _Assembly(system, region, grid, noise.epsilon, int(seed), counts,
+                    frac, weights_at_centers)
+    active = np.flatnonzero(~((frac <= 0.0) | (weights_at_centers <= 0.0)))
+    row_nnz = np.zeros(grid.n_cells, dtype=np.int64)
+    col_parts, val_parts = [], []
+    for start in range(0, active.size, _CHUNK_CELLS):
+        cells = active[start:start + _CHUNK_CELLS]
+        row_nnz[cells], cols, vals = job.rows(cells)
+        col_parts.append(cols)
+        val_parts.append(vals)
+    indptr = np.concatenate([[0], np.cumsum(row_nnz)])
+    indices = np.concatenate([np.empty(0, dtype=np.int64), *col_parts])
+    data = np.concatenate([np.empty(0), *val_parts])
     metadata = {
-        "epsilon": eps,
+        "epsilon": noise.epsilon,
         "weight": weight.label,
         "region": region.label,
         "samples_per_cell": (int(samples_per_cell)
@@ -426,7 +609,8 @@ def assemble_operator(system: MapSystem, noise: NoiseModel, weight: WeightField,
     }
     return AnnealedMatrix(grid.n_cells, indptr, indices, data,
                           row_weight=weights_at_centers,
-                          cell_volume=grid.cell_volume, metadata=metadata)
+                          cell_volume=grid.cell_volume, metadata=metadata,
+                          diagnostics=job.counters)
 
 
 def export_matrix(matrix: AnnealedMatrix, path) -> None:
@@ -479,20 +663,24 @@ def restrict_operator(matrix: AnnealedMatrix, cells) -> AnnealedMatrix:
     Rows and columns outside the subset are removed; local indices follow the
     sorted subset order and ``cell_ids`` records the original cells.
     """
-    cells = np.unique(np.asarray(cells, dtype=np.int64))
+    cells = np.asarray(cells, dtype=np.int64).ravel()
     if cells.size == 0:
         raise ValueError("empty cell subset")
-    if cells[0] < 0 or cells[-1] >= matrix.n_cells:
+    if cells.min() < 0 or cells.max() >= matrix.n_cells:
         raise ValueError("cell subset out of range")
-    remap = np.full(matrix.n_cells, -1, dtype=np.int64)
-    remap[cells] = np.arange(cells.size)
-    rows: list[tuple[Array, Array]] = []
-    for new_i, old_i in enumerate(cells):
-        sl = slice(matrix.indptr[old_i], matrix.indptr[old_i + 1])
-        cols = remap[matrix.indices[sl]]
-        good = cols >= 0
-        rows.append((cols[good], matrix.data[sl][good]))
-    indptr, indices, data = _csr_from_rows(cells.size, rows)
+    # sorted and deduplicated by a mask: the first plain np.unique call of a
+    # process imports numpy.ma, about 10 ms
+    kept = np.zeros(matrix.n_cells, dtype=bool)
+    kept[cells] = True
+    cells = np.flatnonzero(kept)
+    remap = np.where(kept, np.cumsum(kept) - 1, -1)
+    row, rank = _ragged(matrix.indptr[cells + 1] - matrix.indptr[cells])
+    stored = matrix.indptr[cells][row] + rank
+    cols = remap[matrix.indices[stored]]
+    good = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(
+        np.bincount(row[good], minlength=cells.size))])
+    indices, data = cols[good], matrix.data[stored[good]]
     old_ids = (matrix.cell_ids if matrix.cell_ids is not None
                else np.arange(matrix.n_cells))
     meta = dict(matrix.metadata)

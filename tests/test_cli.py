@@ -106,6 +106,19 @@ class TestSpectrumCommand:
         assert (out1 / "spectrum.json").read_bytes() \
             == (out2 / "spectrum.json").read_bytes()
 
+    def test_writes_assembly_diagnostics(self, tmp_path):
+        # 10 cells do not respect the branch points 1/3 and 2/3, so some
+        # strata straddle a discontinuity and become point masses
+        path, _ = write_config(tmp_path, grid={"resolution": 10},
+                               samples_per_cell=1,
+                               region={"kind": "custom",
+                                       "boxes": [[[0.0], [1.0]]]})
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", path, "--out", str(out)]) == EXIT_OK
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag == {"absorbed_strata": 0, "point_mass_strata": 2}
+        assert "point_mass_strata" not in (out / "spectrum.json").read_text()
+
     def test_config_error_exit_code(self, tmp_path):
         path, _ = write_config(tmp_path, grid={"resolution": 0})
         assert main(["spectrum", "--config", path,
@@ -200,6 +213,15 @@ class TestSweepCommand:
         assert (out / "runtimes.csv").exists()
         assert not (out / "sweep_status.json").exists()
 
+    def test_sweep_diagnostics_per_epsilon(self, tmp_path):
+        path, _ = write_config(tmp_path, grid={"resolution": 81},
+                               noise={"epsilon": [3e-3, 1e-3]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_OK
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag == {eps: {"absorbed_strata": 0, "point_mass_strata": 0}
+                        for eps in ("0.003", "0.001")}
+
     def test_sweep_reruns_byte_identical(self, tmp_path):
         path, _ = write_config(tmp_path, grid={"resolution": 81},
                                noise={"epsilon": [3e-3, 1e-3]})
@@ -283,6 +305,14 @@ class TestFiltrationCommand:
         assert report["deviation"] <= 1e-6
         assert abs(report["per_stratum"]["2"] - 2 / 3) < 1e-3
         assert abs(report["per_stratum"]["1"] - 3 / 5) < 1e-3
+
+
+    def test_stratified_diagnostics(self, tmp_path):
+        path, _ = write_config(tmp_path, **SINGLE_EPSILON_EXTRAS["filtration"])
+        out = tmp_path / "out"
+        assert main(["filtration", "--config", path, "--out", str(out)]) == EXIT_OK
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert sorted(diag) == ["absorbed_strata", "point_mass_strata"]
 
 
 class TestCompareCommand:

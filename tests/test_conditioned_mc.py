@@ -131,6 +131,18 @@ class TestRunConditioned:
         assert np.array_equal(nan_off.log_mass_series, plain.log_mass_series)
         assert nan_off.averages == plain.averages
 
+    def test_callable_weight_below_exp_underflow(self):
+        # e^-800 underflows to 0, so the log-weight must be summed as a log,
+        # not as the log of the weight
+        kw = dict(n=20, n_particles=200, observables=X, seed=1)
+        const = run_conditioned(TERNARY.system, NOISE, WeightField(-800.0),
+                                TERNARY.survivor, np.array([0.1]), **kw)
+        called = run_conditioned(TERNARY.system, NOISE,
+                                 WeightField(lambda p: np.full(len(p), -800.0)),
+                                 TERNARY.survivor, np.array([0.1]), **kw)
+        assert called.escape_rate_estimate == const.escape_rate_estimate
+        assert called.averages == const.averages
+
     def test_absorbed_slots_stay_on_the_domain(self):
         # dead slots are stepped too, so an absorbed particle must not hand
         # the map a point outside the domain it is defined on

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qemlab.dynamics import (Box, Domain, NoiseModel, WeightField, _wrap_mod,
-                             builtin_labels, constant_weight, eval_weight,
-                             geometric_potential, make_system, region_fraction,
-                             step_points, zero_weight)
+from qemlab.dynamics import (Box, Domain, NoiseModel, RegionSpec, WeightField,
+                             _wrap_mod, builtin_labels, constant_weight,
+                             eval_weight, geometric_potential, make_system,
+                             region_fraction, step_points, zero_weight)
 
 
 def rng(seed=0):
@@ -239,9 +239,18 @@ class TestRegionFraction:
         assert region_fraction(self.region, [1.0 / 3.0], [2.0 / 3.0]) == 0.0
 
     def test_straddling_cell_estimate(self):
-        frac = region_fraction(self.region, [0.25], [0.40],
-                               subsamples=10_000, seed=4)
-        assert frac == pytest.approx(5.0 / 9.0, abs=0.02)
+        frac = region_fraction(self.region, [0.25], [0.40])
+        assert frac == pytest.approx(5.0 / 9.0, rel=1e-12)
+
+    def test_overlapping_boxes_counted_once(self):
+        # [0, .5)^2 and [.25, .75)^2 overlap in [.25, .5)^2: 1/4 + 1/4 - 1/16;
+        # the cell [0, 1) x [0, .5) holds 1/4 + 1/8 - 1/16 of it, over 1/2
+        region = RegionSpec((Box((0.0, 0.0), (0.5, 0.5)),
+                             Box((0.25, 0.25), (0.75, 0.75))))
+        assert region_fraction(region, [0.0, 0.0], [1.0, 1.0]) \
+            == pytest.approx(7.0 / 16.0, rel=1e-12)
+        assert region_fraction(region, [0.0, 0.0], [1.0, 0.5]) \
+            == pytest.approx(0.625, rel=1e-12)
 
     def test_degenerate_cell_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):

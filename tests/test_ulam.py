@@ -1,12 +1,18 @@
 import math
+from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qemlab.dynamics import (Box, NoiseModel, RegionSpec, constant_weight,
-                             make_system, zero_weight)
-from qemlab.ulam import (assemble_operator, build_grid, export_matrix,
-                         load_matrix, restrict_operator)
+from qemlab import ulam
+from qemlab.dynamics import (Box, NoiseModel, RegionSpec, WeightField,
+                             constant_weight, make_system, zero_weight)
+from qemlab.ulam import (_cell_jitter, _csr_from_rows, _h_antideriv,
+                         _strata_counts, assemble_operator, build_grid,
+                         export_matrix, load_matrix, region_fractions,
+                         restrict_operator)
 
 from oracles import matrix_from_dense
 
@@ -226,3 +232,263 @@ class TestApply:
         M, _ = ternary_matrix(3)
         with pytest.raises(ValueError):
             M.apply(np.ones(4))
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-cell, per-stratum, per-axis assembly loop
+# ---------------------------------------------------------------------------
+
+def _segment_cdf_scalar(z, p, q, eps):
+    if q > p:
+        return (_h_antideriv(z - p, eps) - _h_antideriv(z - q, eps)) / (q - p)
+    if eps > 0.0:
+        return np.clip((z - p + eps) / (2.0 * eps), 0.0, 1.0)
+    return (z > p).astype(float)
+
+
+def _axis_cell_masses_scalar(p, q, eps, res, width, wrap):
+    h = width / res
+    lo_s, hi_s = p - eps, q + eps
+    if wrap:
+        k0 = int(np.floor(lo_s / width))
+        k1 = int(np.floor(hi_s / width + 1e-15))
+    else:
+        k0 = k1 = 0
+    coords_all, masses_all = [], []
+    for k in range(k0, k1 + 1):
+        shift = k * width
+        pp, qq = p - shift, q - shift
+        c0 = max(0, int(np.floor((pp - eps) / h)))
+        c1 = min(res - 1, int(np.floor((qq + eps) / h)))
+        if c1 < c0:
+            continue
+        edges = (np.arange(c0, c1 + 2)) * h
+        masses = np.diff(_segment_cdf_scalar(edges, pp, qq, eps))
+        keep = masses > 1e-14
+        if np.any(keep):
+            coords_all.append(np.arange(c0, c1 + 1)[keep])
+            masses_all.append(masses[keep])
+    if not coords_all:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    return np.concatenate(coords_all), np.concatenate(masses_all)
+
+
+def reference_assemble(system, noise, weight, region, grid, samples_per_cell,
+                       seed):
+    """The assembly one cell, one stratum and one axis at a time."""
+    d = grid.dimension
+    eps = noise.epsilon
+    counts = _strata_counts(samples_per_cell, d)
+    n_strata = int(np.prod(counts))
+    frac = region_fractions(region, grid)
+    res = grid.resolution
+    weights_at_centers = weight.values(grid.centers())
+    rel_axes = [(np.arange(m) / m) for m in counts]
+    rel_lo = np.stack([g.ravel() for g in
+                       np.meshgrid(*rel_axes, indexing="ij")], axis=1)
+    rel_w = np.asarray([1.0 / m for m in counts])
+    corner_signs = np.array(list(product((0.0, 1.0), repeat=d)))
+    eta = 1e-12
+    rows = []
+    empty = (np.empty(0, dtype=np.int64), np.empty(0))
+    for i in range(grid.n_cells):
+        if frac[i] <= 0.0 or weights_at_centers[i] <= 0.0:
+            rows.append(empty)
+            continue
+        lo_i, hi_i = grid.cell_box(i)
+        h = hi_i - lo_i
+        s_lo = lo_i + rel_lo * h
+        s_w = rel_w * h
+        rng = np.random.default_rng([int(seed), int(i)])
+        jitter = rng.uniform(-0.5, 0.5, size=(n_strata, d))
+        mids = s_lo + (0.5 + jitter) * s_w
+        keep = region.contains(mids)
+        if not np.any(keep):
+            rows.append(empty)
+            continue
+        shr = corner_signs * (1.0 - 2.0 * eta) + eta
+        corners = s_lo[:, None, :] + shr[None, :, :] * s_w
+        img_corners = system.forward(corners.reshape(-1, d)).reshape(n_strata, -1, d)
+        img_mids = system.forward(mids)
+        jac_mid = system.jacobian_det(mids)
+        boxes_of = system.domain.locate(img_mids)
+        ids_parts, val_parts = [], []
+        for s in np.flatnonzero(keep):
+            b = boxes_of[s]
+            if b < 0:
+                continue
+            box = system.domain.boxes[b]
+            blo = np.asarray(box.lo)
+            bw = box.widths
+            cmin = img_corners[s].min(axis=0) - blo
+            cmax = img_corners[s].max(axis=0) - blo
+            centerp = (cmin + cmax) / 2.0
+            half = (cmax - cmin) / 2.0 / (1.0 - 2.0 * eta)
+            mid_rel = img_mids[s] - blo
+            vol_ratio = (np.prod(2.0 * half) /
+                         (jac_mid[s] * np.prod(s_w) + 1e-300))
+            consistent = (np.all(mid_rel >= cmin - 1e-12)
+                          and np.all(mid_rel <= cmax + 1e-12)
+                          and 0.5 <= vol_ratio <= 2.0
+                          and np.all(2.0 * half <= bw * (1.0 + 1e-9)))
+            if not consistent:
+                centerp = mid_rel
+                half = np.zeros(d)
+            per_axis = [_axis_cell_masses_scalar(
+                centerp[k] - half[k], centerp[k] + half[k], eps, res, bw[k],
+                box.wrap[k]) for k in range(d)]
+            if any(a[0].size == 0 for a in per_axis):
+                continue
+            cell_ids, masses = per_axis[0]
+            for ck, mk in per_axis[1:]:
+                cell_ids = (cell_ids[:, None] * res + ck[None, :]).ravel()
+                masses = (masses[:, None] * mk[None, :]).ravel()
+            ids_parts.append(b * grid.cells_per_box + cell_ids)
+            val_parts.append(masses * (1.0 / n_strata))
+        if not ids_parts:
+            rows.append(empty)
+            continue
+        ids = np.concatenate(ids_parts)
+        vals = np.concatenate(val_parts) * frac[ids]
+        dense = np.bincount(ids, weights=vals, minlength=grid.n_cells)
+        nz = np.flatnonzero(dense > 1e-300)
+        rows.append((nz.astype(np.int64), dense[nz] * weights_at_centers[i]))
+    return _csr_from_rows(grid.n_cells, rows)
+
+
+def reference_restrict(matrix, cells):
+    """The restriction one kept row at a time."""
+    cells = np.unique(np.asarray(cells, dtype=np.int64))
+    remap = np.full(matrix.n_cells, -1, dtype=np.int64)
+    remap[cells] = np.arange(cells.size)
+    rows = []
+    for old_i in cells:
+        sl = slice(matrix.indptr[old_i], matrix.indptr[old_i + 1])
+        cols = remap[matrix.indices[sl]]
+        good = cols >= 0
+        rows.append((cols[good], matrix.data[sl][good]))
+    return _csr_from_rows(cells.size, rows)
+
+
+def _assert_same_csr(matrix, csr):
+    for got, want in zip((matrix.indptr, matrix.indices, matrix.data), csr):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@st.composite
+def assembly_cases(draw):
+    label = draw(st.sampled_from(["ternary_hole", "five_hole",
+                                  "smooth_perturbed", "two_repeller",
+                                  "open_baker"]))
+    b = make_system(label)
+    d = b.system.dimension
+    # 9 and 27 are branch-aligned for the ternary maps, 10 and 17 are not
+    res = draw(st.sampled_from([9, 10, 17, 27]) | st.integers(1, 40)
+               if d == 1 else st.integers(1, 10))
+    strata = draw(st.integers(1, 5) if d == 1 else
+                  st.integers(1, 5) | st.tuples(st.integers(1, 3),
+                                                st.integers(1, 3)))
+    # up to 1.5 the support of a stratum can wrap onto itself
+    eps = draw(st.sampled_from([0.0, 1e-3]) | st.floats(0.0, 1.5))
+    kind = draw(st.sampled_from(["zero", "constant", "callable", "tapered"]))
+    if kind == "zero":
+        weight = zero_weight()
+    elif kind == "constant":
+        weight = constant_weight(draw(st.floats(-3.0, 3.0)))
+    elif kind == "callable":
+        # weight 0 (phi = -inf) on a band of cells, smooth elsewhere
+        cut = draw(st.floats(0.0, 1.0))
+        weight = WeightField(lambda p: np.where(
+            np.abs(p[:, 0] - cut) < 0.2, -np.inf, np.sin(5.0 * p[:, 0])))
+    else:
+        weight = WeightField(0.5, support_cutoff=b.survivor, taper_width=0.05,
+                             domain=b.system.domain)
+    if draw(st.booleans()):
+        region = b.survivor
+    else:
+        lo = b.system.domain.boxes[0].lo
+        a = [draw(st.floats(0.0, 0.6)) for _ in range(d)]
+        w = [draw(st.floats(0.05, 0.4)) for _ in range(d)]
+        boxes = [Box(tuple(lo[k] + a[k] for k in range(d)),
+                     tuple(lo[k] + a[k] + w[k] for k in range(d)))]
+        if draw(st.booleans()):  # an overlapping second box
+            boxes.append(Box(tuple(lo[k] + a[k] + w[k] / 2 for k in range(d)),
+                             tuple(lo[k] + a[k] + 2 * w[k] for k in range(d))))
+        region = RegionSpec(tuple(boxes), label="custom")
+    grid = build_grid(b.system.domain, res)
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    return (b.system, NoiseModel(eps, d), weight, region, grid, strata, seed)
+
+
+class TestWholeArrayAssembly:
+    @settings(max_examples=120, deadline=None)
+    @given(case=assembly_cases(), chunk=st.sampled_from([1, 3, 7, 128]))
+    def test_bitwise_equal_to_per_cell_loop(self, case, chunk):
+        # small passes put the cells of one grid into several passes
+        with mock.patch.object(ulam, "_CHUNK_CELLS", chunk):
+            try:
+                want = reference_assemble(*case)
+            except ValueError:  # the region meets no grid cell
+                with pytest.raises(ValueError, match="empty conditioning region"):
+                    assemble_operator(*case)
+                return
+            _assert_same_csr(assemble_operator(*case), want)
+
+    @pytest.mark.parametrize("label,res,eps,strata", [
+        ("ternary_hole", 2187, 1e-3, 3), ("two_repeller", 1215, 1e-3, 15),
+        ("open_baker", 27, 1e-3, (3, 1)), ("smooth_perturbed", 243, 1e-2, 4)])
+    def test_builtin_sizes_bitwise(self, label, res, eps, strata):
+        b = make_system(label)
+        case = (b.system, NoiseModel(eps, b.system.dimension), zero_weight(),
+                b.survivor, build_grid(b.system.domain, res), strata, 1)
+        _assert_same_csr(assemble_operator(*case), reference_assemble(*case))
+
+    def test_counts_point_masses(self):
+        # with one stratum per cell, the cells holding the branch points 1/3
+        # and 2/3 straddle a discontinuity; nothing leaves the circle
+        full = RegionSpec((Box((0.0,), (1.0,)),), label="full")
+        M, _ = ternary_matrix(10, eps=1e-3, region=full)
+        assert M.diagnostics == {"point_mass_strata": 2, "absorbed_strata": 0}
+
+    def test_counts_absorbed_strata(self):
+        # x -> 3x on an absorbing [0, 1): cells from 1/3 on leave the domain
+        from qemlab.dynamics import Domain, MapSystem
+        t = make_system("ternary_hole").system
+        system = MapSystem(1, lambda p: 3.0 * p, t.jacobian_det,
+                           t.unstable_log_expansion,
+                           Domain((Box((0.0,), (1.0,), (False,)),)), "open")
+        full = RegionSpec((Box((0.0,), (1.0,)),), label="full")
+        M = assemble_operator(system, NoiseModel(0.0, 1), zero_weight(), full,
+                              build_grid(system.domain, 9), 1)
+        assert M.diagnostics == {"point_mass_strata": 0, "absorbed_strata": 6}
+        assert np.array_equal(np.diff(M.indptr) > 0, np.arange(9) < 3)
+
+
+class TestCellJitter:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31) | st.integers(0, 2 ** 160),
+           cells=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=8),
+           size=st.integers(1, 30))
+    def test_equal_to_default_rng(self, seed, cells, size):
+        want = np.stack([np.random.default_rng([seed, i]).uniform(
+            -0.5, 0.5, size=size) for i in cells])
+        assert np.array_equal(_cell_jitter(seed, np.array(cells), size), want)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            _cell_jitter(-1, np.arange(3), 2)
+
+
+class TestWholeArrayRestrict:
+    @settings(max_examples=60, deadline=None)
+    @given(res=st.sampled_from([9, 10, 27]), seed=st.integers(0, 2 ** 31 - 1),
+           keep=st.floats(0.0, 1.0))
+    def test_equal_to_per_row_loop(self, res, seed, keep):
+        M, _ = ternary_matrix(res, eps=3e-2, samples=3, seed=seed)
+        cells = np.flatnonzero(np.random.default_rng(seed).uniform(size=res) < keep)
+        if cells.size == 0:
+            cells = np.array([res - 1])
+        R = restrict_operator(M, cells)
+        _assert_same_csr(R, reference_restrict(M, cells))
+        _assert_same_csr(restrict_operator(R, [0]), reference_restrict(R, [0]))
