@@ -12,11 +12,11 @@ quasi-ergodic vectors, using the metrics of :mod:`qemlab.equilibrium`.
 Configs are JSON with a versioned ``schema`` field; see README for the full
 layout.  Exit codes: 0 success, 2 config error, 3 numerical non-convergence,
 4 ensemble extinct.  Given the same config and seed, re-runs write
-byte-identical primary artifacts.  Timings go to a separate runtimes file
-and counters to ``diagnostics.json``: per-block resampling counts for
-``mc``; for ``spectrum`` and ``filtration``, and per epsilon for ``sweep``,
-how many assembly strata fell back to a point mass or were absorbed off the
-domain.
+byte-identical primary artifacts.  Only ``sweep`` writes wall-clock timings
+(``runtimes.csv``, one row per epsilon).  Counters go to
+``diagnostics.json``: per-block resampling counts for ``mc``; for
+``spectrum`` and ``filtration``, and per epsilon for ``sweep``, how many
+assembly strata fell back to a point mass or were absorbed off the domain.
 """
 
 from __future__ import annotations

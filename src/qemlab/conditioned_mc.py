@@ -37,12 +37,14 @@ exactly when its mass is 0 (log-mass -inf), and the sums of dead slots are
 never read.  Mass 0 comes from leaving the region or from a weight of 0, so
 a zero weight kills.  Blocks are contiguous slot ranges, so their ESS tests
 and their systematic resamplings run in one pass over all blocks, with one
-uniform per resampling block.  A step costs the same for every slot, so its
-cost scales with ``n_particles``, not with the survivors: a dead slot comes
-back only when its block resamples, and a run that seldom resamples
-(``resample_threshold`` 0, say) keeps paying for its dead slots.  Runs are
-deterministic given the seed; the draws differ from versions that stepped
-only live particles, so ``mc.json`` for a given seed differs from theirs.
+uniform per resampling block; resampling reads and writes only the slots of
+the blocks that resample.  Apart from that, a step costs the same for every
+slot, so its cost scales with ``n_particles``, not with the survivors: a
+dead slot comes back only when its block resamples, and a run that seldom
+resamples (``resample_threshold`` 0, say) keeps paying for its dead slots.
+Runs are deterministic given the seed; the draws differ from versions that
+stepped only live particles, so ``mc.json`` for a given seed differs from
+theirs.
 """
 
 from __future__ import annotations
@@ -133,83 +135,91 @@ def _coords(positions: Array, dimension: int) -> Array:
     return positions[:, 0] if dimension == 1 else positions
 
 
-def _resample_counts(weights: Array, sizes: Array, jitter: Array) -> Array:
-    """Offspring counts of systematic resampling, one block per row.
-
-    Row b holds block b's nonnegative weights in its first ``sizes[b]``
-    entries, zeros after them, and draws ``sizes[b]`` offspring at the
-    evenly spaced quantiles ``(jitter[b] + j) / sizes[b]``, each of which
-    picks the first slot whose normalised cumulative weight reaches it (Douc,
-    Cappe & Moulines, 2005).  The counts equal those of ``searchsorted`` on
-    the same quantiles.  With every jitter in [2**-53, 1], as ``1 - U`` is
-    for a uniform draw U in [0, 1), no quantile is 0, so zero weights get no
-    offspring.
-    """
-    cum = np.cumsum(weights, axis=1)
-    cum /= cum[np.arange(sizes.size), sizes - 1][:, None]
-    m = sizes[:, None]
-    u = jitter[:, None]
-    # quantiles at or below each cumulative weight; the floor is exact up to
-    # rounding, and one step either way puts it where the quantiles do
-    below = np.floor(cum * m - u) + 1.0
-    below += (u + below) / m <= cum
-    below -= (u + (below - 1.0)) / m > cum
-    np.minimum(below, m, out=below)
-    return np.diff(below.astype(np.int64), axis=1, prepend=0)
-
-
 class _Blocks:
-    """The jackknife blocks: contiguous slot ranges of near-equal size."""
+    """The jackknife blocks: contiguous slot ranges of near-equal size, and
+    the slot weights, in arrays allocated once and overwritten every step."""
 
     def __init__(self, n_particles: int):
         self.block_of = np.arange(n_particles) * JACKKNIFE_BLOCKS // n_particles
         sizes = np.bincount(self.block_of)
         self.sizes = sizes[sizes > 0]
         self.starts = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
-        # row b lists block b's slots, padded with its last slot
-        offsets = np.arange(self.sizes.max())
-        self.table = self.starts[:, None] + np.minimum(offsets, self.sizes[:, None] - 1)
-        self.in_block = offsets < self.sizes[:, None]
-        self._identity = np.arange(n_particles)
+        # row b lists block b's slots, then the slots after them up to the
+        # length of the longest block
+        self._rows = self.starts[:, None] + np.arange(self.sizes.max())
+        self._w = np.empty(n_particles)
+        self._w2 = np.empty(n_particles)
 
-    def weights(self, log_mass: Array) -> tuple[Array, Array, Array]:
+    def weigh(self, log_mass: Array) -> tuple[Array, Array, Array, Array]:
         """Each block's peak log-mass, every slot's mass relative to its
-        block's peak, and each block's total of those.
+        block's peak, each block's total of those, and its effective sample
+        size over block size.
 
-        Dead slots (log-mass -inf) weigh 0; an extinct block has peak -inf
-        and total 0.
+        Dead slots (log-mass -inf) weigh 0; an extinct block has peak -inf,
+        total 0 and ESS fraction 0.  The slot masses are overwritten by the
+        next call.
         """
         peak = np.maximum.reduceat(log_mass, self.starts)
         shift = np.where(peak > -math.inf, peak, 0.0)
-        w = np.exp(log_mass - np.repeat(shift, self.sizes))
-        return peak, w, np.add.reduceat(w, self.starts)
-
-    def ess_fractions(self, w: Array, total: Array) -> Array:
-        """Effective sample size over block size, 0 for extinct blocks."""
+        w = np.subtract(log_mass, shift.repeat(self.sizes), out=self._w)
+        np.exp(w, out=w)
+        total = np.add.reduceat(w, self.starts)
         ess = np.zeros(self.sizes.size)
-        np.divide(total * total, np.add.reduceat(w * w, self.starts) * self.sizes,
-                  out=ess, where=total > 0.0)
-        return ess
+        np.divide(total * total,
+                  np.add.reduceat(np.multiply(w, w, out=self._w2), self.starts)
+                  * self.sizes, out=ess, where=total > 0.0)
+        return peak, w, total, ess
 
     def sources(self, w: Array, fire: Array, jitter: Array) -> Array:
-        """The slot each slot copies after systematic resampling of the
-        blocks flagged in ``fire``, with one jitter per such block (see
-        ``_resample_counts``); slots of other blocks copy themselves."""
+        """The slot each slot of the blocks flagged in ``fire`` copies under
+        systematic resampling, in slot order, with one jitter per such block.
+
+        Block b draws ``sizes[b]`` offspring at the evenly spaced quantiles
+        ``(jitter + j) / sizes[b]``, each of which picks the first slot whose
+        normalised cumulative weight reaches it (Douc, Cappe & Moulines,
+        2005).  The picks equal those of ``searchsorted`` on the same
+        quantiles.  With every jitter in [2**-53, 1], as ``1 - U`` is for a
+        uniform draw U in [0, 1), no quantile is 0, so zero weights get no
+        offspring.
+        """
         fired = np.flatnonzero(fire)
-        rows = self.table[fired]
-        counts = _resample_counts(w[rows] * self.in_block[fired],
-                                  self.sizes[fired], jitter)
-        src = self._identity.copy()
-        src[np.repeat(fire, self.sizes)] = np.repeat(rows.ravel(), counts.ravel())
-        return src
+        # one row per firing block; in the row of a short block, the extra
+        # last slot leaves the cumulative weights before it alone and gets no
+        # offspring, as its normalised cumulative weight is 1 or more
+        rows = self._rows[fired]
+        cum = w.take(rows, mode="clip")
+        cum.cumsum(axis=1, out=cum)
+        cum /= cum[np.arange(fired.size), self.sizes[fired] - 1, None]
+        # sizes and jitters spread along the rows, which is faster than
+        # broadcasting them
+        m, u = (v.repeat(rows.shape[1]).reshape(rows.shape)
+                for v in (self.sizes[fired].astype(float), jitter))
+        # quantiles at or below each cumulative weight; the floor is exact up
+        # to rounding, and one step either way puts it where the quantiles do
+        below = cum * m
+        below -= u
+        np.floor(below, out=below)
+        below += 1.0
+        q = below + u
+        q /= m
+        below += q <= cum
+        np.subtract(below, 1.0, out=q)
+        q += u
+        q /= m
+        below -= q > cum
+        np.minimum(below, m, out=below)
+        counts = np.empty(rows.shape, dtype=np.int64)
+        counts[:, 0] = below[:, 0]
+        np.subtract(below[:, 1:], below[:, :-1], out=counts[:, 1:], casting="unsafe")
+        return rows.ravel().repeat(counts.ravel())
 
 
 def _log_mean_mass(peak: Array, total: Array, n_particles: int) -> float:
     """log of the mean slot mass from per-block peaks and relative totals."""
-    top = float(np.max(peak))
+    top = float(peak.max())
     if top == -math.inf:
         return top
-    return (top + math.log(float(np.sum(total * np.exp(peak - top))))
+    return (top + math.log(float((total * np.exp(peak - top)).sum()))
             - math.log(n_particles))
 
 
@@ -261,7 +271,7 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
     min_ess = np.ones(sizes.size)
 
     series = np.empty(n + 1)
-    peak, _, total = blocks.weights(log_mass)
+    peak, _, total, _ = blocks.weigh(log_mass)
     series[0] = _log_mean_mass(peak, total, n_particles)
 
     for t in range(n):
@@ -284,31 +294,28 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
                                    minlength=occupation_grid.n_cells) / np.sum(w)
 
         new_pos, moved_alive = step_points(system, noise, pos, rng)
-        if not np.all(moved_alive):  # keep absorbed slots on domain points
-            new_pos[~moved_alive] = pos[~moved_alive]
+        if not moved_alive.all():  # keep absorbed slots on domain points
+            np.copyto(new_pos, pos, where=~moved_alive[:, None])
         pos = new_pos
         log_mass = np.where(moved_alive & region.contains(pos), log_mass,
                             -math.inf)
 
-        peak, w, total = blocks.weights(log_mass)
+        peak, w, total, ess = blocks.weigh(log_mass)
         series[t + 1] = _log_mean_mass(peak, total, n_particles)
         if series[t + 1] == -math.inf:
             raise EnsembleExtinctError(t + 1)
-        ess = blocks.ess_fractions(w, total)
         np.minimum(min_ess, ess, out=min_ess)
         fire = (total > 0.0) & (ess < resample_threshold)
-        if not np.any(fire):
+        if not fire.any():
             continue
 
         # equal-mass reset of every firing block, preserving its total mass
         src = blocks.sources(w, fire, 1.0 - rng.uniform(size=np.count_nonzero(fire)))
-        pos = np.take(pos, src, axis=0)
-        for name in birk:
-            birk[name] = np.take(birk[name], src)
-        level = np.zeros(sizes.size)
-        level[fire] = peak[fire] + np.log(total[fire]) - np.log(sizes[fire])
-        log_mass = np.where(np.repeat(fire, sizes), np.repeat(level, sizes),
-                            log_mass)
+        reset = fire.repeat(sizes)
+        for col in (*pos.T, *birk.values()):
+            col[reset] = col[src]
+        level = peak[fire] + np.log(total[fire]) - np.log(sizes[fire])
+        log_mass[reset] = level.repeat(sizes[fire])
         block_resamplings += fire
         resample_times.append(t + 1)
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -96,44 +95,38 @@ class Domain:
         p = np.atleast_2d(points)
         out = np.full(p.shape[0], -1, dtype=np.int64)
         for b in range(len(self.boxes) - 1, -1, -1):  # the first box wins
-            out[self.boxes[b].contains(p)] = b
+            out = np.where(self.boxes[b].contains(p), b, out)
         return out
-
-    @cached_property
-    def _axis_tables(self) -> list[tuple[Array, Array, Array, bool]]:
-        """Per axis: each box's ``lo``, width and wrap flag, then whether
-        every wrapped width is 1.
-
-        The tables carry one extra last entry (lo 0, width 1, no wrap), so
-        the index -1 that ``locate`` gives points outside every box picks it.
-        """
-        tables = []
-        for k in range(self.dimension):
-            lo = np.array([b.lo[k] for b in self.boxes] + [0.0], dtype=float)
-            width = np.array([b.widths[k] for b in self.boxes] + [1.0])
-            wrap = np.array([b.wrap[k] for b in self.boxes] + [False])
-            tables.append((lo, width, wrap, bool(np.all(width[wrap] == 1.0))))
-        return tables
 
     def apply_boundary(self, base: Array, moved: Array) -> tuple[Array, Array]:
         """Wrap or absorb ``moved`` relative to the box containing ``base``.
 
-        ``base`` is the unperturbed image T(x) and ``moved = base + delta``.
-        Since the noise amplitude is small compared with box sizes, the box
-        of ``base`` decides which torus the offset wraps on.  Returns
-        ``(adjusted_points, alive_mask)``; dead rows hold unspecified values
-        and must be masked by the caller.
+        ``base`` is the unperturbed image T(x) and ``moved = base + delta``,
+        a float array of shape ``(n, d)`` that is adjusted in place.  Since
+        the noise amplitude is small compared with box sizes, the box of
+        ``base`` decides which torus the offset wraps on; when boxes
+        overlap, the first one holding ``base`` decides.  Returns
+        ``(moved, alive_mask)``; dead rows hold unspecified values and must
+        be masked by the caller.
         """
-        pts = np.array(np.atleast_2d(moved), dtype=float)
-        which = self.locate(np.atleast_2d(base))
-        alive = which >= 0
-        for k, (lo_b, width_b, wrap_b, unit) in enumerate(self._axis_tables):
-            x = pts[:, k]
-            lo = lo_b[which]
-            width = width_b[which]
-            wraps = wrap_b[which]
-            alive &= wraps | ~((x < lo) | (x >= lo + width))
-            np.copyto(x, lo + _wrap_mod(x - lo, 1.0 if unit else width), where=wraps)
+        base = np.atleast_2d(base)
+        pts = np.atleast_2d(moved)
+        taken = np.zeros(base.shape[0], dtype=bool)
+        alive = np.zeros(base.shape[0], dtype=bool)
+        for box in self.boxes:
+            in_box = box.contains(base)
+            in_box &= ~taken
+            taken |= in_box
+            inside = in_box
+            for k, (lo, hi, wrap) in enumerate(zip(box.lo, box.hi, box.wrap)):
+                x = pts[:, k]
+                width = hi - lo
+                if wrap:
+                    wrapped = _wrap_mod(x - lo, width)
+                    np.copyto(x, np.add(wrapped, lo, out=wrapped), where=in_box)
+                else:
+                    inside = inside & ~((x < lo) | (x >= lo + width))
+            alive |= inside
         return pts, alive
 
 
@@ -146,7 +139,8 @@ def _wrap_mod(a: Array, w) -> Array:
     ``np.mod``.
     """
     if np.isscalar(w) and w == 1.0:
-        return a - np.floor(a)
+        f = np.floor(a)
+        return np.subtract(a, f, out=f)
     return np.mod(a, w)
 
 
@@ -163,8 +157,8 @@ class RegionSpec:
 
     def contains(self, points: Array) -> Array:
         p = np.atleast_2d(points)
-        inside = np.zeros(p.shape[0], dtype=bool)
-        for box in self.boxes:
+        inside = self.boxes[0].contains(p)
+        for box in self.boxes[1:]:
             inside |= box.contains(p)
         return inside if np.ndim(points) > 1 else bool(inside[0])
 
@@ -520,11 +514,9 @@ def smooth_perturbed(a: float = 0.03) -> Builtin:
 
 
 def _two_repeller_forward(p: Array) -> Array:
-    out = np.empty_like(p)
-    left = p[:, 0] < 1.5
-    out[left, 0] = _wrap_mod(3.0 * p[left, 0], 1.0)
-    out[~left, 0] = 2.0 + _wrap_mod(5.0 * (p[~left, 0] - 2.0), 1.0)
-    return out
+    x = p[:, :1]
+    return np.where(x < 1.5, _wrap_mod(3.0 * x, 1.0),
+                    2.0 + _wrap_mod(5.0 * (x - 2.0), 1.0))
 
 
 def two_repeller() -> Builtin:

@@ -222,7 +222,8 @@ class TestAllBlockResampling:
         jitter = np.asarray(data.draw(st.lists(
             st.sampled_from([2.0 ** -53, 1.0]) | st.floats(2.0 ** -53, 1.0),
             min_size=int(fire.sum()), max_size=int(fire.sum()))), dtype=float)
-        src = blocks.sources(w, fire, jitter)
+        src = np.arange(n_particles)
+        src[np.repeat(fire, blocks.sizes)] = blocks.sources(w, fire, jitter)
         k = 0
         for b, (lo, m) in enumerate(zip(blocks.starts, blocks.sizes)):
             slots = np.arange(lo, lo + m)

@@ -114,7 +114,33 @@ BOUNDARY_DOMAINS = {
     "open_baker": make_system("open_baker").system.domain,
     "mixed_2d": Domain((Box((0.0, -1.0), (2.0, 0.5), (True, False)),
                         Box((2.5, 0.0), (3.0, 1.0), (False, True)))),
+    # the single wrapped unit box of the 1-D builtins
+    "ternary_hole": make_system("ternary_hole").system.domain,
+    # a wrapped width other than 1 goes through np.mod
+    "wide_wrap": Domain((Box((-0.5,), (1.75,), (True,)),)),
+    # on [1, 2) both boxes hold the base point and the first one decides:
+    # it absorbs there, while the second would wrap
+    "overlapping": Domain((Box((0.0,), (2.0,), (False,)),
+                           Box((1.0,), (3.0,), (True,)))),
 }
+
+
+def _masked_locate(domain, points):
+    """Reference: box indices by boolean-mask scatters, last box first."""
+    p = np.atleast_2d(points)
+    out = np.full(p.shape[0], -1, dtype=np.int64)
+    for b in range(len(domain.boxes) - 1, -1, -1):
+        out[domain.boxes[b].contains(p)] = b
+    return out
+
+
+def _masked_two_repeller_forward(p):
+    """Reference: the two-repeller map by boolean-mask scatters."""
+    out = np.empty_like(p)
+    left = p[:, 0] < 1.5
+    out[left, 0] = _wrap_mod(3.0 * p[left, 0], 1.0)
+    out[~left, 0] = 2.0 + _wrap_mod(5.0 * (p[~left, 0] - 2.0), 1.0)
+    return out
 
 
 class TestBoundaryKernels:
@@ -141,6 +167,28 @@ class TestBoundaryKernels:
         assert np.array_equal(alive, want_alive)
         located = which >= 0  # rows outside every box are unspecified
         assert np.array_equal(_bits(got[located]), _bits(want[located]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(sorted(BOUNDARY_DOMAINS)), data=st.data())
+    def test_locate_matches_masked_scatter(self, name, data):
+        domain = BOUNDARY_DOMAINS[name]
+        n = data.draw(st.integers(1, 40))
+        pts = data.draw(arrays(float, (n, domain.dimension),
+                               elements=st.floats(-1.5, 3.5)))
+        got = domain.locate(pts)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _masked_locate(domain, pts))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pts=arrays(float, st.tuples(st.integers(1, 40), st.just(1)),
+                      elements=st.floats(-1.5, 3.5)
+                      | st.sampled_from([0.0, -0.0, 1.0, 1.5, 2.0, 3.0 - 2 ** -51])))
+    def test_two_repeller_forward_matches_masked_scatter(self, pts):
+        forward = make_system("two_repeller").system.forward
+        got = forward(pts)
+        want = _masked_two_repeller_forward(pts)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestJacobians:
