@@ -38,20 +38,28 @@ class NonConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def _power_iteration(matvec, n: int, tol: float, max_iters: int):
+def _power_iteration(matvec, n: int, tol: float, max_iters: int,
+                     l1: bool = False):
+    """Power iteration from the all-ones vector: ``(lam, v, residual)`` with
+    the sup-norm residual ``max|matvec(v) - lam v|`` at most ``tol * lam``;
+    with ``l1`` the l1 residual must also be at most ``tol * lam * |v|_1``."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     v = np.ones(n)
-    lam = 0.0
     res = math.inf
-    for it in range(max_iters):
+    for _ in range(max_iters):
         w = matvec(v)
         lam = float(np.max(np.abs(w)))
         if lam <= 0.0:
             raise ValueError("no positive spectral radius")
-        res = float(np.max(np.abs(w - lam * v)))
-        if res <= tol * lam:
+        diff = w - lam * v
+        res = float(np.max(np.abs(diff)))
+        if res <= tol * lam and (not l1 or float(np.sum(np.abs(diff)))
+                                 <= tol * lam * float(np.sum(np.abs(v)))):
             return lam, v, res
         v = w / lam
-    raise NonConvergenceError("power iteration did not converge", res, max_iters)
+    kind = "adjoint power iteration" if l1 else "power iteration"
+    raise NonConvergenceError(f"{kind} did not converge", res, max_iters)
 
 
 def leading_pair(matrix: AnnealedMatrix, tol: float = 1e-10,
@@ -62,10 +70,7 @@ def leading_pair(matrix: AnnealedMatrix, tol: float = 1e-10,
     ``max|M right - lam right| <= tol * lam``.  Raises ValueError on a matrix
     with no positive spectral radius and NonConvergenceError past max_iters.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    lam, v, res = _power_iteration(matrix.apply, matrix.n_cells, tol, max_iters)
-    return lam, v, res
+    return _power_iteration(matrix.apply, matrix.n_cells, tol, max_iters)
 
 
 def leading_left(matrix: AnnealedMatrix, tol: float = 1e-10,
@@ -76,25 +81,10 @@ def leading_left(matrix: AnnealedMatrix, tol: float = 1e-10,
     ``tol * lam`` relative to the respective norms of the iterate, so the
     fixed-point identity holds in the integrated sense too.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = matrix.n_cells
-    v = np.ones(n)
-    res = math.inf
-    for it in range(max_iters):
-        w = matrix.apply_adjoint(v)
-        lam = float(np.max(np.abs(w)))
-        if lam <= 0.0:
-            raise ValueError("no positive spectral radius")
-        diff = w - lam * v
-        res = float(np.max(np.abs(diff)))
-        res1 = float(np.sum(np.abs(diff)))
-        if res <= tol * lam and res1 <= tol * lam * float(np.sum(np.abs(v))):
-            total = float(np.sum(v) * matrix.cell_volume)
-            return lam, v / total, res / total
-        v = w / lam
-    raise NonConvergenceError("adjoint power iteration did not converge",
-                              res, max_iters)
+    lam, v, res = _power_iteration(matrix.apply_adjoint, matrix.n_cells, tol,
+                                   max_iters, l1=True)
+    total = float(np.sum(v) * matrix.cell_volume)
+    return lam, v / total, res / total
 
 
 def assemble_qem(right: Array, left: Array, cell_volume: float) -> Array:

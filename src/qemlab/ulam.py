@@ -21,10 +21,20 @@ every target cell is computed in closed form.  No delta is ever sampled, and
 for maps that are affine on each branch the matrix is exact as soon as no
 stratum straddles a branch discontinuity (one stratum per cell suffices on
 branch-aligned grids, for any eps).  Strata whose corner images are
-inconsistent with a single monotone branch (detected via the jittered
-midpoint image and the Jacobian) fall back to a point mass at the midpoint
-image, which keeps non-aligned grids sane.  The matrix's ``diagnostics``
-count those point masses and the strata absorbed off the domain.
+inconsistent with a single monotone branch (detected via the midpoint image
+and the Jacobian) fall back to a point mass at the midpoint image, which
+keeps non-aligned grids sane.  The matrix's ``diagnostics`` count those point
+masses and the strata absorbed off the domain.  The matrix depends only on
+the map, eps, weight, region, grid and strata: there is nothing random in it.
+
+Branch-aligned grids can still show a few point masses.  On the affine maps
+the corner shrink ``_ETA * width`` of a fine stratum (about 5e-17 on
+``two_repeller`` at 1215 cells and 15 strata) is below one ulp of the
+coordinate, so a shrunken corner is the branch point itself and maps to the
+far end of the circle: one stratum on ``two_repeller`` (lower edge 2.4) and
+one on ``five_hole`` at 625 cells and 15 strata (upper edge 0.6).  On
+``smooth_perturbed`` the two point masses at 729 cells and 3 strata are real
+straddles, whose corner images wrap around the circle.
 
 Cells straddling the boundary of Y receive fractional killing weights from
 :func:`qemlab.dynamics.region_fraction`, exact for any union of boxes.
@@ -35,9 +45,7 @@ the per-axis CDFs and their tensor products are computed for every stratum
 of the pass at once.  Each (row, column) sum is accumulated by ``bincount``
 in the order of the per-cell definition (stratum by stratum, axis 0
 outermost), so the matrices are bitwise those of assembling one cell, one
-stratum and one axis at a time.  The jitter streams of
-``default_rng([seed, cell])`` are reproduced bitwise for all cells of a pass
-at once, so no generator is built per cell.
+stratum and one axis at a time.
 """
 
 from __future__ import annotations
@@ -98,24 +106,6 @@ class GridPartition:
 
     def centers(self) -> Array:
         return self._centers
-
-    def box_of_cell(self, i: int) -> int:
-        return i // self.cells_per_box
-
-    def multi_index(self, i: int) -> tuple[int, ...]:
-        coords = []
-        rem = i % self.cells_per_box
-        for _ in range(self.dimension):
-            coords.append(rem % self.resolution)
-            rem //= self.resolution
-        return tuple(reversed(coords))
-
-    def cell_box(self, i: int) -> tuple[Array, Array]:
-        box = self.boxes[self.box_of_cell(i)]
-        coords = np.asarray(self.multi_index(i))
-        h = box.widths / self.resolution
-        lo = np.asarray(box.lo) + coords * h
-        return lo, lo + h
 
     def find_cells(self, points: Array) -> Array:
         """Cell index of each point, -1 outside every box."""
@@ -289,104 +279,6 @@ def _ragged(sizes: Array) -> tuple[Array, Array]:
 
 
 # ---------------------------------------------------------------------------
-# per-cell jitter streams
-# ---------------------------------------------------------------------------
-
-_LOW32 = np.uint64(0xFFFFFFFF)
-_B32, _B16 = np.uint64(32), np.uint64(16)
-_PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))
-
-
-def _seed_sequence_words(entropy: list[Array]) -> list[Array]:
-    """``SeedSequence(entropy).generate_state(4, np.uint64)``, elementwise.
-
-    ``entropy`` lists the 32-bit entropy words, held in uint64 arrays.  The
-    hash constants advance the same way for every element, so each round is
-    one array operation.
-    """
-    const = [0x43B0D7E5]
-
-    def hashmix(value):
-        value = value ^ np.uint64(const[0])
-        const[0] = const[0] * 0x931E8875 & 0xFFFFFFFF
-        value = value * np.uint64(const[0]) & _LOW32
-        return value ^ value >> _B16
-
-    def mix(x, y):
-        r = np.uint64(0xCA01F9DD) * x - np.uint64(0x4973F715) * y & _LOW32
-        return r ^ r >> _B16
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const = 0x8B51F9DD
-    out = []
-    for k in range(8):
-        value = pool[k % 4] ^ np.uint64(const)
-        const = const * 0x58F38DED & 0xFFFFFFFF
-        value = value * np.uint64(const) & _LOW32
-        out.append(value ^ value >> _B16)
-    return [out[2 * k] | out[2 * k + 1] << _B32 for k in range(4)]
-
-
-def _mul_high(a: Array, b) -> Array:
-    """High 64 bits of the 128-bit products ``a * b`` of uint64 values."""
-    a0, a1, b0, b1 = a & _LOW32, a >> _B32, b & _LOW32, b >> _B32
-    mid = (a0 * b0 >> _B32) + (a0 * b1 & _LOW32) + (a1 * b0 & _LOW32)
-    return a1 * b1 + (a0 * b1 >> _B32) + (a1 * b0 >> _B32) + (mid >> _B32)
-
-
-def _pcg_step(state: tuple[Array, Array], inc: tuple[Array, Array]
-              ) -> tuple[Array, Array]:
-    """PCG64's LCG step ``state * mult + inc`` mod 2^128, on (high, low)
-    uint64 halves."""
-    (hi, lo), (m_hi, m_lo) = state, _PCG_MULT
-    prod_lo = lo * m_lo
-    new_lo = prod_lo + inc[1]
-    carry = (new_lo < prod_lo).astype(np.uint64)
-    return hi * m_lo + lo * m_hi + _mul_high(lo, m_lo) + inc[0] + carry, new_lo
-
-
-def _cell_jitter(seed: int, cells: Array, size: int) -> Array:
-    """``default_rng([seed, i]).uniform(-0.5, 0.5, size)`` for each cell i,
-    bitwise, for all cells at once.
-
-    ``default_rng`` seeds PCG64 (a 128-bit LCG with XSL-RR output) from a
-    ``SeedSequence`` of the 32-bit words of ``seed`` and ``i``; both are
-    reproduced here on uint64 arrays, about 50 times faster than building
-    one generator per cell.  The tests compare it with ``default_rng``.
-    """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    cells = np.asarray(cells, dtype=np.uint64)
-    words = [np.full(cells.size, seed >> 32 * k & 0xFFFFFFFF, dtype=np.uint64)
-             for k in range(max(1, -(-seed.bit_length() // 32)))]
-    s_hi, s_lo, i_hi, i_lo = _seed_sequence_words(words + [cells])
-    one = np.uint64(1)
-    inc = (i_hi << one | i_lo >> np.uint64(63), i_lo << one | one)
-    # seeding: step from 0, add the initial state, step again
-    hi, lo = _pcg_step((np.zeros_like(s_hi), np.zeros_like(s_lo)), inc)
-    lo_sum = lo + s_lo
-    state = _pcg_step((hi + s_hi + (lo_sum < lo).astype(np.uint64), lo_sum), inc)
-    out = np.empty((cells.size, size))
-    for k in range(size):
-        state = _pcg_step(state, inc)
-        x, rot = state[0] ^ state[1], state[0] >> np.uint64(58)
-        draw = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
-        # uniform(low, high) is low + (high - low) * (53 random bits) / 2^53
-        out[:, k] = -0.5 + 1.0 * ((draw >> np.uint64(11)).astype(float)
-                                  * (1.0 / 9007199254740992.0))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # region fractions per cell
 # ---------------------------------------------------------------------------
 
@@ -446,10 +338,10 @@ class _Assembly:
     template, per-box tables and the assembly counters."""
 
     def __init__(self, system: MapSystem, region: RegionSpec,
-                 grid: GridPartition, eps: float, seed: int,
-                 counts: tuple[int, ...], frac: Array, weights: Array):
+                 grid: GridPartition, eps: float, counts: tuple[int, ...],
+                 frac: Array, weights: Array):
         self.system, self.region, self.grid = system, region, grid
-        self.eps, self.seed, self.frac, self.weights = eps, seed, frac, weights
+        self.eps, self.frac, self.weights = eps, frac, weights
         d = grid.dimension
         # stratum lower corners and widths relative to the cell, and the
         # shrunken corner offsets within a stratum
@@ -474,10 +366,10 @@ class _Assembly:
     def strata(self, cells: Array) -> tuple[Array, Array, Array, Array]:
         """Kept strata of the cells, in cell then stratum order: the
         position of their cell in ``cells``, their lower corners, widths and
-        jittered midpoints.
+        midpoints.
 
-        Cell boxes are those of :meth:`GridPartition.cell_box`, with the
-        width taken as ``(lo + h) - lo``.
+        A cell's box starts at ``lo = box lo + digits * h`` for its row-major
+        digits within its grid box, with the width taken as ``(lo + h) - lo``.
         """
         grid, d = self.grid, self.grid.dimension
         res, n_strata = grid.resolution, self.rel_lo.shape[0]
@@ -488,8 +380,7 @@ class _Assembly:
         h = (lo + h) - lo
         s_lo = lo[:, None, :] + self.rel_lo * h[:, None, :]
         s_w = self.rel_w * h
-        jitter = _cell_jitter(self.seed, cells, n_strata * d).reshape(-1, n_strata, d)
-        mids = (s_lo + (0.5 + jitter) * s_w[:, None, :]).reshape(-1, d)
+        mids = (s_lo + 0.5 * s_w[:, None, :]).reshape(-1, d)
         kept = np.flatnonzero(self.region.contains(mids))  # source-side killing
         owner = kept // n_strata
         return owner, s_lo.reshape(-1, d)[kept], s_w[owner], mids[kept]
@@ -567,23 +458,23 @@ class _Assembly:
 
 def assemble_operator(system: MapSystem, noise: NoiseModel, weight: WeightField,
                       region: RegionSpec, grid: GridPartition,
-                      samples_per_cell=3, seed: int = 0) -> AnnealedMatrix:
+                      samples_per_cell=3) -> AnnealedMatrix:
     """Assemble the Ulam matrix of the annealed weighted killed operator.
 
     ``samples_per_cell`` is the total per-cell stratum budget (an int, mapped
-    to an even per-axis split) or an explicit per-axis tuple.  Assembly is
-    deterministic given ``seed``: per-cell jitter streams are derived from
-    (seed, cell index), so the result is independent of evaluation order.
-    The matrix's ``diagnostics`` count the strata that fell back to a point
-    mass and those absorbed off the domain.
+    to an even per-axis split) or an explicit per-axis tuple.  Each stratum
+    is probed at its exact midpoint, so the matrix is a function of the
+    inputs alone and does not depend on evaluation order.  The matrix's
+    ``diagnostics`` count the strata that fell back to a point mass and
+    those absorbed off the domain.
     """
     counts = _strata_counts(samples_per_cell, grid.dimension)
     frac = region_fractions(region, grid)
     if not np.any(frac > 0):
         raise ValueError("empty conditioning region: no grid cell meets it")
     weights_at_centers = weight.values(grid.centers())
-    job = _Assembly(system, region, grid, noise.epsilon, int(seed), counts,
-                    frac, weights_at_centers)
+    job = _Assembly(system, region, grid, noise.epsilon, counts, frac,
+                    weights_at_centers)
     active = np.flatnonzero(~((frac <= 0.0) | (weights_at_centers <= 0.0)))
     row_nnz = np.zeros(grid.n_cells, dtype=np.int64)
     col_parts, val_parts = [], []
@@ -603,7 +494,6 @@ def assemble_operator(system: MapSystem, noise: NoiseModel, weight: WeightField,
                              if not isinstance(samples_per_cell, (tuple, list))
                              else list(samples_per_cell)),
         "strata": list(counts),
-        "seed": int(seed),
         "system": system.label,
         "resolution": grid.resolution,
     }

@@ -31,13 +31,12 @@ def report(criterion, message):
     print(f"criterion {criterion:>2}: PASS  {message}")
 
 
-def ternary_operator(resolution, eps, seed=5, weight=None, region=None,
-                     samples=3):
+def ternary_operator(resolution, eps, weight=None, region=None, samples=3):
     b = make_system("ternary_hole")
     grid = build_grid(b.system.domain, resolution)
     M = assemble_operator(b.system, NoiseModel(eps, 1),
                           weight or zero_weight(), region or b.survivor,
-                          grid, samples, seed=seed)
+                          grid, samples)
     return M, grid
 
 
@@ -76,7 +75,7 @@ def test_criterion_03_hyperbolic_baker():
     b = make_system("open_baker")
     grid = build_grid(b.system.domain, 81)
     M = assemble_operator(b.system, NoiseModel(1e-3, 2), zero_weight(),
-                          b.survivor, grid, samples_per_cell=(3, 1), seed=2)
+                          b.survivor, grid, samples_per_cell=(3, 1))
     triple = solve_triple(M, with_gap=False)
     assert abs(triple.lam - 2.0 / 3.0) <= 0.02 * (2.0 / 3.0)
     qm = triple.qem.reshape(81, 81)
@@ -133,7 +132,7 @@ def test_criterion_05_escape_rate_consistency():
         b = make_system(label)
         grid = build_grid(b.system.domain, resolution)
         M = assemble_operator(b.system, noise, zero_weight(), b.survivor,
-                              grid, 15, seed=5)
+                              grid, 15)
         lam, _, _ = leading_pair(M)
         stats = run_conditioned(b.system, noise, zero_weight(), b.survivor,
                                 np.array([0.1]), n=4000, n_particles=4000,
@@ -167,7 +166,7 @@ def test_criterion_06_weight_correspondence():
     for key, weight, region in (("tapered_V", tapered, V),
                                 ("plain_V", zero_weight(), V),
                                 ("plain_nested", zero_weight(), nested)):
-        M = assemble_operator(b.system, noise, weight, region, grid, 3, seed=21)
+        M = assemble_operator(b.system, noise, weight, region, grid, 3)
         qems[key] = solve_triple(M, with_gap=False).qem
     cells = np.flatnonzero(nested.contains(grid.centers()))
 
@@ -189,8 +188,8 @@ def test_criterion_06_weight_correspondence():
 
 
 def test_criterion_07_weight_rescaling():
-    M0, _ = ternary_operator(243, eps=1e-3, seed=7)
-    M2, _ = ternary_operator(243, eps=1e-3, seed=7,
+    M0, _ = ternary_operator(243, eps=1e-3)
+    M2, _ = ternary_operator(243, eps=1e-3,
                              weight=constant_weight(math.log(2.0)))
     t0, t2 = solve_triple(M0, with_gap=False), solve_triple(M2, with_gap=False)
     assert abs(t2.lam - 2.0 * t0.lam) <= 1e-10
@@ -210,7 +209,7 @@ def test_criterion_08_spectral_stability():
     grid_res = 729
     lams = {}
     for eps in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
-        M, _ = ternary_operator(grid_res, eps=eps, seed=8)
+        M, _ = ternary_operator(grid_res, eps=eps)
         lams[eps], _, _ = leading_pair(M, tol=tol)
     eps_list = sorted(lams, reverse=True)
     diffs = [abs(lams[eps_list[i]] - lams[eps_list[i + 1]]) for i in range(3)]
@@ -244,7 +243,7 @@ def test_criterion_10_two_repeller_global():
     noise = NoiseModel(1e-3, 1)
     grid = build_grid(b.system.domain, 405)
     M = assemble_operator(b.system, noise, zero_weight(), b.survivor,
-                          grid, 15, seed=3)
+                          grid, 15)
     order = filtration_order(ConnectionGraph(
         (Node(1, math.log(3.0 / 5.0)), Node(2, math.log(2.0 / 3.0))), ()))
     centers = grid.centers()[:, 0]
@@ -275,7 +274,7 @@ def test_criterion_10_two_repeller_global():
 
 
 def test_criterion_11_support_check():
-    M, grid = ternary_operator(243, eps=1e-3, seed=22)
+    M, grid = ternary_operator(243, eps=1e-3)
     triple = solve_triple(M, with_gap=False)
     cells = ternary_cylinder_cells(depth=5, resolution=243)
     floor = 0.5 * 2.0 ** -5 * 0.2
@@ -293,11 +292,11 @@ def test_criterion_12_brute_force_equivalence():
         grid = build_grid(b.system.domain, res)
         matrices.append(assemble_operator(
             b.system, NoiseModel(eps, 1), zero_weight(), b.survivor, grid,
-            k, seed=9))
+            k))
     baker = make_system("open_baker")
     matrices.append(assemble_operator(
         baker.system, NoiseModel(0.01, 2), zero_weight(), baker.survivor,
-        build_grid(baker.system.domain, 2), samples_per_cell=(2, 2), seed=9))
+        build_grid(baker.system.domain, 2), samples_per_cell=(2, 2)))
     matrices.append(restrict_operator(matrices[0], [0, 2]))
     worst = 0.0
     for M in matrices:

@@ -286,19 +286,20 @@ class TestFiltrationCommand:
         assert main(["filtration", "--config", path,
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    TWO_REPELLER = {
+        "system": {"label": "two_repeller"},
+        "grid": {"resolution": 135},
+        "samples_per_cell": 15,
+        "filtration": {
+            "nodes": [{"id": 1, "pressure": math.log(3 / 5)},
+                      {"id": 2, "pressure": math.log(2 / 3)}],
+            "edges": [],
+            "strata": {"2": [[[0.0], [1.0]]], "1": [[[2.0], [3.0]]]},
+        },
+    }
+
     def test_stratified_report(self, tmp_path):
-        cfg_extra = {
-            "system": {"label": "two_repeller"},
-            "grid": {"resolution": 135},
-            "samples_per_cell": 15,
-            "filtration": {
-                "nodes": [{"id": 1, "pressure": math.log(3 / 5)},
-                          {"id": 2, "pressure": math.log(2 / 3)}],
-                "edges": [],
-                "strata": {"2": [[[0.0], [1.0]]], "1": [[[2.0], [3.0]]]},
-            },
-        }
-        path, _ = write_config(tmp_path, **cfg_extra)
+        path, _ = write_config(tmp_path, **self.TWO_REPELLER)
         out = tmp_path / "out"
         assert main(["filtration", "--config", path, "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "strata_report.json").read_text())
@@ -306,6 +307,19 @@ class TestFiltrationCommand:
         assert abs(report["per_stratum"]["2"] - 2 / 3) < 1e-3
         assert abs(report["per_stratum"]["1"] - 3 / 5) < 1e-3
 
+    def test_stratified_outputs_do_not_depend_on_the_seed(self, tmp_path):
+        # at 405 cells per box one stratum falls back to a point mass at its
+        # midpoint image, so a seed-dependent midpoint would show here
+        path, _ = write_config(tmp_path, **{**self.TWO_REPELLER,
+                                            "grid": {"resolution": 405}})
+        written = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            assert main(["filtration", "--config", path, "--out", str(out),
+                         "--seed", seed]) == EXIT_OK
+            written.append([(out / name).read_bytes() for name in
+                            ("strata_report.json", "diagnostics.json")])
+        assert written[0] == written[1]
 
     def test_stratified_diagnostics(self, tmp_path):
         path, _ = write_config(tmp_path, **SINGLE_EPSILON_EXTRAS["filtration"])

@@ -307,7 +307,7 @@ class TestOccupationMeasure:
                                 n=3000, n_particles=3000, observables=X,
                                 seed=13, occupation_grid=grid)
         M = assemble_operator(TERNARY.system, NOISE, zero_weight(),
-                              TERNARY.survivor, grid, 3, seed=13)
+                              TERNARY.survivor, grid, 3)
         triple = solve_triple(M, with_gap=False)
         disc = weak_star_discrepancy(stats.occupation, triple.qem,
                                      TestDictionary(), grid.centers())

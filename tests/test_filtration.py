@@ -148,7 +148,7 @@ class TestStratifiedWorkflow:
         self.grid = build_grid(self.builtin.system.domain, 135)
         self.matrix = assemble_operator(
             self.builtin.system, NoiseModel(1e-3, 1), zero_weight(),
-            self.builtin.survivor, self.grid, 15, seed=3)
+            self.builtin.survivor, self.grid, 15)
         self.order = filtration_order(graph(
             {1: math.log(3.0 / 5.0), 2: math.log(2.0 / 3.0)}, []))
         centers = self.grid.centers()[:, 0]

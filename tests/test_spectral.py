@@ -63,7 +63,7 @@ class TestLeadingLeft:
         b = make_system("ternary_hole")
         grid = build_grid(b.system.domain, 81)
         M = assemble_operator(b.system, NoiseModel(1e-3, 1), zero_weight(),
-                              b.survivor, grid, 3, seed=1)
+                              b.survivor, grid, 3)
         lam_r, _, _ = leading_pair(M, tol=1e-10)
         lam_l, _, _ = leading_left(M, tol=1e-10)
         assert abs(lam_l - lam_r) <= 2e-10 * lam_r
@@ -113,7 +113,7 @@ def _builtin_operator(label, resolution, epsilon, samples):
     b = make_system(label)
     grid = build_grid(b.system.domain, resolution)
     M = assemble_operator(b.system, NoiseModel(epsilon, b.system.dimension),
-                          zero_weight(), b.survivor, grid, samples, seed=7)
+                          zero_weight(), b.survivor, grid, samples)
     return M, grid
 
 
@@ -214,7 +214,7 @@ class TestSupportCheck:
         b = make_system("ternary_hole")
         grid = build_grid(b.system.domain, 3)
         M = assemble_operator(b.system, NoiseModel(0.0, 1), zero_weight(),
-                              b.survivor, grid, 1, seed=0)
+                              b.survivor, grid, 1)
         t = solve_triple(M)
         report = support_check(t, [1], floor=0.1)
         assert not report.passed
@@ -230,7 +230,7 @@ class TestTripleInvariants:
         b = make_system("ternary_hole")
         grid = build_grid(b.system.domain, 243)
         M = assemble_operator(b.system, NoiseModel(1e-3, 1), zero_weight(),
-                              b.survivor, grid, 3, seed=3)
+                              b.survivor, grid, 3)
         t = solve_triple(M)
         assert np.all(t.qem >= 0.0)
         assert abs(t.qem.sum() - 1.0) <= 1e-12
@@ -244,7 +244,7 @@ class TestTripleInvariants:
         b = make_system("ternary_hole")
         grid = build_grid(b.system.domain, 81)
         M = assemble_operator(b.system, NoiseModel(1e-3, 1), zero_weight(),
-                              b.survivor, grid, 3, seed=4)
+                              b.survivor, grid, 3)
         tol = 1e-10
         lam, m, _ = leading_left(M, tol=tol)
         r = M.apply_adjoint(m) - lam * m
@@ -253,7 +253,7 @@ class TestTripleInvariants:
     def test_weight_rescaling_invariance(self):
         b = make_system("ternary_hole")
         grid = build_grid(b.system.domain, 27)
-        kw = dict(region=b.survivor, grid=grid, samples_per_cell=3, seed=6)
+        kw = dict(region=b.survivor, grid=grid, samples_per_cell=3)
         M0 = assemble_operator(b.system, NoiseModel(1e-3, 1), zero_weight(), **kw)
         M2 = assemble_operator(b.system, NoiseModel(1e-3, 1),
                                constant_weight(math.log(2.0)), **kw)
@@ -268,7 +268,7 @@ class TestTripleInvariants:
             grid = build_grid(b.system.domain, res)
             small.append(assemble_operator(
                 b.system, NoiseModel(eps, 1), zero_weight(), b.survivor,
-                grid, k, seed=9))
+                grid, k))
         small.append(restrict_operator(small[0], [0, 2]))
         for M in small:
             assert M.n_cells <= 8
@@ -290,11 +290,11 @@ class TestBoundaryWeightSensitivity:
         grid = build_grid(b.system.domain, res)
         noise = NoiseModel(1e-3, 1)
         plain = assemble_operator(b.system, noise, zero_weight(), b.survivor,
-                                  grid, 3, seed=21)
+                                  grid, 3)
         tapered_w = WeightField(0.0, support_cutoff=b.survivor,
                                 taper_width=3.0 / res, domain=b.system.domain)
         tapered = assemble_operator(b.system, noise, tapered_w, b.survivor,
-                                    grid, 3, seed=21)
+                                    grid, 3)
         qa = solve_triple(plain, with_gap=False).qem
         qb = solve_triple(tapered, with_gap=False).qem
         assert w1_1d(qa, qb, grid.centers(), grid.cell_volume) > 2.0 / res

@@ -9,21 +9,31 @@ from hypothesis import given, settings, strategies as st
 from qemlab import ulam
 from qemlab.dynamics import (Box, NoiseModel, RegionSpec, WeightField,
                              constant_weight, make_system, zero_weight)
-from qemlab.ulam import (_cell_jitter, _csr_from_rows, _h_antideriv,
-                         _strata_counts, assemble_operator, build_grid,
-                         export_matrix, load_matrix, region_fractions,
-                         restrict_operator)
+from qemlab.ulam import (_csr_from_rows, _h_antideriv, _strata_counts,
+                         assemble_operator, build_grid, export_matrix,
+                         load_matrix, region_fractions, restrict_operator)
 
 from oracles import matrix_from_dense
 
 
-def ternary_matrix(resolution, eps=0.0, samples=1, seed=0, weight=None,
-                   region=None):
+def ternary_matrix(resolution, eps=0.0, samples=1, weight=None, region=None):
     b = make_system("ternary_hole")
     grid = build_grid(b.system.domain, resolution)
     return assemble_operator(
         b.system, NoiseModel(eps, 1), weight or zero_weight(),
-        region or b.survivor, grid, samples_per_cell=samples, seed=seed), grid
+        region or b.survivor, grid, samples_per_cell=samples), grid
+
+
+def cell_box(grid, i):
+    """Lower and upper corner of grid cell i, row-major within its box."""
+    box = grid.boxes[i // grid.cells_per_box]
+    rem, coords = i % grid.cells_per_box, []
+    for _ in range(grid.dimension):
+        coords.append(rem % grid.resolution)
+        rem //= grid.resolution
+    h = box.widths / grid.resolution
+    lo = np.asarray(box.lo) + np.asarray(coords[::-1]) * h
+    return lo, lo + h
 
 
 class TestBuildGrid:
@@ -54,7 +64,7 @@ class TestBuildGrid:
     def test_index_round_trip(self):
         g = build_grid([([0.0, 0.0], [1.0, 1.0]), ([2.0, 0.0], [3.0, 1.0])], 4)
         for i in range(g.n_cells):
-            lo, hi = g.cell_box(i)
+            lo, hi = cell_box(g, i)
             center = (lo + hi) / 2.0
             assert g.find_cells(center[None, :])[0] == i
 
@@ -94,8 +104,8 @@ class TestAssembly:
             assert row.sum() == pytest.approx(2.0 / 3.0)
 
     def test_weight_scales_matrix(self):
-        M0, _ = ternary_matrix(27, eps=1e-3, samples=3, seed=5)
-        M2, _ = ternary_matrix(27, eps=1e-3, samples=3, seed=5,
+        M0, _ = ternary_matrix(27, eps=1e-3, samples=3)
+        M2, _ = ternary_matrix(27, eps=1e-3, samples=3,
                                weight=constant_weight(math.log(2.0)))
         assert np.array_equal(M0.indices, M2.indices)
         assert np.allclose(2.0 * M0.data, M2.data, rtol=1e-14)
@@ -112,19 +122,19 @@ class TestAssembly:
         b = make_system("five_hole")
         grid = build_grid(b.system.domain, 25)
         M = assemble_operator(b.system, NoiseModel(0.0, 1), zero_weight(),
-                              b.survivor, grid, samples_per_cell=1, seed=0)
+                              b.survivor, grid, samples_per_cell=1)
         lam, _, _ = leading_pair(M)
         assert abs(lam - 3.0 / 5.0) < 1e-12
 
     def test_assembly_deterministic(self):
-        M1, _ = ternary_matrix(27, eps=2e-3, samples=4, seed=11)
-        M2, _ = ternary_matrix(27, eps=2e-3, samples=4, seed=11)
+        M1, _ = ternary_matrix(27, eps=2e-3, samples=4)
+        M2, _ = ternary_matrix(27, eps=2e-3, samples=4)
         assert np.array_equal(M1.indptr, M2.indptr)
         assert np.array_equal(M1.indices, M2.indices)
         assert np.array_equal(M1.data, M2.data)
 
     def test_entries_nonnegative_and_row_bound(self):
-        M, grid = ternary_matrix(81, eps=1e-3, samples=3, seed=2)
+        M, grid = ternary_matrix(81, eps=1e-3, samples=3)
         assert np.all(M.data >= 0.0)
         inside = make_system("ternary_hole").survivor.contains(grid.centers())
         sums = M.row_sums()
@@ -136,9 +146,8 @@ class TestAssembly:
         small = RegionSpec((Box((0.0,), (1 / 3,)),), label="small")
         b = make_system("ternary_hole")
         big = b.survivor
-        M_small, _ = ternary_matrix(27, eps=1e-3, samples=3, seed=8,
-                                    region=small)
-        M_big, _ = ternary_matrix(27, eps=1e-3, samples=3, seed=8, region=big)
+        M_small, _ = ternary_matrix(27, eps=1e-3, samples=3, region=small)
+        M_big, _ = ternary_matrix(27, eps=1e-3, samples=3, region=big)
         assert np.all(M_big.toarray() - M_small.toarray() >= -1e-15)
 
     def test_empty_region_rejected(self):
@@ -147,10 +156,10 @@ class TestAssembly:
             ternary_matrix(9, region=off)
 
     def test_metadata_recorded(self):
-        M, _ = ternary_matrix(9, eps=1e-3, samples=3, seed=17)
+        M, _ = ternary_matrix(9, eps=1e-3, samples=3)
         md = M.metadata
         assert md["epsilon"] == 1e-3
-        assert md["seed"] == 17
+        assert "seed" not in md
         assert md["samples_per_cell"] == 3
         assert md["region"] == "survivor:ternary"
 
@@ -159,7 +168,7 @@ class TestAssembly:
         b = make_system("open_baker")
         grid = build_grid(b.system.domain, 9)
         M = assemble_operator(b.system, NoiseModel(0.0, 2), zero_weight(),
-                              b.survivor, grid, samples_per_cell=(3, 1), seed=0)
+                              b.survivor, grid, samples_per_cell=(3, 1))
         lam, _, _ = leading_pair(M)
         assert abs(lam - 2.0 / 3.0) < 1e-12
 
@@ -195,7 +204,7 @@ class TestRestrict:
 
 class TestExport:
     def test_json_round_trip(self, tmp_path):
-        M, _ = ternary_matrix(27, eps=1e-3, samples=3, seed=5)
+        M, _ = ternary_matrix(27, eps=1e-3, samples=3)
         path = tmp_path / "operator.json"
         export_matrix(M, path)
         loaded = load_matrix(path)
@@ -219,7 +228,7 @@ class TestApply:
         assert np.allclose(out, [2 / 3, 0.0, 2 / 3])
 
     def test_adjoint_duality(self):
-        M, _ = ternary_matrix(27, eps=1e-3, samples=3, seed=1)
+        M, _ = ternary_matrix(27, eps=1e-3, samples=3)
         g = np.random.default_rng(5)
         for _ in range(5):
             v = g.standard_normal(M.n_cells)
@@ -273,8 +282,7 @@ def _axis_cell_masses_scalar(p, q, eps, res, width, wrap):
     return np.concatenate(coords_all), np.concatenate(masses_all)
 
 
-def reference_assemble(system, noise, weight, region, grid, samples_per_cell,
-                       seed):
+def reference_assemble(system, noise, weight, region, grid, samples_per_cell):
     """The assembly one cell, one stratum and one axis at a time."""
     d = grid.dimension
     eps = noise.epsilon
@@ -295,13 +303,11 @@ def reference_assemble(system, noise, weight, region, grid, samples_per_cell,
         if frac[i] <= 0.0 or weights_at_centers[i] <= 0.0:
             rows.append(empty)
             continue
-        lo_i, hi_i = grid.cell_box(i)
+        lo_i, hi_i = cell_box(grid, i)
         h = hi_i - lo_i
         s_lo = lo_i + rel_lo * h
         s_w = rel_w * h
-        rng = np.random.default_rng([int(seed), int(i)])
-        jitter = rng.uniform(-0.5, 0.5, size=(n_strata, d))
-        mids = s_lo + (0.5 + jitter) * s_w
+        mids = s_lo + 0.5 * s_w
         keep = region.contains(mids)
         if not np.any(keep):
             rows.append(empty)
@@ -417,8 +423,7 @@ def assembly_cases(draw):
                              tuple(lo[k] + a[k] + 2 * w[k] for k in range(d))))
         region = RegionSpec(tuple(boxes), label="custom")
     grid = build_grid(b.system.domain, res)
-    seed = draw(st.integers(0, 2 ** 31 - 1))
-    return (b.system, NoiseModel(eps, d), weight, region, grid, strata, seed)
+    return (b.system, NoiseModel(eps, d), weight, region, grid, strata)
 
 
 class TestWholeArrayAssembly:
@@ -441,7 +446,7 @@ class TestWholeArrayAssembly:
     def test_builtin_sizes_bitwise(self, label, res, eps, strata):
         b = make_system(label)
         case = (b.system, NoiseModel(eps, b.system.dimension), zero_weight(),
-                b.survivor, build_grid(b.system.domain, res), strata, 1)
+                b.survivor, build_grid(b.system.domain, res), strata)
         _assert_same_csr(assemble_operator(*case), reference_assemble(*case))
 
     def test_counts_point_masses(self):
@@ -464,20 +469,22 @@ class TestWholeArrayAssembly:
         assert M.diagnostics == {"point_mass_strata": 0, "absorbed_strata": 6}
         assert np.array_equal(np.diff(M.indptr) > 0, np.arange(9) < 3)
 
-
-class TestCellJitter:
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2 ** 31) | st.integers(0, 2 ** 160),
-           cells=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=8),
-           size=st.integers(1, 30))
-    def test_equal_to_default_rng(self, seed, cells, size):
-        want = np.stack([np.random.default_rng([seed, i]).uniform(
-            -0.5, 0.5, size=size) for i in cells])
-        assert np.array_equal(_cell_jitter(seed, np.array(cells), size), want)
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError):
-            _cell_jitter(-1, np.arange(3), 2)
+    @pytest.mark.parametrize("label,res,strata,point_masses", [
+        # the corner shrink is below one ulp at the branch point, so one
+        # corner maps to the far end of the circle (lower edge 2.4 and
+        # upper edge 0.6)
+        ("two_repeller", 1215, 15, 1), ("five_hole", 625, 15, 1),
+        # two strata straddle a branch point: their corner images wrap
+        ("smooth_perturbed", 729, 3, 2),
+        ("ternary_hole", 2187, 3, 0), ("open_baker", 27, (3, 1), 0)])
+    def test_point_masses_on_aligned_grids(self, label, res, strata,
+                                           point_masses):
+        b = make_system(label)
+        M = assemble_operator(b.system, NoiseModel(1e-3, b.system.dimension),
+                              zero_weight(), b.survivor,
+                              build_grid(b.system.domain, res), strata)
+        assert M.diagnostics == {"point_mass_strata": point_masses,
+                                 "absorbed_strata": 0}
 
 
 class TestWholeArrayRestrict:
@@ -485,7 +492,7 @@ class TestWholeArrayRestrict:
     @given(res=st.sampled_from([9, 10, 27]), seed=st.integers(0, 2 ** 31 - 1),
            keep=st.floats(0.0, 1.0))
     def test_equal_to_per_row_loop(self, res, seed, keep):
-        M, _ = ternary_matrix(res, eps=3e-2, samples=3, seed=seed)
+        M, _ = ternary_matrix(res, eps=3e-2, samples=3)
         cells = np.flatnonzero(np.random.default_rng(seed).uniform(size=res) < keep)
         if cells.size == 0:
             cells = np.array([res - 1])
