@@ -10,8 +10,9 @@ prints the weak-* discrepancy and, in 1d, the 1-Wasserstein distance of two
 quasi-ergodic vectors, using the metrics of :mod:`qemlab.equilibrium`.
 
 Configs are JSON with a versioned ``schema`` field; see README for the full
-layout.  Exit codes: 0 success, 2 config error, 3 numerical non-convergence,
-4 ensemble extinct.  Given the same config and seed, re-runs write
+layout.  Exit codes: 0 success, 2 config error, 3 numerical failure (no
+convergence, or a nilpotent operator), 4 ensemble extinct; each cause prints
+its own ``error[code]``.  Given the same config and seed, re-runs write
 byte-identical primary artifacts.  Only ``sweep`` writes wall-clock timings
 (``runtimes.csv``, one row per epsilon).  Counters go to
 ``diagnostics.json``: per-block resampling counts for ``mc``; for
@@ -28,6 +29,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +40,9 @@ from .dynamics import (Box, Builtin, NoiseModel, RegionSpec, WeightField,
 from .equilibrium import TestDictionary, w1_1d, weak_star_discrepancy
 from .filtration import (ConnectionGraph, CycleError, PressureTieError,
                          filtration_order, stratified_qem_workflow)
-from .spectral import NonConvergenceError, solve_triple
-from .ulam import GridPartition, assemble_operator, build_grid, export_matrix
+from .spectral import NonConvergenceError, ZeroOperatorError, solve_triple
+from .ulam import (GridPartition, _strata_counts, assemble_operator, build_grid,
+                   export_matrix)
 
 SCHEMA_VERSION = 1
 
@@ -81,8 +84,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        if raw.get("schema") != SCHEMA_VERSION:
-            raise ConfigError("schema", f"config schema must be {SCHEMA_VERSION}")
+        if not isinstance(raw, dict) or raw.get("schema") != SCHEMA_VERSION:
+            raise ConfigError("schema", f"config must be an object with schema "
+                                        f"{SCHEMA_VERSION}")
         system = raw.get("system", {})
         label = system.get("label")
         if label is not None and label not in builtin_labels():
@@ -93,6 +97,8 @@ class ExperimentConfig:
         noise = raw.get("noise", {})
         eps = noise.get("epsilon", 0.0)
         eps_list = eps if isinstance(eps, list) else [eps]
+        if not all(isinstance(e, (int, float)) for e in eps_list):
+            raise ConfigError("bad-epsilon", "epsilon must be a number or a list")
         if any(e < 0 for e in eps_list):
             raise ConfigError("negative-epsilon", "epsilon must be >= 0")
         weight = raw.get("weight", {"kind": "zero"})
@@ -117,17 +123,27 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return self.raw
 
-    def builtin(self) -> Builtin:
+    def problem(self) -> Problem:
+        """Map, region, weight and grid, built once; a failing step gives its code."""
         label = self.system.get("label")
         if label is None:
             raise ConfigError("unknown-system", "config has no system label")
         params = {k: v for k, v in self.system.items() if k != "label"}
-        return make_system(label, **params)
+        builtin = _checked("bad-system", lambda: make_system(label, **params))
+        _checked("bad-strata", lambda: _strata_counts(self.samples_per_cell,
+                                                      builtin.system.dimension))
+        return Problem(builtin,
+                       _checked("bad-region", lambda: self.region_spec(builtin)),
+                       _checked("bad-weight", lambda: self.weight_field(builtin)),
+                       build_grid(builtin.system.domain, int(self.grid["resolution"])))
 
     def region_spec(self, builtin: Builtin) -> RegionSpec:
         if self.region.get("kind", "survivor") == "survivor":
             return builtin.survivor
         boxes = tuple(_parse_box(b) for b in self.region["boxes"])
+        if not any(np.all(np.minimum(r.hi, d.hi) > np.maximum(r.lo, d.lo))
+                   for r in boxes for d in builtin.system.domain.boxes):
+            raise ConfigError("empty-region", "the region meets no domain box")
         return RegionSpec(boxes, label=self.region.get("label", "region:custom"))
 
     def weight_field(self, builtin: Builtin) -> WeightField:
@@ -160,6 +176,23 @@ class ExperimentConfig:
             "tol": float(self.solver.get("tol", 1e-10)),
             "max_iters": int(self.solver.get("max_iters", 100_000)),
         }
+
+
+class Problem(NamedTuple):
+    builtin: Builtin
+    region: RegionSpec
+    weight: WeightField
+    grid: GridPartition
+
+
+def _checked(code: str, build):
+    """``build()``, with an error in it reported as config error ``code``."""
+    try:
+        return build()
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(code, repr(exc)) from None
 
 
 def _parse_box(payload) -> Box:
@@ -235,36 +268,31 @@ def _vectors_csv(path: Path, grid: GridPartition, triple) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def _assemble_and_solve(config: ExperimentConfig, epsilon: float):
-    builtin = config.builtin()
-    grid = build_grid(builtin.system.domain, int(config.grid["resolution"]))
-    region = config.region_spec(builtin)
-    weight = config.weight_field(builtin)
+def _operator(config: ExperimentConfig, problem: Problem, epsilon: float):
+    """The Ulam matrix of the config's problem at one noise level."""
+    builtin, region, weight, grid = problem
     noise = NoiseModel(epsilon, builtin.system.dimension)
-    matrix = assemble_operator(builtin.system, noise, weight, region, grid,
-                               samples_per_cell=config.samples_per_cell)
-    triple = solve_triple(matrix, seed=config.seed, **config.solver_kwargs())
-    return builtin, grid, matrix, triple
+    return assemble_operator(builtin.system, noise, weight, region, grid,
+                             samples_per_cell=config.samples_per_cell)
 
 
 def cmd_spectrum(config: ExperimentConfig, out: Path, args) -> int:
-    epsilon = config.single_epsilon("spectrum")
-    _, grid, matrix, triple = _assemble_and_solve(config, epsilon)
+    problem = config.problem()
+    matrix = _operator(config, problem, config.single_epsilon("spectrum"))
+    triple = solve_triple(matrix, seed=config.seed, **config.solver_kwargs())
     payload = dict(triple.scalars())
     # the seed picks only the gap solve's Arnoldi start vector
     payload["metadata"] = {**matrix.metadata, "seed": config.seed}
     write_json(out / "spectrum.json", payload)
     write_json(out / "diagnostics.json", matrix.diagnostics)
-    _vectors_csv(out / "qem.csv", grid, triple)
+    _vectors_csv(out / "qem.csv", problem.grid, triple)
     if args.export_matrix:
         export_matrix(matrix, out / "operator.json")
     return EXIT_OK
 
 
 def cmd_mc(config: ExperimentConfig, out: Path, args) -> int:
-    builtin = config.builtin()
-    region = config.region_spec(builtin)
-    weight = config.weight_field(builtin)
+    builtin, region, weight, _ = config.problem()
     noise = NoiseModel(config.single_epsilon("mc"), builtin.system.dimension)
     mc = config.mc
     observables = {name: _expression_observable(name, builtin.system.dimension)
@@ -299,8 +327,8 @@ def cmd_sweep(config: ExperimentConfig, out: Path, args) -> int:
     if len(epsilons) < 2:
         raise ConfigError("epsilon-list", "sweep needs at least two epsilons")
     epsilons = sorted(epsilons, reverse=True)
-    builtin = config.builtin()
-    grid = build_grid(builtin.system.domain, int(config.grid["resolution"]))
+    problem = config.problem()
+    builtin, grid = problem.builtin, problem.grid
     reference = _reference_vector(config, builtin, grid)
     dictionary = TestDictionary(dimension=builtin.system.dimension)
     centers = grid.centers()
@@ -309,7 +337,9 @@ def cmd_sweep(config: ExperimentConfig, out: Path, args) -> int:
     for eps in epsilons:
         t0 = time.perf_counter()
         try:
-            _, _, matrix, triple = _assemble_and_solve(config, eps)
+            matrix = _operator(config, problem, eps)
+            triple = solve_triple(matrix, seed=config.seed,
+                                  **config.solver_kwargs())
         except Exception as exc:  # flagged below; partial results still land
             failures.append((eps, exc))
             continue
@@ -339,8 +369,7 @@ def cmd_sweep(config: ExperimentConfig, out: Path, args) -> int:
             "failed_epsilons": {f"{eps:g}": str(exc) for eps, exc in failures},
         })
         exc = failures[0][1]
-        if isinstance(exc, (NonConvergenceError, ConfigError,
-                            EnsembleExtinctError)):
+        if isinstance(exc, (NonConvergenceError, ZeroOperatorError)):
             raise exc
         raise NonConvergenceError(f"sweep failed at epsilon {failures[0][0]:g}: "
                                   f"{exc}", math.nan, 0)
@@ -355,11 +384,7 @@ def _reference_vector(config: ExperimentConfig, builtin: Builtin,
     if ref.get("kind") != "equilibrium":
         raise ConfigError("unknown-reference",
                           f"unknown reference kind {ref.get('kind')!r}")
-    try:
-        model = equilibrium.model_for(builtin.label)
-    except KeyError:
-        raise ConfigError("no-oracle",
-                          f"system {builtin.label!r} has no symbolic reference")
+    model = _checked("no-oracle", lambda: equilibrium.model_for(builtin.label))
     measure = equilibrium.equilibrium_cylinder_measure(model,
                                                        int(ref.get("depth", 7)))
     return measure.grid_projection(grid)
@@ -368,28 +393,21 @@ def _reference_vector(config: ExperimentConfig, builtin: Builtin,
 def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
     if config.filtration is None:
         raise ConfigError("missing-graph", "filtration command needs a graph")
+    graph = _checked("bad-graph", lambda: ConnectionGraph.from_dict(config.filtration))
     try:
-        graph = ConnectionGraph.from_dict(config.filtration)
         order = filtration_order(graph)
-    except (CycleError, PressureTieError, ValueError) as exc:
-        code = "graph-cycle" if isinstance(exc, CycleError) else "pressure-tie" \
-            if isinstance(exc, PressureTieError) else "bad-graph"
-        raise ConfigError(code, str(exc))
+    except (CycleError, PressureTieError) as exc:
+        raise ConfigError("graph-cycle" if isinstance(exc, CycleError)
+                          else "pressure-tie", str(exc)) from None
     write_json(out / "order.json", order.to_dict())
     (out / "sequence.txt").write_text(
         ">".join(str(i) for i in order.sequence) + "\n")
     strata = config.filtration.get("strata")
     if strata:
-        builtin = config.builtin()
-        grid = build_grid(builtin.system.domain, int(config.grid["resolution"]))
-        region = config.region_spec(builtin)
-        weight = config.weight_field(builtin)
-        noise = NoiseModel(config.single_epsilon("filtration"),
-                           builtin.system.dimension)
-        matrix = assemble_operator(builtin.system, noise, weight, region, grid,
-                                   samples_per_cell=config.samples_per_cell)
+        problem = config.problem()
+        matrix = _operator(config, problem, config.single_epsilon("filtration"))
         write_json(out / "diagnostics.json", matrix.diagnostics)
-        strata_cells = {int(k): _cells_in_boxes(grid, v)
+        strata_cells = {int(k): _cells_in_boxes(problem.grid, v)
                         for k, v in strata.items()}
         report = stratified_qem_workflow(matrix, order, strata_cells,
                                          seed=config.seed,
@@ -436,16 +454,10 @@ def cmd_compare(args) -> int:
 
 
 def _read_qem_csv(path: str):
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
+    header = Path(path).read_text().split("\n", 1)[0].split(",")
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     coord_cols = [i for i, name in enumerate(header) if name.startswith("center_")]
-    qem_col = header.index("qem")
-    centers, qem = [], []
-    for line in lines[1:]:
-        parts = line.split(",")
-        centers.append([float(parts[i]) for i in coord_cols])
-        qem.append(float(parts[qem_col]))
-    return np.asarray(centers), np.asarray(qem)
+    return table[:, coord_cols], table[:, header.index("qem")]
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +504,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NonConvergenceError as exc:
         print(f"error[non-convergence]: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ZeroOperatorError as exc:
+        print(f"error[zero-operator]: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except EnsembleExtinctError as exc:
         print(f"error[ensemble-extinct]: {exc}", file=sys.stderr)

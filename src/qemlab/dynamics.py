@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -162,44 +163,45 @@ class RegionSpec:
             inside |= box.contains(p)
         return inside if np.ndim(points) > 1 else bool(inside[0])
 
-    @property
-    def volume(self) -> float:
-        return sum(b.volume for b in self.boxes)
+
+def _pieces(corners: Array, lo: Array, hi: Array
+            ) -> tuple[Array, Array, Array]:
+    """Elementary sub-boxes of ``[lo, hi)`` cut out by the boxes
+    ``[corners[i, 0], corners[i, 1])``: the faces of those that meet it,
+    clipped, and ``lo`` and ``hi`` where they lengthen an axis cut each axis
+    (coordinate compression).  Returns the pieces' lows, highs and whether
+    some box covers them, in row-major order.  A repeated face leaves a
+    piece of size 0 in place, which keeps the order, and the bits, of the
+    sum in :func:`region_fraction`."""
+    box_lo, box_hi = np.clip(corners, lo, hi).transpose(1, 0, 2)
+    meets = np.all(box_hi > box_lo, axis=1)
+    box_lo, box_hi = box_lo[meets], box_hi[meets]
+    cuts = [np.sort(np.concatenate([[lo[k], hi[k]], box_lo[:, k], box_hi[:, k]]))
+            for k in range(lo.size)]
+    cuts = [c[int(c[1] == c[0]):c.size - int(c[-2] == c[-1])] for c in cuts]
+    piece_lo, piece_hi = (np.array(np.meshgrid(*ends, indexing="ij")).reshape(
+        lo.size, -1).T for ends in ([c[:-1] for c in cuts], [c[1:] for c in cuts]))
+    mids = ((piece_lo + piece_hi) / 2.0)[:, None, :]
+    covered = np.any(np.all((mids >= box_lo) & (mids < box_hi), axis=2), axis=1)
+    return piece_lo, piece_hi, covered
 
 
 def region_fraction(region: RegionSpec, cell_lo, cell_hi) -> float:
-    """Fraction of the cell ``[cell_lo, cell_hi)`` covered by ``region``.
-
-    Exact for any union of boxes, overlapping or not: each box is clipped to
-    the cell, the clipped faces split every axis into intervals (coordinate
-    compression), and the covered volume sums the products of interval
-    lengths over the elementary sub-boxes that some clipped box covers.  A
-    cell inside one region box gives exactly 1, one that meets none 0.
-    """
+    """Fraction of the cell ``[cell_lo, cell_hi)`` covered by ``region``: the
+    volume of its covered :func:`_pieces`, exact for any union of boxes.  A
+    cell inside one region box gives exactly 1, one that meets none 0."""
     lo = np.asarray(cell_lo, dtype=float)
     hi = np.asarray(cell_hi, dtype=float)
     if np.any(hi <= lo):
         raise ValueError("degenerate cell")
-    box_lo = np.array([b.lo for b in region.boxes], dtype=float)
-    box_hi = np.array([b.hi for b in region.boxes], dtype=float)
-    if np.any(np.all((lo >= box_lo) & (hi <= box_hi), axis=1)):
+    corners = np.array([(b.lo, b.hi) for b in region.boxes], dtype=float)
+    if np.any(np.all((lo >= corners[:, 0]) & (hi <= corners[:, 1]), axis=1)):
         return 1.0
-    box_lo = np.clip(box_lo, lo, hi)
-    box_hi = np.clip(box_hi, lo, hi)
-    meets = np.all(box_hi > box_lo, axis=1)
-    box_lo, box_hi = box_lo[meets], box_hi[meets]
-    if box_lo.shape[0] == 0:
+    piece_lo, piece_hi, covered = _pieces(corners, lo, hi)
+    if not covered.any():  # 0 also where the cell volume underflows
         return 0.0
-    # a repeated cut only adds an empty interval
-    cuts = [np.sort(np.concatenate([box_lo[:, k], box_hi[:, k]]))
-            for k in range(lo.size)]
-    mids = np.stack([g.ravel() for g in np.meshgrid(
-        *[(c[:-1] + c[1:]) / 2.0 for c in cuts], indexing="ij")], axis=1)
-    sizes = np.stack([g.ravel() for g in np.meshgrid(
-        *[np.diff(c) for c in cuts], indexing="ij")], axis=1)
-    covered = np.any(np.all((mids[:, None, :] >= box_lo)
-                            & (mids[:, None, :] < box_hi), axis=2), axis=1)
-    return float(np.sum(np.prod(sizes[covered], axis=1)) / np.prod(hi - lo))
+    sizes = (piece_hi - piece_lo)[covered]
+    return float(np.sum(np.prod(sizes, axis=1)) / np.prod(hi - lo))
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +229,6 @@ class NoiseModel:
 # weights
 # ---------------------------------------------------------------------------
 
-def _smoothstep(t: Array) -> Array:
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * (3.0 - 2.0 * t)
-
-
 @dataclass(frozen=True)
 class WeightField:
     """Multiplicative weight e^{phi(x)}, optionally tapered to 0 on a boundary.
@@ -239,13 +236,14 @@ class WeightField:
     ``log_weight`` is either a constant or a vectorised callable phi.  With
     ``support_cutoff`` set, the effective weight is
 
-        e^{phi(x)} * s(dist(x, boundary of cutoff) / taper_width)
+        e^{phi(x)} * s(dist(x) / taper_width)
 
-    inside the cutoff region and 0 outside, where s is a smoothstep bump.  The
-    taper vanishes exactly on the cutoff boundary and equals e^{phi} at depth
-    >= taper_width, so points well inside the region are unaffected.  Boundary
-    distances are measured wrap-aware on torus axes (1d only): box faces that
-    meet another region box across a wrap seam are interior, not boundary.
+    where s is a smoothstep and dist(x) the sup-norm distance from x to
+    the nearest point of its own domain box that the cutoff does not cover:
+    wrapped axes are circles, and past an absorbing face is uncovered
+    (``domain=None`` takes the cutoff's bounding box, absorbing).  The weight
+    is 0 outside the cutoff and on its boundary, and e^{phi} at depth >=
+    taper_width, or everywhere when the cutoff covers a whole wrapped box.
     """
 
     log_weight: float | Callable[[Array], Array] = 0.0
@@ -260,68 +258,50 @@ class WeightField:
             return np.asarray(self.log_weight(p), dtype=float)
         return np.full(p.shape[0], float(self.log_weight))
 
-    def _boundary_points_1d(self) -> list[tuple[float, float, float, bool]]:
-        """Genuine boundary coordinates of the cutoff region (1d, wrap-aware).
-
-        Returns ``(coordinate, box_lo, box_width, box_wraps)`` tuples so
-        boundary distances can be measured on the circle of the domain box
-        actually holding the point; faces that meet another region interval
-        across a wrap seam are interior, not boundary.
-        """
-        assert self.support_cutoff is not None
-        intervals = sorted((b.lo[0], b.hi[0]) for b in self.support_cutoff.boxes)
-        merged: list[list[float]] = []
-        for lo, hi in intervals:
-            if merged and lo <= merged[-1][1] + 1e-12:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        pts = [p for m in merged for p in m]
-        boxes = (self.domain.boxes if self.domain is not None
-                 else (Box((min(pts),), (max(pts) + 1.0,)),))
-        out: list[tuple[float, float, float, bool]] = []
-        for box in boxes:
-            blo, bhi = box.lo[0], box.hi[0]
-            local = [p for p in pts if blo - 1e-12 <= p <= bhi + 1e-12]
-            if box.wrap[0]:
-                first = any(abs(m[0] - blo) < 1e-12 for m in merged)
-                last = any(abs(m[1] - bhi) < 1e-12 for m in merged)
-                if first and last:
-                    # region wraps across the seam: the seam is interior
-                    local = [p for p in local
-                             if abs(p - blo) > 1e-12 and abs(p - bhi) > 1e-12]
-            out.extend((p, blo, bhi - blo, box.wrap[0]) for p in local)
+    @cached_property
+    def _gaps(self) -> list[tuple]:
+        """Per domain box, ``(box, lo, hi, cap_lo, cap_hi, cap_width)``: as
+        ``(d, gaps, 1)`` arrays, the pieces the cutoff leaves uncovered in the
+        box and one box width past its absorbing faces.  The way round a
+        wrapped axis is ``cap_width - max(cap_hi - x, x - cap_lo)``; for a gap
+        on the seam, width 0 and the opposite face make it exact."""
+        corners = np.array([(b.lo, b.hi) for b in self.support_cutoff.boxes], float)
+        domain = self.domain.boxes if self.domain is not None else (
+            Box(tuple(corners[:, 0].min(axis=0)), tuple(corners[:, 1].max(axis=0))),)
+        out = []
+        for box in domain:
+            box_lo, box_hi = np.asarray(box.lo), np.asarray(box.hi)
+            pad = np.where(box.wrap, 0.0, box_hi - box_lo)
+            lo, hi, covered = _pieces(np.clip(corners, box_lo, box_hi),
+                                      box_lo - pad, box_hi + pad)
+            gap = ~covered & np.all(hi > lo, axis=1)
+            lo, hi = lo[gap], hi[gap]
+            on_lo, on_hi = lo == box_lo, hi == box_hi
+            out.append((box, *(a.T[:, :, None] for a in (
+                lo, hi, np.where(on_lo, box_hi, lo), np.where(on_hi, box_lo, hi),
+                np.where(on_lo | on_hi, 0.0, box_hi - box_lo)))))
         return out
 
     def _taper(self, points: Array) -> Array:
-        region = self.support_cutoff
-        assert region is not None
         p = np.atleast_2d(points)
-        inside = region.contains(p)
         if self.taper_width <= 0:
-            return inside.astype(float)
-        if region.dimension == 1:
-            x = p[:, 0]
-            dist = np.full(x.shape[0], np.inf)
-            for coord, blo, width, wrap in self._boundary_points_1d():
-                in_box = (x >= blo) & (x < blo + width)
-                d = np.abs(x - coord)
-                if wrap:
-                    d = np.minimum(d, width - d)  # circle distance in-box
-                dist = np.where(in_box, np.minimum(dist, d), dist)
-        else:
-            # per-box face distance; adjacent-box unions are not merged in 2d
-            dist = np.full(p.shape[0], np.inf)
-            for box in region.boxes:
-                hit = box.contains(p)
-                if not np.any(hit):
-                    continue
-                lo = np.asarray(box.lo)
-                hi = np.asarray(box.hi)
-                d_box = np.minimum(p[hit] - lo, hi - p[hit]).min(axis=1)
-                dist[hit] = np.minimum(dist[hit], d_box)
-        dist = np.where(np.isfinite(dist), dist, 0.0)
-        return inside * _smoothstep(dist / self.taper_width)
+            return self.support_cutoff.contains(p).astype(float)
+        dist = np.zeros(p.shape[0])  # 0 when uncovered or outside every box
+        for box, lo, hi, cap_lo, cap_hi, cap_width in self._gaps:
+            near = 0.0  # per gap, the largest axis distance, clamped at 0
+            for k, wrap in enumerate(box.wrap):
+                x = p[:, k]
+                d = np.maximum(lo[k] - x, x - hi[k])
+                if wrap:  # or the way round the circle
+                    np.minimum(d, cap_width[k] - np.maximum(cap_hi[k] - x,
+                                                            x - cap_lo[k]), out=d)
+                near = np.maximum(near, d, out=d)
+            np.copyto(dist, near.min(axis=0, initial=np.inf), where=box.contains(p))
+        t = np.clip(np.divide(dist, self.taper_width, out=dist), 0.0, 1.0, out=dist)
+        s = -2.0 * t  # the smoothstep 3t^2 - 2t^3, in place
+        s += 3.0
+        s *= np.multiply(t, t, out=t)
+        return s
 
     def values(self, points: Array) -> Array:
         """Effective weight e^{phi} (with taper) at each point."""

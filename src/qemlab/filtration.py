@@ -90,37 +90,22 @@ class ConnectionGraph:
 
 
 def detect_cycles(graph: ConnectionGraph) -> list[int] | None:
-    """None when the connection relation is acyclic, else a cycle witness."""
+    """None when the connection relation is acyclic, else a cycle witness.
+
+    Each node a topological sort cannot place has a predecessor among the
+    others it cannot place, so walking predecessors from one closes a cycle.
+    """
     succ = graph.successors()
-    color = {i: 0 for i in graph.ids}  # 0 new, 1 on stack, 2 done
-    parent: dict[int, int] = {}
-    for root in graph.ids:
-        if color[root]:
-            continue
-        stack = [(root, iter(sorted(succ[root])))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    cycle = [nxt]
-                    cur = node
-                    while cur != nxt:
-                        cycle.append(cur)
-                        cur = parent[cur]
-                    cycle.reverse()
-                    return cycle
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    parent[nxt] = node
-                    stack.append((nxt, iter(sorted(succ[nxt]))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return None
+    members = set(graph.ids)
+    placed = _priority_toposort(members, succ, dict.fromkeys(members, 0.0))
+    stuck = members - set(placed)
+    if not stuck:
+        return None
+    pred = {b: a for a in sorted(stuck) for b in succ[a] if b in stuck}
+    walk = [min(stuck)]
+    while pred[walk[-1]] not in walk:
+        walk.append(pred[walk[-1]])
+    return walk[walk.index(pred[walk[-1]]):][::-1]
 
 
 @dataclass(frozen=True)
@@ -155,19 +140,10 @@ class FiltrationOrder:
 
 
 def _reaching_set(target: int, members: set[int], succ: dict[int, set[int]]) -> set[int]:
-    pred: dict[int, set[int]] = {i: set() for i in members}
-    for a in members:
-        for b in succ[a]:
-            if b in members:
-                pred[b].add(a)
-    out = {target}
-    frontier = [target]
-    while frontier:
-        cur = frontier.pop()
-        for p in pred[cur]:
-            if p not in out:
-                out.add(p)
-                frontier.append(p)
+    out, grown = {target}, {target}
+    while grown:
+        grown = {a for a in members - out if succ[a] & out}
+        out |= grown
     return out
 
 

@@ -38,6 +38,10 @@ class NonConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
+class ZeroOperatorError(ValueError):
+    """The operator has no positive spectral radius: it is nilpotent."""
+
+
 def _power_iteration(matvec, n: int, tol: float, max_iters: int,
                      l1: bool = False):
     """Power iteration from the all-ones vector: ``(lam, v, residual)`` with
@@ -51,7 +55,7 @@ def _power_iteration(matvec, n: int, tol: float, max_iters: int,
         w = matvec(v)
         lam = float(np.max(np.abs(w)))
         if lam <= 0.0:
-            raise ValueError("no positive spectral radius")
+            raise ZeroOperatorError("no positive spectral radius")
         diff = w - lam * v
         res = float(np.max(np.abs(diff)))
         if res <= tol * lam and (not l1 or float(np.sum(np.abs(diff)))
@@ -67,8 +71,8 @@ def leading_pair(matrix: AnnealedMatrix, tol: float = 1e-10,
     """Dominant eigenvalue and right eigenvector, sup-norm 1.
 
     Returns ``(lam, right, residual)`` with
-    ``max|M right - lam right| <= tol * lam``.  Raises ValueError on a matrix
-    with no positive spectral radius and NonConvergenceError past max_iters.
+    ``max|M right - lam right| <= tol * lam``.  Raises ZeroOperatorError on a
+    nilpotent matrix and NonConvergenceError past max_iters.
     """
     return _power_iteration(matrix.apply, matrix.n_cells, tol, max_iters)
 

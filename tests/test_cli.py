@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qemlab.cli import (EXIT_CONFIG, EXIT_EXTINCT, EXIT_OK, ConfigError,
-                        load_config, main)
+from qemlab.cli import (EXIT_CONFIG, EXIT_EXTINCT, EXIT_NUMERIC, EXIT_OK,
+                        ConfigError, load_config, main)
 from qemlab.equilibrium import TestDictionary, w1_1d, weak_star_discrepancy
 
 
@@ -87,6 +87,45 @@ def test_single_epsilon_commands_reject_a_list(tmp_path, capsys, command):
     assert "error[epsilon-list]" in capsys.readouterr().err
 
 
+# config additions that each make spectrum fail, with the exit status and the
+# diagnostic code it must give; None stands for a config that is not an object
+MALFORMED = {
+    "constant weight without log_value": (
+        {"weight": {"kind": "constant"}}, EXIT_CONFIG, "bad-weight"),
+    "region without boxes": ({"region": {"kind": "boxes"}}, EXIT_CONFIG,
+                             "bad-region"),
+    "parameter the system does not take": (
+        {"system": {"label": "ternary_hole", "a": 0.1}}, EXIT_CONFIG,
+        "bad-system"),
+    "system parameter out of range": (
+        {"system": {"label": "smooth_perturbed", "a": 0.1}}, EXIT_CONFIG,
+        "bad-system"),
+    "epsilon not a number": ({"noise": {"epsilon": "x"}}, EXIT_CONFIG,
+                             "bad-epsilon"),
+    "no strata": ({"samples_per_cell": 0}, EXIT_CONFIG, "bad-strata"),
+    "config not an object": (None, EXIT_CONFIG, "schema"),
+    "region off the domain": (
+        {"region": {"kind": "boxes", "boxes": [[[5.0], [6.0]]]}}, EXIT_CONFIG,
+        "empty-region"),
+    # [0.4, 0.5) maps onto [0.2, 0.5): without noise no mass ever returns
+    "nilpotent operator": (
+        {"region": {"kind": "boxes", "boxes": [[[0.4], [0.5]]]},
+         "noise": {"epsilon": 0.0}}, EXIT_NUMERIC, "zero-operator"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_exits_with_its_code(tmp_path, capsys, case):
+    extras, status, code = MALFORMED[case]
+    path, _ = write_config(tmp_path, grid={"resolution": 27}, **(extras or {}))
+    if extras is None:
+        (tmp_path / "config.json").write_text("[1]")
+    assert main(["spectrum", "--config", path,
+                 "--out", str(tmp_path / "o")]) == status
+    err = capsys.readouterr().err
+    assert f"error[{code}]" in err and "Traceback" not in err
+
+
 class TestSpectrumCommand:
     def test_writes_artifacts_and_lambda(self, tmp_path):
         path, _ = write_config(tmp_path, grid={"resolution": 243})
@@ -138,6 +177,20 @@ class TestSpectrumCommand:
         lam1 = json.loads((out1 / "spectrum.json").read_text())["lambda"]
         lam2 = json.loads((out2 / "spectrum.json").read_text())["lambda"]
         assert abs(lam1 - lam2) < 1e-12
+
+    def test_cutoff_covering_the_circle_leaves_the_spectrum(self, tmp_path):
+        # a cutoff with no boundary tapers nothing: the weight stays e^phi
+        cutoff = {"kind": "zero",
+                  "cutoff": {"boxes": [[[0.0], [1.0]]], "taper_width": 0.05}}
+        lams = []
+        for name, weight in (("plain", {"kind": "zero"}), ("cut", cutoff)):
+            (tmp_path / name).mkdir()
+            path, _ = write_config(tmp_path / name, grid={"resolution": 27},
+                                   weight=weight)
+            out = tmp_path / name / "out"
+            assert main(["spectrum", "--config", path, "--out", str(out)]) == EXIT_OK
+            lams.append(json.loads((out / "spectrum.json").read_text())["lambda"])
+        assert lams[0] == lams[1]
 
     def test_matrix_export_flag(self, tmp_path):
         path, _ = write_config(tmp_path, grid={"resolution": 27})

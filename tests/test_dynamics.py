@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qemlab.dynamics import (Box, Domain, NoiseModel, RegionSpec, WeightField,
@@ -262,6 +262,215 @@ class TestWeights:
         assert eval_weight(w, [2.0]) == 0.0                   # genuine boundary
         assert eval_weight(w, [2.6 - 1e-9]) == pytest.approx(0.0, abs=1e-6)
         assert eval_weight(w, [2.3]) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# references: the taper and region fraction before they shared one
+# coordinate compression
+# ---------------------------------------------------------------------------
+
+def _reference_boundary_points_1d(weight):
+    """Boundary coordinates of a 1-D cutoff, ``(coordinate, box_lo,
+    box_width, box_wraps)``: the ends of the merged cutoff intervals in each
+    domain box, without the seam of a wrapped box that the cutoff covers on
+    both sides.  Intervals merge and ends match with 1e-12 tolerances."""
+    intervals = sorted((b.lo[0], b.hi[0]) for b in weight.support_cutoff.boxes)
+    merged = []
+    for lo, hi in intervals:
+        if merged and lo <= merged[-1][1] + 1e-12:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    pts = [p for m in merged for p in m]
+    boxes = (weight.domain.boxes if weight.domain is not None
+             else (Box((min(pts),), (max(pts) + 1.0,)),))
+    out = []
+    for box in boxes:
+        blo, bhi = box.lo[0], box.hi[0]
+        local = [p for p in pts if blo - 1e-12 <= p <= bhi + 1e-12]
+        if box.wrap[0]:
+            first = any(abs(m[0] - blo) < 1e-12 for m in merged)
+            last = any(abs(m[1] - bhi) < 1e-12 for m in merged)
+            if first and last:
+                local = [p for p in local
+                         if abs(p - blo) > 1e-12 and abs(p - bhi) > 1e-12]
+        out.extend((p, blo, bhi - blo, box.wrap[0]) for p in local)
+    return out
+
+
+def _reference_values_1d(weight, points):
+    """e^phi times the smoothstep of the circle distance, in the point's own
+    domain box, to the nearest boundary coordinate; 0 without one."""
+    x = np.atleast_2d(points)[:, 0]
+    dist = np.full(x.shape[0], np.inf)
+    for coord, blo, width, wrap in _reference_boundary_points_1d(weight):
+        in_box = (x >= blo) & (x < blo + width)
+        d = np.abs(x - coord)
+        if wrap:
+            d = np.minimum(d, width - d)
+        dist = np.where(in_box, np.minimum(dist, d), dist)
+    dist = np.where(np.isfinite(dist), dist, 0.0)
+    t = np.clip(dist / weight.taper_width, 0.0, 1.0)
+    taper = weight.support_cutoff.contains(np.atleast_2d(points)) \
+        * (t * t * (3.0 - 2.0 * t))
+    return np.exp(weight.log_values(points)) * taper
+
+
+def _reference_region_fraction(region, cell_lo, cell_hi):
+    """Covered fraction by coordinate compression of the clipped faces alone."""
+    lo = np.asarray(cell_lo, dtype=float)
+    hi = np.asarray(cell_hi, dtype=float)
+    box_lo = np.array([b.lo for b in region.boxes], dtype=float)
+    box_hi = np.array([b.hi for b in region.boxes], dtype=float)
+    if np.any(np.all((lo >= box_lo) & (hi <= box_hi), axis=1)):
+        return 1.0
+    box_lo = np.clip(box_lo, lo, hi)
+    box_hi = np.clip(box_hi, lo, hi)
+    meets = np.all(box_hi > box_lo, axis=1)
+    box_lo, box_hi = box_lo[meets], box_hi[meets]
+    if box_lo.shape[0] == 0:
+        return 0.0
+    cuts = [np.sort(np.concatenate([box_lo[:, k], box_hi[:, k]]))
+            for k in range(lo.size)]
+    mids = np.stack([g.ravel() for g in np.meshgrid(
+        *[(c[:-1] + c[1:]) / 2.0 for c in cuts], indexing="ij")], axis=1)
+    sizes = np.stack([g.ravel() for g in np.meshgrid(
+        *[np.diff(c) for c in cuts], indexing="ij")], axis=1)
+    covered = np.any(np.all((mids[:, None, :] >= box_lo)
+                            & (mids[:, None, :] < box_hi), axis=2), axis=1)
+    return float(np.sum(np.prod(sizes[covered], axis=1)) / np.prod(hi - lo))
+
+
+# 1-D domains of one or two boxes, wrapped or absorbing
+TAPER_DOMAINS = [((0.0, 1.0),), ((0.0, 1.0), (2.0, 3.0)), ((-0.5, 1.75),)]
+
+
+@st.composite
+def cutoffs_1d(draw):
+    """A 1-D cutoff of 1-4 intervals with ends on an eighth of a domain box,
+    so that intervals overlap or meet, its domain (or None) and a taper."""
+    spans = draw(st.sampled_from(TAPER_DOMAINS))
+    wraps = draw(st.lists(st.booleans(), min_size=len(spans),
+                          max_size=len(spans)))
+    boxes = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo, hi = spans[draw(st.integers(0, len(spans) - 1))]
+        a, b = sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2,
+                                    unique=True)))
+        boxes.append(Box((lo + a * (hi - lo) / 8,), (lo + b * (hi - lo) / 8,)))
+    domain = (Domain(tuple(Box((lo,), (hi,), (w,))
+                           for (lo, hi), w in zip(spans, wraps)))
+              if draw(st.booleans()) else None)
+    weight = WeightField(draw(st.floats(-2.0, 2.0)),
+                         support_cutoff=RegionSpec(tuple(boxes)),
+                         taper_width=draw(st.sampled_from([0.01, 0.05, 0.3, 2.0])),
+                         domain=domain)
+    ends = [p for b in boxes for p in (b.lo[0], b.hi[0])]
+    inside = [draw(st.floats(lo, hi, exclude_max=True)) for lo, hi in spans
+              for _ in range(8)]
+    return weight, np.array(ends + inside + [lo for lo, _ in spans])[:, None]
+
+
+def _covers_a_wrapped_box(weight):
+    if weight.domain is None:
+        return False
+    return any(box.wrap[0] and weight.support_cutoff.contains(
+        np.linspace(box.lo[0], box.hi[0], 4097)[:-1, None]).all()
+        for box in weight.domain.boxes)
+
+
+@st.composite
+def unions(draw):
+    """A union of 1-8 overlapping 1-D or 2-D boxes and a cell, with corners
+    on a grid of sixteenths, where faces repeat, or anywhere."""
+    d = draw(st.integers(1, 2))
+    grid = st.integers(0, 16).map(lambda i: i / 16)
+
+    def box(coord):
+        ends = [sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
+                for _ in range(d)]
+        return tuple(e[0] for e in ends), tuple(e[1] for e in ends)
+
+    coord = grid if draw(st.booleans()) else st.floats(-0.2, 1.2)
+    region = RegionSpec(tuple(Box(*box(coord))
+                              for _ in range(draw(st.integers(1, 8)))))
+    return region, box(grid | st.floats(0.0, 1.0))
+
+
+class TestSharedCompression:
+    @settings(max_examples=300, deadline=None)
+    @given(case=cutoffs_1d())
+    def test_1d_taper_matches_the_boundary_point_reference(self, case):
+        weight, points = case
+        assume(not _covers_a_wrapped_box(weight))
+        assert np.array_equal(_bits(weight.values(points)),
+                              _bits(_reference_values_1d(weight, points)))
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=unions())
+    def test_region_fraction_matches_the_face_compression(self, case):
+        region, (lo, hi) = case
+        got = region_fraction(region, lo, hi)
+        assert _bits(got) == _bits(_reference_region_fraction(region, lo, hi))
+
+    @pytest.mark.parametrize("boxes", [[(0.0, 1.0)], [(0.0, 0.5), (0.5, 1.0)],
+                                       [(0.0, 0.7), (0.2, 1.0)]])
+    def test_full_cover_of_a_wrapped_box_is_untapered(self, boxes):
+        # no boundary: the weight is e^phi everywhere, not 0
+        cutoff = RegionSpec(tuple(Box((a,), (b,)) for a, b in boxes))
+        w = WeightField(0.7, support_cutoff=cutoff, taper_width=0.05,
+                        domain=make_system("ternary_hole").system.domain)
+        x = np.array([[0.0], [1e-9], [0.5], [1.0 - 1e-9]])
+        assert np.array_equal(w.values(x), np.full(4, math.exp(0.7)))
+
+    def test_open_baker_survivor_continues_across_both_seams(self):
+        b = make_system("open_baker")
+        w = WeightField(0.0, support_cutoff=b.survivor, taper_width=0.05,
+                        domain=b.system.domain)
+        pts = np.array([[0.1, 0.001], [0.001, 0.5], [0.999, 0.5]])
+        assert np.array_equal(w.values(pts), np.ones(3))
+        # the faces at x = 1/3 and 2/3 are boundary
+        assert eval_weight(w, [1.0 / 3.0 - 0.01, 0.5]) \
+            == pytest.approx(0.2 ** 2 * (3.0 - 0.4))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_2d_taper_is_invariant_under_torus_translation(self, data):
+        # boxes and shifts in eighths, points in 64ths: every value is exact
+        def seam_cut(a, b):
+            """[a, b) moved into [0, 8), cut where it crosses the seam."""
+            lo, hi = a % 8, a % 8 + b - a
+            return [(lo, hi)] if hi <= 8 else [(lo, 8), (0, hi - 8)]
+
+        def weight(boxes):
+            torus = Domain((Box((0.0, 0.0), (1.0, 1.0), (True, True)),))
+            return WeightField(0.0, taper_width=0.2, domain=torus,
+                               support_cutoff=RegionSpec(tuple(
+                                   Box((x0 / 8, y0 / 8), (x1 / 8, y1 / 8))
+                                   for (x0, x1), (y0, y1) in boxes)))
+
+        ends = st.lists(st.integers(0, 8), min_size=2, max_size=2,
+                        unique=True).map(sorted)
+        boxes = data.draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=3))
+        sx, sy = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+        moved_boxes = [(xs, ys) for (x0, x1), (y0, y1) in boxes
+                       for xs in seam_cut(x0 + sx, x1 + sx)
+                       for ys in seam_cut(y0 + sy, y1 + sy)]
+        pts = np.array(data.draw(st.lists(st.tuples(st.integers(0, 63),
+                                                    st.integers(0, 63)),
+                                          min_size=1, max_size=20))) / 64.0
+        moved = np.mod(pts + [sx / 8, sy / 8], 1.0)
+        assert np.array_equal(weight(boxes).values(pts),
+                              weight(moved_boxes).values(moved))
+
+    def test_domain_none_measures_in_the_bounding_box(self):
+        # two boxes meeting at x = 0.5 merge; the bounding box's faces absorb
+        cutoff = RegionSpec((Box((0.0, 0.0), (0.5, 1.0)), Box((0.5, 0.0), (1.0, 1.0))))
+        w = WeightField(0.0, support_cutoff=cutoff, taper_width=0.25)
+        pts = np.array([[0.49, 0.5], [0.5, 0.5], [0.1, 0.5], [0.5, 0.9]])
+        t = np.array([0.49, 0.5, 0.1, 0.1]) / 0.25
+        t = np.minimum(t, 1.0)
+        assert np.allclose(w.values(pts), t * t * (3.0 - 2.0 * t), rtol=1e-12)
 
 
 class TestNoiseModel:

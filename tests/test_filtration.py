@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qemlab.dynamics import NoiseModel, make_system, zero_weight
 from qemlab.filtration import (ConnectionGraph, CycleError, Node,
@@ -51,6 +52,33 @@ class TestDetectCycles:
         w = detect_cycles(graph({1: 0.1, 2: 0.2, 3: 0.3, 4: 0.4},
                                 [(1, 2), (3, 4), (4, 3)]))
         assert sorted(w) == [3, 4]
+
+
+def _has_cycle(ids, edges):
+    """Reference: a graph is cyclic iff repeatedly removing its sources
+    leaves nodes behind."""
+    left, edges = set(ids), set(edges)
+    while True:
+        sources = left - {b for _, b in edges}
+        if not sources:
+            return bool(left)
+        left -= sources
+        edges = {(a, b) for a, b in edges if a in left}
+
+
+class TestCycleWitnessContract:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 7), data=st.data())
+    def test_witness_is_a_cycle_exactly_when_one_exists(self, n, data):
+        ids = list(range(1, n + 1))
+        pairs = [(a, b) for a in ids for b in ids if a != b]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                          if pairs else st.just([]))
+        w = detect_cycles(graph({i: 0.1 * i for i in ids}, edges))
+        assert (w is not None) == _has_cycle(ids, edges)
+        if w is not None:
+            assert len(set(w)) == len(w)
+            assert all((a, b) in edges for a, b in zip(w, w[1:] + w[:1]))
 
 
 class TestFiltrationOrder:
