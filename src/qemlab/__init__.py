@@ -7,8 +7,8 @@ oracles, plus the filtration ordering of interacting repellers.
 
 from .dynamics import (Box, Builtin, Domain, MapSystem, NoiseModel, RegionSpec,
                        WeightField, builtin_labels, constant_weight,
-                       eval_weight, geometric_potential, make_system,
-                       region_fraction, zero_weight)
+                       eval_weight, make_system, region_fraction,
+                       zero_weight)
 from .ulam import (AnnealedMatrix, GridPartition, assemble_operator,
                    build_grid, export_matrix, load_matrix, restrict_operator)
 from .spectral import (NonConvergenceError, SpectralTriple, SupportReport,

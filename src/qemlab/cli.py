@@ -1,20 +1,22 @@
 """Config-driven experiment runner.
 
-    qemlab <spectrum|mc|sweep|filtration> --config cfg.json
-           [--out DIR] [--seed N] [--svg] [--export-matrix]
+    qemlab <spectrum|mc|sweep|filtration> --config cfg.json [--out DIR]
+           [--seed N] [--export-matrix (spectrum)] [--svg (sweep)]
     qemlab compare A/qem.csv B/qem.csv [--dictionary K]
 
 ``sweep`` solves its epsilons one after another; ``--export-matrix`` makes
-``spectrum`` also write the operator as ``operator.json``.  ``compare``
-prints the weak-* discrepancy and, in 1d, the 1-Wasserstein distance of two
+``spectrum`` also write the operator as ``operator.json``.  The seed picks
+the gap solve's start vector in ``spectrum`` and ``sweep`` and drives
+``mc``; ``filtration`` solves no gap and reads none.  ``compare`` prints
+the weak-* discrepancy and, in 1d, the 1-Wasserstein distance of two
 quasi-ergodic vectors, using the metrics of :mod:`qemlab.equilibrium`.
 
 Configs are JSON with a versioned ``schema`` field; see README for the full
 layout.  Exit codes: 0 success, 2 config error, 3 numerical failure (no
 convergence, or a nilpotent operator), 4 ensemble extinct; each cause prints
-its own ``error[code]``.  Given the same config and seed, re-runs write
-byte-identical primary artifacts.  Only ``sweep`` writes wall-clock timings
-(``runtimes.csv``, one row per epsilon).  Counters go to
+its own ``error[code]``, never a traceback.  Given the same config and seed,
+re-runs write byte-identical primary artifacts.  Only ``sweep`` writes
+wall-clock timings (``runtimes.csv``, one row per epsilon).  Counters go to
 ``diagnostics.json``: per-block resampling counts for ``mc``; for
 ``spectrum`` and ``filtration``, and per epsilon for ``sweep``, how many
 assembly strata fell back to a point mass or were absorbed off the domain.
@@ -42,7 +44,7 @@ from .filtration import (ConnectionGraph, CycleError, PressureTieError,
                          filtration_order, stratified_qem_workflow)
 from .spectral import NonConvergenceError, ZeroOperatorError, solve_triple
 from .ulam import (GridPartition, _strata_counts, assemble_operator, build_grid,
-                   export_matrix)
+                   export_matrix, region_fractions)
 
 SCHEMA_VERSION = 1
 
@@ -87,13 +89,21 @@ class ExperimentConfig:
         if not isinstance(raw, dict) or raw.get("schema") != SCHEMA_VERSION:
             raise ConfigError("schema", f"config must be an object with schema "
                                         f"{SCHEMA_VERSION}")
+        seed = raw.get("seed", 0)
+        if not (isinstance(seed, int) and seed >= 0 and all(
+                isinstance(raw.get(key, {}), dict) for key in (
+                    "system", "weight", "region", "grid", "noise", "solver",
+                    "mc", "filtration", "reference"))):
+            raise ConfigError("schema", "config sections must be objects and "
+                                        "the seed an integer >= 0")
         system = raw.get("system", {})
         label = system.get("label")
         if label is not None and label not in builtin_labels():
             raise ConfigError("unknown-system", f"unknown system label {label!r}")
         grid = raw.get("grid", {"resolution": 81})
-        if int(grid.get("resolution", 0)) < 1:
-            raise ConfigError("bad-resolution", "grid resolution must be >= 1")
+        resolution = grid.get("resolution")
+        if not isinstance(resolution, int) or resolution < 1:
+            raise ConfigError("bad-resolution", "resolution must be an integer >= 1")
         noise = raw.get("noise", {})
         eps = noise.get("epsilon", 0.0)
         eps_list = eps if isinstance(eps, list) else [eps]
@@ -117,7 +127,7 @@ class ExperimentConfig:
             filtration=raw.get("filtration"),
             reference=raw.get("reference"),
             samples_per_cell=raw.get("samples_per_cell", 3),
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
         )
 
     def to_dict(self) -> dict:
@@ -132,19 +142,22 @@ class ExperimentConfig:
         builtin = _checked("bad-system", lambda: make_system(label, **params))
         _checked("bad-strata", lambda: _strata_counts(self.samples_per_cell,
                                                       builtin.system.dimension))
-        return Problem(builtin,
-                       _checked("bad-region", lambda: self.region_spec(builtin)),
-                       _checked("bad-weight", lambda: self.weight_field(builtin)),
-                       build_grid(builtin.system.domain, int(self.grid["resolution"])))
+        problem = Problem(builtin,
+                          _checked("bad-region", lambda: self.region_spec(builtin)),
+                          _checked("bad-weight", lambda: self.weight_field(builtin)),
+                          build_grid(builtin.system.domain, self.grid["resolution"]))
+        if not np.any(region_fractions(problem.region, problem.grid) > 0):
+            raise ConfigError("empty-region", "the region covers no grid cell")
+        return problem
 
     def region_spec(self, builtin: Builtin) -> RegionSpec:
-        if self.region.get("kind", "survivor") == "survivor":
+        kind = self.region.get("kind", "survivor")
+        if kind == "survivor":
             return builtin.survivor
-        boxes = tuple(_parse_box(b) for b in self.region["boxes"])
-        if not any(np.all(np.minimum(r.hi, d.hi) > np.maximum(r.lo, d.lo))
-                   for r in boxes for d in builtin.system.domain.boxes):
-            raise ConfigError("empty-region", "the region meets no domain box")
-        return RegionSpec(boxes, label=self.region.get("label", "region:custom"))
+        if kind not in ("boxes", "custom"):  # two names for one kind
+            raise ConfigError("bad-region", f"unknown region kind {kind!r}")
+        return RegionSpec(_parse_boxes(self.region["boxes"], builtin.system.dimension),
+                          label=self.region.get("label", "region:custom"))
 
     def weight_field(self, builtin: Builtin) -> WeightField:
         kind = self.weight.get("kind", "zero")
@@ -152,7 +165,7 @@ class ExperimentConfig:
         cutoff = self.weight.get("cutoff")
         if cutoff is None:
             return WeightField(log_value, label=f"phi={log_value:g}")
-        boxes = tuple(_parse_box(b) for b in cutoff["boxes"])
+        boxes = _parse_boxes(cutoff["boxes"], builtin.system.dimension)
         return WeightField(
             log_value,
             support_cutoff=RegionSpec(boxes, label="cutoff"),
@@ -172,10 +185,13 @@ class ExperimentConfig:
         return epsilons[0]
 
     def solver_kwargs(self) -> dict:
-        return {
-            "tol": float(self.solver.get("tol", 1e-10)),
-            "max_iters": int(self.solver.get("max_iters", 100_000)),
-        }
+        tol = self.solver.get("tol", 1e-10)
+        max_iters = self.solver.get("max_iters", 100_000)
+        if not (isinstance(tol, (int, float)) and tol > 0
+                and isinstance(max_iters, int) and max_iters >= 1):
+            raise ConfigError("bad-solver", "solver tol must be a number > 0 "
+                                            "and max_iters an integer >= 1")
+        return {"tol": float(tol), "max_iters": max_iters}
 
 
 class Problem(NamedTuple):
@@ -195,11 +211,14 @@ def _checked(code: str, build):
         raise ConfigError(code, repr(exc)) from None
 
 
-def _parse_box(payload) -> Box:
-    lo, hi = payload
-    lo = tuple(float(v) for v in np.atleast_1d(lo))
-    hi = tuple(float(v) for v in np.atleast_1d(hi))
-    return Box(lo, hi)
+def _parse_boxes(payload, dimension: int) -> tuple[Box, ...]:
+    """The boxes ``[lo, hi]`` of a config list, at least one, all ``dimension``-d."""
+    boxes = tuple(Box(tuple(float(v) for v in np.atleast_1d(lo)),
+                      tuple(float(v) for v in np.atleast_1d(hi)))
+                  for lo, hi in payload)
+    if not boxes or any(b.dimension != dimension for b in boxes):
+        raise ValueError(f"want a nonempty list of {dimension}-d boxes")
+    return boxes
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -293,18 +312,11 @@ def cmd_spectrum(config: ExperimentConfig, out: Path, args) -> int:
 
 def cmd_mc(config: ExperimentConfig, out: Path, args) -> int:
     builtin, region, weight, _ = config.problem()
-    noise = NoiseModel(config.single_epsilon("mc"), builtin.system.dimension)
-    mc = config.mc
-    observables = {name: _expression_observable(name, builtin.system.dimension)
-                   for name in mc.get("observables", ["x"])}
-    start = mc.get("start")
-    start = region if start is None else np.asarray(start, dtype=float)
-    stats = run_conditioned(builtin.system, noise, weight, region, start,
-                            n=int(mc.get("n", 1000)),
-                            n_particles=int(mc.get("n_particles", 1000)),
-                            observables=observables,
-                            resample_threshold=float(mc.get("resample_threshold", 0.5)),
-                            seed=config.seed)
+    dimension = builtin.system.dimension
+    noise = NoiseModel(config.single_epsilon("mc"), dimension)
+    run = _checked("bad-mc", lambda: _mc_arguments(config.mc, dimension, region))
+    stats = run_conditioned(builtin.system, noise, weight, region,
+                            seed=config.seed, **run)
     write_json(out / "mc.json", stats.scalars())
     write_json(out / "diagnostics.json", stats.diagnostics())
     write_csv(out / "mass_series.csv", ["step", "log_mean_mass"],
@@ -312,14 +324,40 @@ def cmd_mc(config: ExperimentConfig, out: Path, args) -> int:
     return EXIT_OK
 
 
+def _mc_arguments(mc: dict, dimension: int, region: RegionSpec) -> dict:
+    """The ensemble arguments of ``run_conditioned`` from the ``mc`` section."""
+    n, n_particles, start = (mc.get("n", 1000), mc.get("n_particles", 1000),
+                             mc.get("start"))
+    start = region if start is None else np.atleast_1d(np.asarray(start, float))
+    if not (isinstance(n, int) and isinstance(n_particles, int) and n >= 1
+            and n_particles >= 2 and (start is region or start.shape == (dimension,))):
+        raise ValueError(f"mc needs integers n >= 1 and n_particles >= 2 and a "
+                         f"start point with {dimension} coordinates")
+    return {"start": start, "n": n, "n_particles": n_particles,
+            "resample_threshold": float(mc.get("resample_threshold", 0.5)),
+            "observables": {name: _expression_observable(name, dimension)
+                            for name in mc.get("observables", ["x"])}}
+
+
 def _expression_observable(expr: str, dimension: int):
-    """Compile a tiny arithmetic observable like 'x', 'x**2', 'cos(2*pi*x)'."""
+    """Compile a tiny arithmetic observable like 'x', 'x**2', 'cos(2*pi*x)'.
+
+    It is evaluated once, at the origin, so an expression that cannot run is
+    config error ``bad-mc`` before the run starts.
+    """
     ns = {"pi": math.pi, "cos": np.cos, "sin": np.sin, "exp": np.exp,
           "abs": np.abs, "__builtins__": {}}
-    code = compile(expr, "<observable>", "eval")
-    if dimension == 1:
-        return lambda c: eval(code, ns, {"x": c})
-    return lambda c: eval(code, ns, {"x": c[:, 0], "y": c[:, 1]})
+    try:
+        code = compile(expr, "<observable>", "eval")
+        if dimension == 1:
+            observable = lambda c: eval(code, ns, {"x": c})
+        else:
+            observable = lambda c: eval(code, ns, {"x": c[:, 0], "y": c[:, 1]})
+        probe = np.zeros(1) if dimension == 1 else np.zeros((1, dimension))
+        np.broadcast_to(np.asarray(observable(probe), dtype=float), (1,))
+    except Exception as exc:  # whatever the user's expression raises
+        raise ConfigError("bad-mc", f"observable {expr!r}: {exc!r}") from None
+    return observable
 
 
 def cmd_sweep(config: ExperimentConfig, out: Path, args) -> int:
@@ -340,8 +378,8 @@ def cmd_sweep(config: ExperimentConfig, out: Path, args) -> int:
             matrix = _operator(config, problem, eps)
             triple = solve_triple(matrix, seed=config.seed,
                                   **config.solver_kwargs())
-        except Exception as exc:  # flagged below; partial results still land
-            failures.append((eps, exc))
+        except (NonConvergenceError, ZeroOperatorError) as exc:
+            failures.append((eps, exc))  # flagged below; partial results land
             continue
         runtimes.append((eps, time.perf_counter() - t0))
         diagnostics[f"{eps:g}"] = matrix.diagnostics
@@ -368,11 +406,7 @@ def cmd_sweep(config: ExperimentConfig, out: Path, args) -> int:
             "partial": True,
             "failed_epsilons": {f"{eps:g}": str(exc) for eps, exc in failures},
         })
-        exc = failures[0][1]
-        if isinstance(exc, (NonConvergenceError, ZeroOperatorError)):
-            raise exc
-        raise NonConvergenceError(f"sweep failed at epsilon {failures[0][0]:g}: "
-                                  f"{exc}", math.nan, 0)
+        raise failures[0][1]
     return EXIT_OK
 
 
@@ -385,9 +419,9 @@ def _reference_vector(config: ExperimentConfig, builtin: Builtin,
         raise ConfigError("unknown-reference",
                           f"unknown reference kind {ref.get('kind')!r}")
     model = _checked("no-oracle", lambda: equilibrium.model_for(builtin.label))
-    measure = equilibrium.equilibrium_cylinder_measure(model,
-                                                       int(ref.get("depth", 7)))
-    return measure.grid_projection(grid)
+    measure = equilibrium.equilibrium_cylinder_measure  # depth >= 1, 1-d grids
+    return _checked("bad-reference", lambda: measure(
+        model, int(ref.get("depth", 7))).grid_projection(grid))
 
 
 def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
@@ -407,10 +441,9 @@ def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
         problem = config.problem()
         matrix = _operator(config, problem, config.single_epsilon("filtration"))
         write_json(out / "diagnostics.json", matrix.diagnostics)
-        strata_cells = {int(k): _cells_in_boxes(problem.grid, v)
-                        for k, v in strata.items()}
+        strata_cells = _checked("bad-region", lambda: {
+            int(k): _cells_in_boxes(problem.grid, v) for k, v in strata.items()})
         report = stratified_qem_workflow(matrix, order, strata_cells,
-                                         seed=config.seed,
                                          **config.solver_kwargs())
         write_json(out / "strata_report.json", {
             "lambda_global": report.lambda_global,
@@ -426,7 +459,7 @@ def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
 
 
 def _cells_in_boxes(grid: GridPartition, boxes_payload) -> np.ndarray:
-    region = RegionSpec(tuple(_parse_box(b) for b in boxes_payload))
+    region = RegionSpec(_parse_boxes(boxes_payload, grid.dimension))
     return np.flatnonzero(region.contains(grid.centers()))
 
 
@@ -472,9 +505,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--svg", action="store_true")
-        p.add_argument("--export-matrix", action="store_true",
-                       help="also write the assembled operator as operator.json")
+        if name == "spectrum":
+            p.add_argument("--export-matrix", action="store_true",
+                           help="also write the assembled operator as operator.json")
+        if name == "sweep":
+            p.add_argument("--svg", action="store_true",
+                           help="also plot lambda against epsilon as sweep_lambda.svg")
     p = sub.add_parser("compare")
     p.add_argument("inputs", nargs=2)
     p.add_argument("--dictionary", type=int, default=8)

@@ -20,7 +20,6 @@ Conventions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -340,17 +339,17 @@ def constant_weight(log_value: float) -> WeightField:
 
 @dataclass(frozen=True)
 class MapSystem:
-    """Deterministic map with Jacobian data on a box domain.
+    """Deterministic map with its Jacobian determinant on a box domain.
 
-    ``forward``, ``jacobian_det`` and ``unstable_log_expansion`` take arrays
-    of shape ``(n, d)``; ``forward`` returns ``(n, d)``, the other two return
-    ``(n,)``.  ``forward`` must send domain points into the domain.
+    ``forward`` and ``jacobian_det`` take arrays of shape ``(n, d)`` and
+    return ``(n, d)`` and ``(n,)``; the assembly checks a stratum's image
+    volume against the determinant.  ``forward`` must send domain points
+    into the domain.
     """
 
     dimension: int
     forward: Callable[[Array], Array]
     jacobian_det: Callable[[Array], Array]
-    unstable_log_expansion: Callable[[Array], Array]
     domain: Domain
     label: str
 
@@ -364,12 +363,6 @@ def step_points(system: MapSystem, noise: NoiseModel, points: Array,
     base = system.forward(np.atleast_2d(points))
     delta = noise.sample(rng, base.shape[0])
     return system.domain.apply_boundary(base, base + delta)
-
-
-def geometric_potential(system: MapSystem, x) -> float:
-    """-log of the unstable expansion rate at x (the natural SRB weight)."""
-    p = np.atleast_2d(np.asarray(x, dtype=float))
-    return float(-system.unstable_log_expansion(p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +399,6 @@ def ternary_hole() -> Builtin:
         dimension=1,
         forward=_ternary_forward,
         jacobian_det=lambda p: np.full(p.shape[0], 3.0),
-        unstable_log_expansion=lambda p: np.full(p.shape[0], math.log(3.0)),
         domain=dom,
         label="ternary_hole",
     )
@@ -424,7 +416,6 @@ def five_hole() -> Builtin:
         dimension=1,
         forward=lambda p: _wrap_mod(5.0 * p, 1.0),
         jacobian_det=lambda p: np.full(p.shape[0], 5.0),
-        unstable_log_expansion=lambda p: np.full(p.shape[0], math.log(5.0)),
         domain=dom,
         label="five_hole",
     )
@@ -451,7 +442,6 @@ def open_baker() -> Builtin:
         dimension=2,
         forward=_baker_forward,
         jacobian_det=lambda p: np.ones(p.shape[0]),
-        unstable_log_expansion=lambda p: np.full(p.shape[0], math.log(3.0)),
         domain=dom,
         label="open_baker",
     )
@@ -482,7 +472,6 @@ def smooth_perturbed(a: float = 0.03) -> Builtin:
         dimension=1,
         forward=fwd,
         jacobian_det=jac,
-        unstable_log_expansion=lambda p: np.log(jac(p)),
         domain=dom,
         label="smooth_perturbed",
     )
@@ -507,15 +496,10 @@ def two_repeller() -> Builtin:
     the global escape eigenvalue is the larger of the two (2/3).
     """
     dom = Domain((Box((0.0,), (1.0,), (True,)), Box((2.0,), (3.0,), (True,))))
-
-    def jac(p: Array) -> Array:
-        return np.where(p[:, 0] < 1.5, 3.0, 5.0)
-
     system = MapSystem(
         dimension=1,
         forward=_two_repeller_forward,
-        jacobian_det=jac,
-        unstable_log_expansion=lambda p: np.log(jac(p)),
+        jacobian_det=lambda p: np.where(p[:, 0] < 1.5, 3.0, 5.0),
         domain=dom,
         label="two_repeller",
     )

@@ -36,17 +36,16 @@ class MarkovModel:
     """Weighted transition structure on the surviving branches.
 
     ``log_weights[a][b]`` is psi on the transition a -> b, with -inf marking
-    a forbidden transition.  ``digits``/``base``/``offset`` describe the
-    cylinder geometry when the symbols are digits of a linear mod-1 map:
-    symbol a occupies the branch interval [digit_a / base, (digit_a+1)/base)
-    shifted by ``offset``.  Models without geometry (None) still support
-    pressure and cylinder masses.
+    a forbidden transition.  ``digits``/``base`` describe the cylinder
+    geometry when the symbols are digits of a linear mod-1 map on [0, 1):
+    symbol a occupies the branch interval [digit_a / base, (digit_a+1)/base).
+    Models without geometry (None) still support pressure and cylinder
+    masses.
     """
 
     log_weights: Array
     digits: tuple[int, ...] | None = None
     base: int | None = None
-    offset: float = 0.0
 
     def __post_init__(self):
         lw = np.asarray(self.log_weights, dtype=float)
@@ -66,30 +65,27 @@ class MarkovModel:
         return A
 
     @staticmethod
-    def from_matrix(A, digits=None, base=None, offset=0.0) -> "MarkovModel":
+    def from_matrix(A, digits=None, base=None) -> "MarkovModel":
         """Build from the nonnegative matrix A = exp(psi); zeros forbid."""
         A = np.asarray(A, dtype=float)
         with np.errstate(divide="ignore"):
             lw = np.where(A > 0.0, np.log(np.maximum(A, 1e-300)), -np.inf)
-        return MarkovModel(lw, digits=digits, base=base, offset=offset)
+        return MarkovModel(lw, digits=digits, base=base)
 
     def cylinder_interval(self, word: tuple[int, ...]) -> tuple[float, float]:
         """Geometric interval of the cylinder [a_0 ... a_{k-1}]."""
         if self.digits is None or self.base is None:
             raise ValueError("model has no cylinder geometry")
-        lo = self.offset
-        for i, a in enumerate(word):
-            lo += self.digits[a] * self.base ** -(i + 1)
+        lo = sum(self.digits[a] * self.base ** -(i + 1) for i, a in enumerate(word))
         return lo, lo + self.base ** -len(word)
 
 
-def full_shift_model(digits, base: int, log_weight: float,
-                     offset: float = 0.0) -> MarkovModel:
+def full_shift_model(digits, base: int, log_weight: float) -> MarkovModel:
     """Full shift on the given digits with constant transition weight."""
     s = len(digits)
     return MarkovModel(np.full((s, s), float(log_weight)),
                        digits=tuple(int(d) for d in digits),
-                       base=int(base), offset=float(offset))
+                       base=int(base))
 
 
 def model_for(label: str, log_weight_shift: float = 0.0) -> MarkovModel:

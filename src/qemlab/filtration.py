@@ -244,16 +244,17 @@ class StratifiedReport:
 
 def stratified_qem_workflow(matrix: AnnealedMatrix, order: FiltrationOrder,
                             strata: Mapping[int, Sequence[int]],
-                            tol: float = 1e-10, max_iters: int = 100_000,
-                            seed: int = 0) -> StratifiedReport:
+                            tol: float = 1e-10, max_iters: int = 100_000
+                            ) -> StratifiedReport:
     """Solve the global problem and one restricted problem per stratum.
 
     ``strata`` maps a rank (or any stable key) to the grid cells of that
     stratum.  The report records that the global leading eigenvalue equals
     the largest restricted one; strata whose principal submatrix is zero are
-    recorded as absent.
+    recorded as absent.  No spectral gap is solved (``gap_ratio`` is NaN).
     """
-    global_triple = solve_triple(matrix, tol=tol, max_iters=max_iters, seed=seed)
+    solver = {"tol": tol, "max_iters": max_iters, "with_gap": False}
+    global_triple = solve_triple(matrix, **solver)
     results: list[StratumResult] = []
     best = -math.inf
     best_key = None
@@ -261,7 +262,7 @@ def stratified_qem_workflow(matrix: AnnealedMatrix, order: FiltrationOrder,
         cells = np.asarray(list(strata[key]), dtype=np.int64)
         sub = restrict_operator(matrix, cells)
         try:
-            triple = solve_triple(sub, tol=tol, max_iters=max_iters, seed=seed)
+            triple = solve_triple(sub, **solver)
         except ValueError:
             results.append(StratumResult(key, cells, None))
             continue

@@ -159,10 +159,11 @@ class SpectralTriple:
     """Dominant spectral data of an assembled operator.
 
     lam > 0; right >= 0 with sup norm 1; left >= 0 with integral 1;
-    pairing = sum(right * left * vol); qem sums to 1; gap_ratio is the
-    Arnoldi estimate of |lambda_2| / lambda_1 (NaN when no gap was asked
-    for), and gap_converged says its Ritz residual is at most
-    ``tol * lambda_1``.
+    pairing = sum(right * left * vol), vol the cell volume of the matrix
+    solved; qem sums to 1; gap_ratio is the Arnoldi estimate of
+    |lambda_2| / lambda_1 (NaN when no gap was asked for, as in the
+    filtration workflow), and gap_converged says its Ritz residual is at
+    most ``tol * lambda_1``.
     """
 
     lam: float
@@ -174,7 +175,6 @@ class SpectralTriple:
     left_residual: float
     gap_ratio: float
     gap_converged: bool = False
-    cell_volume: float = 1.0
 
     def scalars(self) -> dict:
         return {
@@ -205,7 +205,7 @@ def solve_triple(matrix: AnnealedMatrix, tol: float = 1e-10,
     qem = assemble_qem(right, left, matrix.cell_volume)
     triple = SpectralTriple(lam=lam_r, right=right, left=left, pairing=pairing,
                             qem=qem, right_residual=res_r, left_residual=res_l,
-                            gap_ratio=math.nan, cell_volume=matrix.cell_volume)
+                            gap_ratio=math.nan)
     if with_gap:
         triple.gap_ratio, triple.gap_converged = _deflated_ratio(
             matrix, triple, max(tol, 1e-8), min(max_iters, 10_000), seed)

@@ -200,19 +200,6 @@ class AnnealedMatrix:
                            minlength=self.n_cells)
 
 
-def _csr_from_rows(n: int, rows: list[tuple[Array, Array]]) -> tuple[Array, Array, Array]:
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    idx_parts, val_parts = [], []
-    for i, (idx, val) in enumerate(rows):
-        indptr[i + 1] = indptr[i] + idx.size
-        idx_parts.append(idx)
-        val_parts.append(val)
-    indices = (np.concatenate(idx_parts) if idx_parts
-               else np.empty(0, dtype=np.int64))
-    data = np.concatenate(val_parts) if val_parts else np.empty(0)
-    return indptr, indices, data
-
-
 # ---------------------------------------------------------------------------
 # closed-form axis masses: uniform-on-[p,q] + uniform kernel of half-width eps
 # ---------------------------------------------------------------------------
@@ -532,16 +519,11 @@ def load_matrix(path) -> AnnealedMatrix:
 
     payload = json.loads(Path(path).read_text())
     n = int(payload["n_cells"])
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for i, j, v in payload["entries"]:
-        rows[i].append((j, v))
-    packed = []
-    for entries in rows:
-        entries.sort()
-        packed.append((np.asarray([j for j, _ in entries], dtype=np.int64),
-                       np.asarray([v for _, v in entries])))
-    indptr, indices, data = _csr_from_rows(n, packed)
-    return AnnealedMatrix(n, indptr, indices, data,
+    entries = np.asarray(payload["entries"], dtype=float).reshape(-1, 3)
+    i, j = entries[:, 0].astype(np.int64), entries[:, 1].astype(np.int64)
+    order = np.lexsort((j, i))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(i, minlength=n))])
+    return AnnealedMatrix(n, indptr, j[order], entries[order, 2],
                           row_weight=np.asarray(payload["row_weight"]),
                           cell_volume=float(payload["cell_volume"]),
                           metadata=payload["metadata"])

@@ -107,23 +107,98 @@ MALFORMED = {
     "region off the domain": (
         {"region": {"kind": "boxes", "boxes": [[[5.0], [6.0]]]}}, EXIT_CONFIG,
         "empty-region"),
+    "region too thin to cover a grid cell": (
+        {"region": {"kind": "boxes", "boxes": [[[0.5], [0.5 + 1e-13]]]}},
+        EXIT_CONFIG, "empty-region"),
     # [0.4, 0.5) maps onto [0.2, 0.5): without noise no mass ever returns
     "nilpotent operator": (
         {"region": {"kind": "boxes", "boxes": [[[0.4], [0.5]]]},
          "noise": {"epsilon": 0.0}}, EXIT_NUMERIC, "zero-operator"),
+    "2-d region box on a 1-d system": (
+        {"region": {"kind": "boxes", "boxes": [[[0, 0], [0.5, 0.5]]]}},
+        EXIT_CONFIG, "bad-region"),
+    "unknown region kind": (
+        {"region": {"kind": "bogus", "boxes": [[[0.0], [0.5]]]}}, EXIT_CONFIG,
+        "bad-region"),
+    "2-d cutoff box on a 1-d system": (
+        {"weight": {"kind": "zero", "cutoff": {"boxes": [[[0, 0], [0.5, 0.5]]],
+                                               "taper_width": 0.05}}},
+        EXIT_CONFIG, "bad-weight"),
+    "cutoff with no boxes": (
+        {"weight": {"kind": "zero", "cutoff": {"boxes": []}}}, EXIT_CONFIG,
+        "bad-weight"),
+    "grid not an object": ({"grid": 5}, EXIT_CONFIG, "schema"),
+    "system not an object": ({"system": "ternary_hole"}, EXIT_CONFIG, "schema"),
+    "seed not an integer": ({"seed": "x"}, EXIT_CONFIG, "schema"),
+    "resolution not an integer": ({"grid": {"resolution": "x"}}, EXIT_CONFIG,
+                                  "bad-resolution"),
+    "zero solver tolerance": ({"solver": {"tol": 0}}, EXIT_CONFIG, "bad-solver"),
+    "zero solver iterations": ({"solver": {"tol": 1e-10, "max_iters": 0}},
+                               EXIT_CONFIG, "bad-solver"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_config_exits_with_its_code(tmp_path, capsys, case):
     extras, status, code = MALFORMED[case]
-    path, _ = write_config(tmp_path, grid={"resolution": 27}, **(extras or {}))
+    path, _ = write_config(tmp_path, **{"grid": {"resolution": 27},
+                                        **(extras or {})})
     if extras is None:
         (tmp_path / "config.json").write_text("[1]")
     assert main(["spectrum", "--config", path,
                  "--out", str(tmp_path / "o")]) == status
     err = capsys.readouterr().err
     assert f"error[{code}]" in err and "Traceback" not in err
+
+
+MC = {"n": 10, "n_particles": 100, "start": [0.1]}
+
+# config additions that each make a command other than spectrum fail with a
+# config error: (command, additions, diagnostic code)
+MALFORMED_BY_COMMAND = {
+    "mc with no steps": ("mc", {"mc": {**MC, "n": 0}}, "bad-mc"),
+    "mc with one particle": ("mc", {"mc": {**MC, "n_particles": 1}}, "bad-mc"),
+    "mc observable with an unknown name": (
+        "mc", {"mc": {**MC, "observables": ["foo(x)"]}}, "bad-mc"),
+    "mc observable that does not parse": (
+        "mc", {"mc": {**MC, "observables": ["x**"]}}, "bad-mc"),
+    "mc start with two coordinates on a 1-d system": (
+        "mc", {"mc": {**MC, "start": [0.1, 0.2]}}, "bad-mc"),
+    "sweep reference of depth 0": (
+        "sweep", {"noise": {"epsilon": [1e-2, 1e-3]},
+                  "reference": {"kind": "equilibrium", "depth": 0}},
+        "bad-reference"),
+    "sweep reference on a 2-d grid": (
+        "sweep", {"system": {"label": "open_baker"}, "grid": {"resolution": 9},
+                  "noise": {"epsilon": [1e-2, 1e-3]},
+                  "reference": {"kind": "equilibrium", "depth": 3}},
+        "bad-reference"),
+    "filtration stratum with a 2-d box on a 1-d system": (
+        "filtration", {**SINGLE_EPSILON_EXTRAS["filtration"], "filtration": {
+            **SINGLE_EPSILON_EXTRAS["filtration"]["filtration"],
+            "strata": {"2": [[[0.0, 0.0], [1.0, 1.0]]]}}}, "bad-region"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BY_COMMAND))
+def test_malformed_command_config_exits_with_its_code(tmp_path, capsys, case):
+    command, extras, code = MALFORMED_BY_COMMAND[case]
+    path, _ = write_config(tmp_path, **{"grid": {"resolution": 27}, **extras})
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error[{code}]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("spectrum", "--svg"), ("mc", "--svg"), ("filtration", "--svg"),
+    ("sweep", "--export-matrix"), ("mc", "--export-matrix"),
+    ("filtration", "--export-matrix")])
+def test_flag_of_another_command_is_a_usage_error(tmp_path, command, flag):
+    path, _ = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", path, "--out", str(tmp_path / "o"), flag])
+    assert exc.value.code == 2
 
 
 class TestSpectrumCommand:
@@ -305,6 +380,21 @@ class TestSweepCommand:
         assert "0.003" in status["failed_epsilons"]
         assert (out / "qem_eps_0.01.csv").exists()
         assert not (out / "qem_eps_0.003.csv").exists()
+
+    def test_a_failure_that_is_not_numerical_is_not_recorded(self, tmp_path,
+                                                             monkeypatch):
+        import qemlab.cli as cli
+
+        def broken(matrix, **kw):
+            raise AttributeError("a programming error")
+
+        monkeypatch.setattr(cli, "solve_triple", broken)
+        path, _ = write_config(tmp_path, grid={"resolution": 27},
+                               noise={"epsilon": [1e-2, 1e-3]})
+        out = tmp_path / "out"
+        with pytest.raises(AttributeError):
+            main(["sweep", "--config", path, "--out", str(out)])
+        assert not (out / "sweep_status.json").exists()
 
 
 class TestFiltrationCommand:

@@ -152,7 +152,7 @@ class TestRunConditioned:
             return np.mod(3.0 * p, 1.0)
 
         t = TERNARY.system
-        system = MapSystem(1, forward, t.jacobian_det, t.unstable_log_expansion,
+        system = MapSystem(1, forward, t.jacobian_det,
                            Domain((Box((0.0,), (1.0,), (False,)),)), "absorbing")
         stats = run_conditioned(system, NoiseModel(0.05, 1), zero_weight(),
                                 FULL, FULL, n=50, n_particles=500,

@@ -7,8 +7,8 @@ from hypothesis.extra.numpy import arrays
 
 from qemlab.dynamics import (Box, Domain, NoiseModel, RegionSpec, WeightField,
                              _wrap_mod, builtin_labels, constant_weight,
-                             eval_weight, geometric_potential, make_system,
-                             region_fraction, step_points, zero_weight)
+                             eval_weight, make_system, region_fraction,
+                             step_points, zero_weight)
 
 
 def rng(seed=0):
@@ -63,7 +63,6 @@ class TestStepRandom:
         absorbing = type(system)(
             dimension=1, forward=system.forward,
             jacobian_det=system.jacobian_det,
-            unstable_log_expansion=system.unstable_log_expansion,
             domain=dom, label="absorbing")
         pts = np.full((200, 1), 0.333)
         new, alive = step_points(absorbing, NoiseModel(0.05, 1), pts, rng())
@@ -212,16 +211,6 @@ class TestJacobians:
         expected = 3.0 + 2.0 * math.pi * 0.03 * math.cos(2 * math.pi * 0.2)
         assert b.system.jacobian_det(x)[0] == pytest.approx(expected)
         assert (b.system.jacobian_det(np.linspace(0, 1, 50)[:, None]) > 0).all()
-
-
-class TestGeometricPotential:
-    def test_values(self):
-        assert geometric_potential(make_system("ternary_hole").system, [0.1]) \
-            == pytest.approx(-math.log(3.0))
-        assert geometric_potential(make_system("open_baker").system, [0.1, 0.4]) \
-            == pytest.approx(-math.log(3.0))
-        assert geometric_potential(make_system("five_hole").system, [0.1]) \
-            == pytest.approx(-math.log(5.0))
 
 
 class TestWeights:

@@ -200,6 +200,17 @@ class TestStratifiedWorkflow:
         assert r.triple.lam == pytest.approx(report.lambda_global, abs=1e-12)
         assert np.allclose(r.triple.qem, report.global_triple.qem, atol=1e-9)
 
+    def test_solves_no_spectral_gap(self, monkeypatch):
+        from qemlab import spectral
+
+        def no_gap(*args, **kwargs):
+            raise AssertionError("the workflow reads no spectral gap")
+
+        monkeypatch.setattr(spectral, "_deflated_ratio", no_gap)
+        report = stratified_qem_workflow(self.matrix, self.order, self.strata)
+        assert math.isnan(report.global_triple.gap_ratio)
+        assert all(math.isnan(r.triple.gap_ratio) for r in report.strata)
+
     def test_zero_stratum_recorded_absent(self):
         centers = self.grid.centers()[:, 0]
         hole = np.flatnonzero((centers >= 1.0 / 3.0) & (centers < 2.0 / 3.0))

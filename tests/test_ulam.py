@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from qemlab import ulam
 from qemlab.dynamics import (Box, NoiseModel, RegionSpec, WeightField,
                              constant_weight, make_system, zero_weight)
-from qemlab.ulam import (_csr_from_rows, _h_antideriv, _strata_counts,
-                         assemble_operator, build_grid, export_matrix,
-                         load_matrix, region_fractions, restrict_operator)
+from qemlab.ulam import (_h_antideriv, _strata_counts, assemble_operator,
+                         build_grid, export_matrix, load_matrix,
+                         region_fractions, restrict_operator)
 
-from oracles import matrix_from_dense
+from oracles import csr_from_rows, matrix_from_dense
 
 
 def ternary_matrix(resolution, eps=0.0, samples=1, weight=None, region=None):
@@ -215,6 +215,19 @@ class TestExport:
         assert loaded.metadata == M.metadata
         assert loaded.cell_volume == M.cell_volume
 
+    def test_entries_in_any_order_load_sorted(self, tmp_path):
+        import json
+        M, _ = ternary_matrix(27, eps=1e-3, samples=3)
+        path = tmp_path / "operator.json"
+        export_matrix(M, path)
+        payload = json.loads(path.read_text())
+        np.random.default_rng(3).shuffle(payload["entries"])
+        path.write_text(json.dumps(payload))
+        loaded = load_matrix(path)
+        for got, want in ((loaded.indptr, M.indptr), (loaded.indices, M.indices),
+                          (loaded.data, M.data)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
 
 class TestApply:
     def test_zero_matrix(self):
@@ -359,7 +372,7 @@ def reference_assemble(system, noise, weight, region, grid, samples_per_cell):
         dense = np.bincount(ids, weights=vals, minlength=grid.n_cells)
         nz = np.flatnonzero(dense > 1e-300)
         rows.append((nz.astype(np.int64), dense[nz] * weights_at_centers[i]))
-    return _csr_from_rows(grid.n_cells, rows)
+    return csr_from_rows(grid.n_cells, rows)
 
 
 def reference_restrict(matrix, cells):
@@ -373,7 +386,7 @@ def reference_restrict(matrix, cells):
         cols = remap[matrix.indices[sl]]
         good = cols >= 0
         rows.append((cols[good], matrix.data[sl][good]))
-    return _csr_from_rows(cells.size, rows)
+    return csr_from_rows(cells.size, rows)
 
 
 def _assert_same_csr(matrix, csr):
@@ -461,7 +474,6 @@ class TestWholeArrayAssembly:
         from qemlab.dynamics import Domain, MapSystem
         t = make_system("ternary_hole").system
         system = MapSystem(1, lambda p: 3.0 * p, t.jacobian_det,
-                           t.unstable_log_expansion,
                            Domain((Box((0.0,), (1.0,), (False,)),)), "open")
         full = RegionSpec((Box((0.0,), (1.0,)),), label="full")
         M = assemble_operator(system, NoiseModel(0.0, 1), zero_weight(), full,
