@@ -15,8 +15,7 @@ from .spectral import (NonConvergenceError, SpectralTriple, SupportReport,
                        assemble_qem, leading_left, leading_pair, solve_triple,
                        support_check)
 from .conditioned_mc import (EnsembleExtinctError, EnsembleStats,
-                             IndependenceReport, escape_rate_mc,
-                             run_conditioned, starting_point_independence)
+                             escape_rate_mc, run_conditioned)
 from .equilibrium import (MarkovModel, ReferenceMeasure, TestDictionary,
                           equilibrium_cylinder_measure, full_shift_model,
                           model_for, pressure_sft, w1_1d,

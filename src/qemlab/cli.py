@@ -5,9 +5,9 @@
     qemlab compare A/qem.csv B/qem.csv [--dictionary K]
 
 ``sweep`` solves its epsilons one after another; ``--export-matrix`` makes
-``spectrum`` also write the operator as ``operator.json``.  The seed picks
-the gap solve's start vector in ``spectrum`` and ``sweep`` and drives
-``mc``; ``filtration`` solves no gap and reads none.  ``compare`` prints
+``spectrum`` also write the operator as ``operator.json``.  The seed drives
+the particle ensemble of ``mc`` and nothing else: ``spectrum``, ``sweep``
+and ``filtration`` write the same bytes at every seed.  ``compare`` prints
 the weak-* discrepancy and, in 1d, the 1-Wasserstein distance of two
 quasi-ergodic vectors, using the metrics of :mod:`qemlab.equilibrium`.
 
@@ -64,14 +64,15 @@ class ConfigError(ValueError):
 # config
 # ---------------------------------------------------------------------------
 
+def _is_int(value, least: int) -> bool:
+    """A JSON integer of at least ``least``: neither a bool nor a float."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 @dataclass
 class ExperimentConfig:
-    """Validated, normalized experiment description.
+    """Validated, normalized experiment description."""
 
-    ``raw`` keeps the exact parsed JSON so configs round-trip losslessly.
-    """
-
-    raw: dict
     system: dict
     weight: dict
     region: dict
@@ -90,7 +91,7 @@ class ExperimentConfig:
             raise ConfigError("schema", f"config must be an object with schema "
                                         f"{SCHEMA_VERSION}")
         seed = raw.get("seed", 0)
-        if not (isinstance(seed, int) and seed >= 0 and all(
+        if not (_is_int(seed, 0) and all(
                 isinstance(raw.get(key, {}), dict) for key in (
                     "system", "weight", "region", "grid", "noise", "solver",
                     "mc", "filtration", "reference"))):
@@ -102,7 +103,7 @@ class ExperimentConfig:
             raise ConfigError("unknown-system", f"unknown system label {label!r}")
         grid = raw.get("grid", {"resolution": 81})
         resolution = grid.get("resolution")
-        if not isinstance(resolution, int) or resolution < 1:
+        if not _is_int(resolution, 1):
             raise ConfigError("bad-resolution", "resolution must be an integer >= 1")
         noise = raw.get("noise", {})
         eps = noise.get("epsilon", 0.0)
@@ -116,7 +117,6 @@ class ExperimentConfig:
             raise ConfigError("unknown-weight",
                               f"unknown weight kind {weight.get('kind')!r}")
         return ExperimentConfig(
-            raw=raw,
             system=system,
             weight=weight,
             region=raw.get("region", {"kind": "survivor"}),
@@ -130,9 +130,6 @@ class ExperimentConfig:
             seed=seed,
         )
 
-    def to_dict(self) -> dict:
-        return self.raw
-
     def problem(self) -> Problem:
         """Map, region, weight and grid, built once; a failing step gives its code."""
         label = self.system.get("label")
@@ -140,6 +137,11 @@ class ExperimentConfig:
             raise ConfigError("unknown-system", "config has no system label")
         params = {k: v for k, v in self.system.items() if k != "label"}
         builtin = _checked("bad-system", lambda: make_system(label, **params))
+        counts = self.samples_per_cell
+        if not all(_is_int(m, 1) for m in (counts if isinstance(counts, list)
+                                            else [counts])):
+            raise ConfigError("bad-strata", "samples_per_cell must be an "
+                                            "integer >= 1 or a list of them")
         _checked("bad-strata", lambda: _strata_counts(self.samples_per_cell,
                                                       builtin.system.dimension))
         problem = Problem(builtin,
@@ -188,7 +190,7 @@ class ExperimentConfig:
         tol = self.solver.get("tol", 1e-10)
         max_iters = self.solver.get("max_iters", 100_000)
         if not (isinstance(tol, (int, float)) and tol > 0
-                and isinstance(max_iters, int) and max_iters >= 1):
+                and _is_int(max_iters, 1)):
             raise ConfigError("bad-solver", "solver tol must be a number > 0 "
                                             "and max_iters an integer >= 1")
         return {"tol": float(tol), "max_iters": max_iters}
@@ -221,13 +223,17 @@ def _parse_boxes(payload, dimension: int) -> tuple[Box, ...]:
     return boxes
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, seed: int | None = None) -> ExperimentConfig:
+    """The validated config at ``path``; a given ``seed`` replaces the file's
+    before validation, so it is checked like one."""
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError("missing-config", f"config file {path!r} not found")
     except json.JSONDecodeError as exc:
         raise ConfigError("bad-json", f"cannot parse {path!r}: {exc}")
+    if seed is not None and isinstance(raw, dict):
+        raw["seed"] = seed
     return ExperimentConfig.from_dict(raw)
 
 
@@ -298,10 +304,8 @@ def _operator(config: ExperimentConfig, problem: Problem, epsilon: float):
 def cmd_spectrum(config: ExperimentConfig, out: Path, args) -> int:
     problem = config.problem()
     matrix = _operator(config, problem, config.single_epsilon("spectrum"))
-    triple = solve_triple(matrix, seed=config.seed, **config.solver_kwargs())
-    payload = dict(triple.scalars())
-    # the seed picks only the gap solve's Arnoldi start vector
-    payload["metadata"] = {**matrix.metadata, "seed": config.seed}
+    triple = solve_triple(matrix, **config.solver_kwargs())
+    payload = {**triple.scalars(), "metadata": matrix.metadata}
     write_json(out / "spectrum.json", payload)
     write_json(out / "diagnostics.json", matrix.diagnostics)
     _vectors_csv(out / "qem.csv", problem.grid, triple)
@@ -329,8 +333,8 @@ def _mc_arguments(mc: dict, dimension: int, region: RegionSpec) -> dict:
     n, n_particles, start = (mc.get("n", 1000), mc.get("n_particles", 1000),
                              mc.get("start"))
     start = region if start is None else np.atleast_1d(np.asarray(start, float))
-    if not (isinstance(n, int) and isinstance(n_particles, int) and n >= 1
-            and n_particles >= 2 and (start is region or start.shape == (dimension,))):
+    if not (_is_int(n, 1) and _is_int(n_particles, 2)
+            and (start is region or start.shape == (dimension,))):
         raise ValueError(f"mc needs integers n >= 1 and n_particles >= 2 and a "
                          f"start point with {dimension} coordinates")
     return {"start": start, "n": n, "n_particles": n_particles,
@@ -376,8 +380,7 @@ def cmd_sweep(config: ExperimentConfig, out: Path, args) -> int:
         t0 = time.perf_counter()
         try:
             matrix = _operator(config, problem, eps)
-            triple = solve_triple(matrix, seed=config.seed,
-                                  **config.solver_kwargs())
+            triple = solve_triple(matrix, **config.solver_kwargs())
         except (NonConvergenceError, ZeroOperatorError) as exc:
             failures.append((eps, exc))  # flagged below; partial results land
             continue
@@ -419,15 +422,21 @@ def _reference_vector(config: ExperimentConfig, builtin: Builtin,
         raise ConfigError("unknown-reference",
                           f"unknown reference kind {ref.get('kind')!r}")
     model = _checked("no-oracle", lambda: equilibrium.model_for(builtin.label))
-    measure = equilibrium.equilibrium_cylinder_measure  # depth >= 1, 1-d grids
+    depth = ref.get("depth", 7)
+    if not _is_int(depth, 1):
+        raise ConfigError("bad-reference", "reference depth must be an integer >= 1")
+    measure = equilibrium.equilibrium_cylinder_measure  # 1-d grids only
     return _checked("bad-reference", lambda: measure(
-        model, int(ref.get("depth", 7))).grid_projection(grid))
+        model, depth).grid_projection(grid))
 
 
 def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
     if config.filtration is None:
         raise ConfigError("missing-graph", "filtration command needs a graph")
     graph = _checked("bad-graph", lambda: ConnectionGraph.from_dict(config.filtration))
+    strata = config.filtration.get("strata")
+    if strata and not isinstance(strata, dict):
+        raise ConfigError("bad-region", "filtration strata must map ids to boxes")
     try:
         order = filtration_order(graph)
     except (CycleError, PressureTieError) as exc:
@@ -436,7 +445,6 @@ def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
     write_json(out / "order.json", order.to_dict())
     (out / "sequence.txt").write_text(
         ">".join(str(i) for i in order.sequence) + "\n")
-    strata = config.filtration.get("strata")
     if strata:
         problem = config.problem()
         matrix = _operator(config, problem, config.single_epsilon("filtration"))
@@ -522,10 +530,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "compare":
             return cmd_compare(args)
-        config = load_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-            config.raw["seed"] = args.seed
+        config = load_config(args.config, args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         handler = {

@@ -42,9 +42,13 @@ the blocks that resample.  Apart from that, a step costs the same for every
 slot, so its cost scales with ``n_particles``, not with the survivors: a
 dead slot comes back only when its block resamples, and a run that seldom
 resamples (``resample_threshold`` 0, say) keeps paying for its dead slots.
-Runs are deterministic given the seed; the draws differ from versions that
-stepped only live particles, so ``mc.json`` for a given seed differs from
-theirs.
+Runs are deterministic given the integer seed; the draws differ from
+versions that stepped only live particles, so ``mc.json`` for a given seed
+differs from theirs.
+
+The particle route shares only :mod:`qemlab.dynamics` (map, noise, weight
+and region) with the spectral route: it reads no grid, and the seed is an
+input of this route alone.
 """
 
 from __future__ import annotations
@@ -56,17 +60,10 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .dynamics import MapSystem, NoiseModel, RegionSpec, WeightField, step_points
-from .ulam import GridPartition
 
 Array = np.ndarray
 
 JACKKNIFE_BLOCKS = 10
-
-
-def _seed_key(seed) -> list[int]:
-    if np.isscalar(seed):
-        return [int(seed)]
-    return [int(s) for s in seed]
 
 
 class EnsembleExtinctError(RuntimeError):
@@ -97,7 +94,6 @@ class EnsembleStats:
     n_steps: int
     n_particles: int
     resample_times: list[int] = field(default_factory=list)
-    occupation: Array | None = None
     block_resamplings: list[int] = field(default_factory=list)
     block_min_ess_fraction: list[float] = field(default_factory=list)
     extinct_blocks: int = 0
@@ -232,12 +228,11 @@ def _constant_log_weight(weight: WeightField) -> float | None:
 def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
                     region: RegionSpec, start, n: int, n_particles: int,
                     observables, resample_threshold: float = 0.5,
-                    seed: int = 0, occupation_grid: GridPartition | None = None,
-                    ) -> EnsembleStats:
+                    seed: int = 0) -> EnsembleStats:
     """Run the killed, e^phi-weighted ensemble for n steps.
 
     ``start`` is either a point inside the region or a RegionSpec to sample
-    uniformly from.  Deterministic given ``seed``.  Raises
+    uniformly from.  Deterministic given the integer ``seed``.  Raises
     EnsembleExtinctError when the ensemble's mass is 0 at some step <= n.
     """
     if n < 1:
@@ -245,7 +240,7 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
     if n_particles < 2:
         raise ValueError("n_particles must be >= 2")
     obs = _normalize_observables(observables)
-    rng = np.random.default_rng(_seed_key(seed))
+    rng = np.random.default_rng([int(seed)])
     d = system.dimension
 
     if isinstance(start, RegionSpec):
@@ -261,9 +256,6 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
     const_lw = _constant_log_weight(weight)
     birk = {name: np.zeros(n_particles) for name in obs}
     resample_times: list[int] = []
-    occ = (np.zeros(occupation_grid.n_cells)
-           if occupation_grid is not None else None)
-    occ_window = (n // 4, (3 * n) // 4)
 
     blocks = _Blocks(n_particles)
     sizes = blocks.sizes
@@ -284,14 +276,6 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
             np.add(log_mass, log_weight, out=log_mass, where=log_mass > -math.inf)
         elif const_lw != 0.0:
             log_mass += const_lw
-        if occ is not None and occ_window[0] <= t < occ_window[1]:
-            top = np.max(log_mass)
-            if top > -math.inf:
-                w = np.exp(log_mass - top)
-                cells = occupation_grid.find_cells(pos)
-                good = cells >= 0
-                occ += np.bincount(cells[good], weights=w[good],
-                                   minlength=occupation_grid.n_cells) / np.sum(w)
 
         new_pos, moved_alive = step_points(system, noise, pos, rng)
         if not moved_alive.all():  # keep absorbed slots on domain points
@@ -331,7 +315,6 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
         n_steps=n,
         n_particles=n_particles,
         resample_times=resample_times,
-        occupation=(occ / occ.sum() if occ is not None and occ.sum() > 0 else occ),
         block_resamplings=block_resamplings.tolist(),
         block_min_ess_fraction=min_ess.tolist(),
         extinct_blocks=int(np.sum(total == 0.0)),
@@ -406,41 +389,3 @@ def escape_rate_mc(stats: EnsembleStats, burn_in_fraction: float = 0.2) -> float
     slope = float(np.polyfit(t, window, 1)[0])
     return -slope
 
-
-@dataclass
-class IndependenceReport:
-    """Comparison of conditioned averages from two start points."""
-
-    averages_a: dict[str, float]
-    averages_b: dict[str, float]
-    standard_errors_a: dict[str, float]
-    standard_errors_b: dict[str, float]
-
-    def delta(self, name: str) -> float:
-        return abs(self.averages_a[name] - self.averages_b[name])
-
-    def allowance(self, name: str) -> float:
-        return 3.0 * (self.standard_errors_a[name] + self.standard_errors_b[name])
-
-    @property
-    def passed(self) -> bool:
-        return all(self.delta(k) <= self.allowance(k) for k in self.averages_a)
-
-
-def starting_point_independence(system, noise, weight, region, x_a, x_b,
-                                n, n_particles, observables,
-                                resample_threshold: float = 0.5,
-                                seed: int = 0) -> IndependenceReport:
-    """Run the conditioned ensemble from two starts and compare the limits.
-
-    Both points must lie where the survival profile is positive; the check
-    passes when every observable agrees within 3 combined standard errors.
-    """
-    stats_a = run_conditioned(system, noise, weight, region, x_a, n,
-                              n_particles, observables, resample_threshold,
-                              seed=[int(seed), 0])
-    stats_b = run_conditioned(system, noise, weight, region, x_b, n,
-                              n_particles, observables, resample_threshold,
-                              seed=[int(seed), 1])
-    return IndependenceReport(stats_a.averages, stats_b.averages,
-                              stats_a.standard_errors, stats_b.standard_errors)

@@ -107,23 +107,6 @@ class GridPartition:
     def centers(self) -> Array:
         return self._centers
 
-    def find_cells(self, points: Array) -> Array:
-        """Cell index of each point, -1 outside every box."""
-        p = np.atleast_2d(points)
-        out = np.full(p.shape[0], -1, dtype=np.int64)
-        for b, box in enumerate(self.boxes):
-            hit = box.contains(p)
-            if not np.any(hit):
-                continue
-            h = box.widths / self.resolution
-            rel = np.clip(((p[hit] - np.asarray(box.lo)) / h).astype(np.int64),
-                          0, self.resolution - 1)
-            local = np.zeros(rel.shape[0], dtype=np.int64)
-            for k in range(self.dimension):
-                local = local * self.resolution + rel[:, k]
-            out[hit] = b * self.cells_per_box + local
-        return out
-
 
 def build_grid(boxes, resolution: int) -> GridPartition:
     """Partition domain boxes (or a Domain) into a uniform grid."""

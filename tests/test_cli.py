@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qemlab
 
 from qemlab.cli import (EXIT_CONFIG, EXIT_EXTINCT, EXIT_NUMERIC, EXIT_OK,
                         ConfigError, load_config, main)
@@ -28,13 +34,6 @@ def write_config(path, **overrides):
 
 
 class TestConfigValidation:
-    def test_round_trip(self, tmp_path):
-        path, raw = write_config(tmp_path)
-        cfg = load_config(path)
-        assert cfg.to_dict() == raw
-        assert json.dumps(cfg.to_dict(), sort_keys=True) \
-            == json.dumps(raw, sort_keys=True)
-
     def test_missing_schema(self, tmp_path):
         path, _ = write_config(tmp_path, schema=99)
         with pytest.raises(ConfigError) as err:
@@ -130,11 +129,24 @@ MALFORMED = {
     "grid not an object": ({"grid": 5}, EXIT_CONFIG, "schema"),
     "system not an object": ({"system": "ternary_hole"}, EXIT_CONFIG, "schema"),
     "seed not an integer": ({"seed": "x"}, EXIT_CONFIG, "schema"),
+    "seed a boolean": ({"seed": True}, EXIT_CONFIG, "schema"),
     "resolution not an integer": ({"grid": {"resolution": "x"}}, EXIT_CONFIG,
                                   "bad-resolution"),
+    "resolution a boolean": ({"grid": {"resolution": True}}, EXIT_CONFIG,
+                             "bad-resolution"),
+    "strata count not integral": ({"samples_per_cell": 2.5}, EXIT_CONFIG,
+                                  "bad-strata"),
+    "strata count a boolean": ({"samples_per_cell": True}, EXIT_CONFIG,
+                               "bad-strata"),
+    "per-axis strata count not integral": ({"samples_per_cell": [2.5]},
+                                           EXIT_CONFIG, "bad-strata"),
+    "per-axis strata count a boolean": ({"samples_per_cell": [True]},
+                                        EXIT_CONFIG, "bad-strata"),
     "zero solver tolerance": ({"solver": {"tol": 0}}, EXIT_CONFIG, "bad-solver"),
     "zero solver iterations": ({"solver": {"tol": 1e-10, "max_iters": 0}},
                                EXIT_CONFIG, "bad-solver"),
+    "solver iterations a boolean": (
+        {"solver": {"tol": 1e-10, "max_iters": True}}, EXIT_CONFIG, "bad-solver"),
 }
 
 
@@ -157,6 +169,7 @@ MC = {"n": 10, "n_particles": 100, "start": [0.1]}
 # config error: (command, additions, diagnostic code)
 MALFORMED_BY_COMMAND = {
     "mc with no steps": ("mc", {"mc": {**MC, "n": 0}}, "bad-mc"),
+    "mc steps a boolean": ("mc", {"mc": {**MC, "n": True}}, "bad-mc"),
     "mc with one particle": ("mc", {"mc": {**MC, "n_particles": 1}}, "bad-mc"),
     "mc observable with an unknown name": (
         "mc", {"mc": {**MC, "observables": ["foo(x)"]}}, "bad-mc"),
@@ -173,10 +186,22 @@ MALFORMED_BY_COMMAND = {
                   "noise": {"epsilon": [1e-2, 1e-3]},
                   "reference": {"kind": "equilibrium", "depth": 3}},
         "bad-reference"),
+    "sweep reference depth a string": (
+        "sweep", {"noise": {"epsilon": [1e-2, 1e-3]},
+                  "reference": {"kind": "equilibrium", "depth": "7"}},
+        "bad-reference"),
+    "sweep reference depth a boolean": (
+        "sweep", {"noise": {"epsilon": [1e-2, 1e-3]},
+                  "reference": {"kind": "equilibrium", "depth": True}},
+        "bad-reference"),
     "filtration stratum with a 2-d box on a 1-d system": (
         "filtration", {**SINGLE_EPSILON_EXTRAS["filtration"], "filtration": {
             **SINGLE_EPSILON_EXTRAS["filtration"]["filtration"],
             "strata": {"2": [[[0.0, 0.0], [1.0, 1.0]]]}}}, "bad-region"),
+    "filtration strata not an object": (
+        "filtration", {**SINGLE_EPSILON_EXTRAS["filtration"], "filtration": {
+            **SINGLE_EPSILON_EXTRAS["filtration"]["filtration"],
+            "strata": [[[0.0], [1.0]]]}}, "bad-region"),
 }
 
 
@@ -450,20 +475,6 @@ class TestFiltrationCommand:
         assert abs(report["per_stratum"]["2"] - 2 / 3) < 1e-3
         assert abs(report["per_stratum"]["1"] - 3 / 5) < 1e-3
 
-    def test_stratified_outputs_do_not_depend_on_the_seed(self, tmp_path):
-        # at 405 cells per box one stratum falls back to a point mass at its
-        # midpoint image, so a seed-dependent midpoint would show here
-        path, _ = write_config(tmp_path, **{**self.TWO_REPELLER,
-                                            "grid": {"resolution": 405}})
-        written = []
-        for seed in ("1", "2"):
-            out = tmp_path / f"seed{seed}"
-            assert main(["filtration", "--config", path, "--out", str(out),
-                         "--seed", seed]) == EXIT_OK
-            written.append([(out / name).read_bytes() for name in
-                            ("strata_report.json", "diagnostics.json")])
-        assert written[0] == written[1]
-
     def test_stratified_diagnostics(self, tmp_path):
         path, _ = write_config(tmp_path, **SINGLE_EPSILON_EXTRAS["filtration"])
         out = tmp_path / "out"
@@ -506,10 +517,70 @@ class TestCompareCommand:
         assert printed == [f"weak_star_discrepancy {disc!r}", f"w1 {w1!r}"]
 
 
+# config additions and flags of the three commands that read no seed; at 405
+# cells per box one filtration stratum falls back to a point mass at its
+# midpoint image, so a seed-dependent midpoint would show there
+SEED_FREE = {
+    "spectrum": ({}, ["--export-matrix"]),
+    "sweep": ({"noise": {"epsilon": [1e-2, 3e-3, 1e-3]},
+               "reference": {"kind": "equilibrium", "depth": 7}}, ["--svg"]),
+    "filtration": ({**TestFiltrationCommand.TWO_REPELLER,
+                    "grid": {"resolution": 405}}, []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_FREE))
+def test_stratified_outputs_do_not_depend_on_the_seed(tmp_path, command):
+    extras, flags = SEED_FREE[command]
+    path, _ = write_config(tmp_path, **extras)
+    written = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        assert main([command, "--config", path, "--out", str(out),
+                     "--seed", seed, *flags]) == EXIT_OK
+        written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())
+                        if f.name != "runtimes.csv"})
+    assert written[0] == written[1]
+
+
 class TestSeedOverride:
-    def test_cli_seed_changes_metadata(self, tmp_path):
-        path, _ = write_config(tmp_path)
-        out = tmp_path / "out"
-        main(["spectrum", "--config", path, "--out", str(out), "--seed", "99"])
-        payload = json.loads((out / "spectrum.json").read_text())
-        assert payload["metadata"]["seed"] == 99
+    def test_cli_seed_acts_as_the_config_seed(self, tmp_path):
+        mc = {"n": 50, "n_particles": 1000, "start": [0.1]}
+        written = []
+        for seed, flags in ((7, ["--seed", "99"]), (99, []), (7, [])):
+            cfg_dir = tmp_path / f"{seed}{''.join(flags)}"
+            cfg_dir.mkdir()
+            path, _ = write_config(cfg_dir, mc=mc, seed=seed)
+            out = cfg_dir / "out"
+            assert main(["mc", "--config", path, "--out", str(out),
+                         *flags]) == EXIT_OK
+            written.append([(out / name).read_bytes() for name in
+                            ("mc.json", "mass_series.csv", "diagnostics.json")])
+        assert written[0] == written[1] != written[2]
+
+    def test_negative_cli_seed_is_a_config_error(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, grid={"resolution": 27})
+        assert main(["spectrum", "--config", path, "--out",
+                     str(tmp_path / "o"), "--seed", "-1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error[schema]" in err and "Traceback" not in err
+
+
+def _imports_numpy_random(code: str, cwd) -> bool:
+    """Whether a fresh interpreter running ``code`` has loaded numpy.random."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(qemlab.__file__).resolve().parents[1])}
+    script = f"import sys\n{code}\nprint('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.split()[-1] == "True"
+
+
+def test_spectrum_does_not_import_numpy_random(tmp_path):
+    if _imports_numpy_random("import numpy", tmp_path):
+        pytest.skip("this numpy loads numpy.random on import")
+    path, _ = write_config(tmp_path, grid={"resolution": 27})
+    assert not _imports_numpy_random(
+        "from qemlab.cli import main\n"
+        f"assert main(['spectrum', '--config', {path!r}, '--out', 'o']) == 0",
+        tmp_path)

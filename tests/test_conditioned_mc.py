@@ -6,14 +6,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qemlab.conditioned_mc import (EnsembleExtinctError, _Blocks,
-                                   escape_rate_mc, run_conditioned,
-                                   starting_point_independence)
+                                   escape_rate_mc, run_conditioned)
 from qemlab.dynamics import (Box, Domain, MapSystem, NoiseModel, RegionSpec,
                              WeightField, constant_weight, make_system,
                              zero_weight)
-from qemlab.equilibrium import TestDictionary, weak_star_discrepancy
-from qemlab.spectral import solve_triple
-from qemlab.ulam import assemble_operator, build_grid
 
 TERNARY = make_system("ternary_hole")
 NOISE = NoiseModel(1e-3, 1)
@@ -274,41 +270,3 @@ class TestEscapeRate:
                                 observables=X, seed=9)
         with pytest.raises(ValueError):
             escape_rate_mc(stats, burn_in_fraction=0.9)
-
-
-class TestStartingPointIndependence:
-    def test_two_basin_points_agree(self):
-        report = starting_point_independence(
-            TERNARY.system, NOISE, zero_weight(), TERNARY.survivor,
-            np.array([0.1]), np.array([0.9]), n=2500, n_particles=2500,
-            observables=X, seed=10)
-        assert report.passed
-
-    def test_identical_starts(self):
-        report = starting_point_independence(
-            TERNARY.system, NOISE, zero_weight(), TERNARY.survivor,
-            np.array([0.1]), np.array([0.1]), n=150, n_particles=1000,
-            observables=X, seed=11)
-        assert report.delta("x") <= 2 * report.allowance("x")
-
-    def test_start_in_hole_extinguishes(self):
-        with pytest.raises(EnsembleExtinctError):
-            starting_point_independence(
-                TERNARY.system, NoiseModel(0.0, 1), zero_weight(),
-                TERNARY.survivor, np.array([0.1]), np.array([0.5]),
-                n=100, n_particles=100, observables=X, seed=12)
-
-
-class TestOccupationMeasure:
-    def test_occupation_close_to_spectral_qem(self):
-        grid = build_grid(TERNARY.system.domain, 27)
-        stats = run_conditioned(TERNARY.system, NOISE, zero_weight(),
-                                TERNARY.survivor, np.array([0.1]),
-                                n=3000, n_particles=3000, observables=X,
-                                seed=13, occupation_grid=grid)
-        M = assemble_operator(TERNARY.system, NOISE, zero_weight(),
-                              TERNARY.survivor, grid, 3)
-        triple = solve_triple(M, with_gap=False)
-        disc = weak_star_discrepancy(stats.occupation, triple.qem,
-                                     TestDictionary(), grid.centers())
-        assert disc <= 0.05
