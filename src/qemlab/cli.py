@@ -38,7 +38,7 @@ import numpy as np
 from . import equilibrium
 from .conditioned_mc import EnsembleExtinctError, run_conditioned
 from .dynamics import (Box, Builtin, NoiseModel, RegionSpec, WeightField,
-                       builtin_labels, make_system)
+                       builtin_labels, make_system, region_fraction)
 from .equilibrium import TestDictionary, w1_1d, weak_star_discrepancy
 from .filtration import (ConnectionGraph, CycleError, PressureTieError,
                          filtration_order, stratified_qem_workflow)
@@ -67,6 +67,11 @@ class ConfigError(ValueError):
 def _is_int(value, least: int) -> bool:
     """A JSON integer of at least ``least``: neither a bool nor a float."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an integer or a float, neither a bool nor a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -108,7 +113,7 @@ class ExperimentConfig:
         noise = raw.get("noise", {})
         eps = noise.get("epsilon", 0.0)
         eps_list = eps if isinstance(eps, list) else [eps]
-        if not all(isinstance(e, (int, float)) for e in eps_list):
+        if not all(_is_number(e) for e in eps_list):
             raise ConfigError("bad-epsilon", "epsilon must be a number or a list")
         if any(e < 0 for e in eps_list):
             raise ConfigError("negative-epsilon", "epsilon must be >= 0")
@@ -130,13 +135,21 @@ class ExperimentConfig:
             seed=seed,
         )
 
-    def problem(self) -> Problem:
-        """Map, region, weight and grid, built once; a failing step gives its code."""
+    def dynamics(self) -> tuple[Builtin, RegionSpec, WeightField]:
+        """Map, region and weight, all the particle route reads; a failing
+        step gives its code."""
         label = self.system.get("label")
         if label is None:
             raise ConfigError("unknown-system", "config has no system label")
         params = {k: v for k, v in self.system.items() if k != "label"}
         builtin = _checked("bad-system", lambda: make_system(label, **params))
+        return (builtin,
+                _checked("bad-region", lambda: self.region_spec(builtin)),
+                _checked("bad-weight", lambda: self.weight_field(builtin)))
+
+    def problem(self) -> Problem:
+        """The dynamics and the grid, built once; a failing step gives its code."""
+        builtin, region, weight = self.dynamics()
         counts = self.samples_per_cell
         if not all(_is_int(m, 1) for m in (counts if isinstance(counts, list)
                                             else [counts])):
@@ -144,9 +157,7 @@ class ExperimentConfig:
                                             "integer >= 1 or a list of them")
         _checked("bad-strata", lambda: _strata_counts(self.samples_per_cell,
                                                       builtin.system.dimension))
-        problem = Problem(builtin,
-                          _checked("bad-region", lambda: self.region_spec(builtin)),
-                          _checked("bad-weight", lambda: self.weight_field(builtin)),
+        problem = Problem(builtin, region, weight,
                           build_grid(builtin.system.domain, self.grid["resolution"]))
         if not np.any(region_fractions(problem.region, problem.grid) > 0):
             raise ConfigError("empty-region", "the region covers no grid cell")
@@ -163,7 +174,7 @@ class ExperimentConfig:
 
     def weight_field(self, builtin: Builtin) -> WeightField:
         kind = self.weight.get("kind", "zero")
-        log_value = 0.0 if kind == "zero" else float(self.weight["log_value"])
+        log_value = 0.0 if kind == "zero" else _number(self.weight["log_value"])
         cutoff = self.weight.get("cutoff")
         if cutoff is None:
             return WeightField(log_value, label=f"phi={log_value:g}")
@@ -171,7 +182,7 @@ class ExperimentConfig:
         return WeightField(
             log_value,
             support_cutoff=RegionSpec(boxes, label="cutoff"),
-            taper_width=float(cutoff.get("taper_width", 0.0)),
+            taper_width=_number(cutoff.get("taper_width", 0.0)),
             domain=builtin.system.domain,
             label=f"phi={log_value:g},tapered",
         )
@@ -189,8 +200,7 @@ class ExperimentConfig:
     def solver_kwargs(self) -> dict:
         tol = self.solver.get("tol", 1e-10)
         max_iters = self.solver.get("max_iters", 100_000)
-        if not (isinstance(tol, (int, float)) and tol > 0
-                and _is_int(max_iters, 1)):
+        if not (_is_number(tol) and tol > 0 and _is_int(max_iters, 1)):
             raise ConfigError("bad-solver", "solver tol must be a number > 0 "
                                             "and max_iters an integer >= 1")
         return {"tol": float(tol), "max_iters": max_iters}
@@ -211,6 +221,13 @@ def _checked(code: str, build):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(code, repr(exc)) from None
+
+
+def _number(value) -> float:
+    """``value`` as a float when it is a JSON number, else a TypeError."""
+    if not _is_number(value):
+        raise TypeError(f"want a number, got {value!r}")
+    return float(value)
 
 
 def _parse_boxes(payload, dimension: int) -> tuple[Box, ...]:
@@ -315,7 +332,10 @@ def cmd_spectrum(config: ExperimentConfig, out: Path, args) -> int:
 
 
 def cmd_mc(config: ExperimentConfig, out: Path, args) -> int:
-    builtin, region, weight, _ = config.problem()
+    builtin, region, weight = config.dynamics()
+    if not any(region_fraction(region, box.lo, box.hi) > 0
+               for box in builtin.system.domain.boxes):
+        raise ConfigError("empty-region", "the region covers no part of the domain")
     dimension = builtin.system.dimension
     noise = NoiseModel(config.single_epsilon("mc"), dimension)
     run = _checked("bad-mc", lambda: _mc_arguments(config.mc, dimension, region))
@@ -338,7 +358,7 @@ def _mc_arguments(mc: dict, dimension: int, region: RegionSpec) -> dict:
         raise ValueError(f"mc needs integers n >= 1 and n_particles >= 2 and a "
                          f"start point with {dimension} coordinates")
     return {"start": start, "n": n, "n_particles": n_particles,
-            "resample_threshold": float(mc.get("resample_threshold", 0.5)),
+            "resample_threshold": _number(mc.get("resample_threshold", 0.5)),
             "observables": {name: _expression_observable(name, dimension)
                             for name in mc.get("observables", ["x"])}}
 

@@ -250,8 +250,12 @@ def stratified_qem_workflow(matrix: AnnealedMatrix, order: FiltrationOrder,
 
     ``strata`` maps a rank (or any stable key) to the grid cells of that
     stratum.  The report records that the global leading eigenvalue equals
-    the largest restricted one; strata whose principal submatrix is zero are
-    recorded as absent.  No spectral gap is solved (``gap_ratio`` is NaN).
+    the largest restricted one.  No spectral gap is solved (``gap_ratio`` is
+    NaN), and each triple solves its left side only when it is read (see
+    :class:`qemlab.spectral.SpectralTriple`).  So a stratum is recorded as
+    absent only when its right solve raises a ValueError, as on a zero
+    principal submatrix; a left solve that fails, or a degenerate pairing,
+    raises where ``left`` or ``qem`` is first read.
     """
     solver = {"tol": tol, "max_iters": max_iters, "with_gap": False}
     global_triple = solve_triple(matrix, **solver)

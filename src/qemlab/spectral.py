@@ -9,6 +9,10 @@ their normalized product
 
     qem_i = g_i * m_i * vol_i / sum_j g_j * m_j * vol_j.
 
+The left side is solved only when something reads it, so a caller that
+reports eigenvalues only, as the filtration workflow does, runs no adjoint
+power iteration.
+
 The spectral gap |lambda_2| / lambda_1 comes from a restarted Arnoldi method
 on the operator with the Perron pair projected out; it counts as converged
 only when its Ritz residual is at most ``tol * lambda_1``.  It starts from a
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -163,23 +168,52 @@ def _deflated_ratio(matrix, triple, tol, max_iters):
 class SpectralTriple:
     """Dominant spectral data of an assembled operator.
 
-    lam > 0; right >= 0 with sup norm 1; left >= 0 with integral 1;
-    pairing = sum(right * left * vol), vol the cell volume of the matrix
-    solved; qem sums to 1; gap_ratio is the Arnoldi estimate of
-    |lambda_2| / lambda_1 (NaN when no gap was asked for, as in the
+    lam > 0; right >= 0 with sup norm 1; gap_ratio is the Arnoldi estimate
+    of |lambda_2| / lambda_1 (NaN when no gap was asked for, as in the
     filtration workflow), and gap_converged says its Ritz residual is at
     most ``tol * lambda_1``.
+
+    The left side is solved on the first read of ``left``,
+    ``left_residual``, ``pairing`` or ``qem``, once, and kept: left >= 0 with
+    integral 1; pairing = sum(right * left * vol), vol the cell volume of the
+    matrix solved; qem sums to 1.  So a left solve that does not converge,
+    or eigendata whose pairing is degenerate, raises at that read.  The
+    triple holds its matrix until the left side is solved.
     """
 
     lam: float
     right: Array
-    left: Array
-    pairing: float
-    qem: Array
     right_residual: float
-    left_residual: float
-    gap_ratio: float
+    _matrix: AnnealedMatrix = field(repr=False)
+    _solver: tuple[float, int] = field(repr=False)  # tol and max_iters
+    gap_ratio: float = math.nan
     gap_converged: bool = False
+
+    @cached_property
+    def _left_side(self) -> tuple[Array, float, float, Array]:
+        _, left, residual = leading_left(self._matrix, *self._solver)
+        left = np.maximum(left, 0.0)
+        vol = self._matrix.cell_volume
+        pairing = float(np.sum(self.right * left * vol))
+        side = left, residual, pairing, assemble_qem(self.right, left, vol)
+        self._matrix = None  # solved: holding the matrix longer only costs memory
+        return side
+
+    @property
+    def left(self) -> Array:
+        return self._left_side[0]
+
+    @property
+    def left_residual(self) -> float:
+        return self._left_side[1]
+
+    @property
+    def pairing(self) -> float:
+        return self._left_side[2]
+
+    @property
+    def qem(self) -> Array:
+        return self._left_side[3]
 
     def scalars(self) -> dict:
         return {
@@ -194,24 +228,21 @@ class SpectralTriple:
 
 def solve_triple(matrix: AnnealedMatrix, tol: float = 1e-10,
                  max_iters: int = 100_000, with_gap: bool = True) -> SpectralTriple:
-    """Full dominant-eigendata pipeline for one assembled matrix.
+    """Dominant eigendata of one assembled matrix: the right side now, the
+    left side on first read (see :class:`SpectralTriple`).
 
     Tiny negative eigenvector entries from roundoff are clamped to zero
-    before the quasi-ergodic vector is formed.  The gap solve uses the
-    tolerance ``max(tol, 1e-8)`` and at most ``min(max_iters, 10_000)``
-    matvecs from a fixed start vector, so the triple is a function of the
-    matrix alone; with ``with_gap=False`` the gap is NaN and not converged.
+    before the quasi-ergodic vector is formed.  With ``with_gap`` the left
+    side is solved first, then the gap, with the tolerance
+    ``max(tol, 1e-8)`` and at most ``min(max_iters, 10_000)`` matvecs from a
+    fixed start vector, so the triple is a function of the matrix alone;
+    with ``with_gap=False`` the gap is NaN and not converged.
     """
-    lam_r, right, res_r = leading_pair(matrix, tol, max_iters)
-    lam_l, left, res_l = leading_left(matrix, tol, max_iters)
-    right = np.maximum(right, 0.0)
-    left = np.maximum(left, 0.0)
-    pairing = float(np.sum(right * left * matrix.cell_volume))
-    qem = assemble_qem(right, left, matrix.cell_volume)
-    triple = SpectralTriple(lam=lam_r, right=right, left=left, pairing=pairing,
-                            qem=qem, right_residual=res_r, left_residual=res_l,
-                            gap_ratio=math.nan)
+    lam, right, residual = leading_pair(matrix, tol, max_iters)
+    triple = SpectralTriple(lam, np.maximum(right, 0.0), residual, matrix,
+                            (tol, max_iters))
     if with_gap:
+        triple.qem  # the gap projects the left side out, so solve it first
         triple.gap_ratio, triple.gap_converged = _deflated_ratio(
             matrix, triple, max(tol, 1e-8), min(max_iters, 10_000))
     return triple

@@ -147,6 +147,20 @@ MALFORMED = {
                                EXIT_CONFIG, "bad-solver"),
     "solver iterations a boolean": (
         {"solver": {"tol": 1e-10, "max_iters": True}}, EXIT_CONFIG, "bad-solver"),
+    "epsilon a boolean": ({"noise": {"epsilon": True}}, EXIT_CONFIG,
+                          "bad-epsilon"),
+    "solver tolerance a boolean": (
+        {"solver": {"tol": True, "max_iters": 100000}}, EXIT_CONFIG, "bad-solver"),
+    "weight log_value a boolean": (
+        {"weight": {"kind": "constant", "log_value": True}}, EXIT_CONFIG,
+        "bad-weight"),
+    "weight log_value a numeric string": (
+        {"weight": {"kind": "constant", "log_value": "0.5"}}, EXIT_CONFIG,
+        "bad-weight"),
+    "taper width a numeric string": (
+        {"weight": {"kind": "zero", "cutoff": {"boxes": [[[0.0], [1.0]]],
+                                               "taper_width": "0.05"}}},
+        EXIT_CONFIG, "bad-weight"),
 }
 
 
@@ -177,6 +191,13 @@ MALFORMED_BY_COMMAND = {
         "mc", {"mc": {**MC, "observables": ["x**"]}}, "bad-mc"),
     "mc start with two coordinates on a 1-d system": (
         "mc", {"mc": {**MC, "start": [0.1, 0.2]}}, "bad-mc"),
+    "mc resample threshold a boolean": (
+        "mc", {"mc": {**MC, "resample_threshold": True}}, "bad-mc"),
+    "mc region off the domain": (
+        "mc", {"mc": MC, "region": {"kind": "boxes", "boxes": [[[5.0], [6.0]]]}},
+        "empty-region"),
+    "sweep epsilon list entry a boolean": (
+        "sweep", {"noise": {"epsilon": [1e-2, True]}}, "bad-epsilon"),
     "sweep reference of depth 0": (
         "sweep", {"noise": {"epsilon": [1e-2, 1e-3]},
                   "reference": {"kind": "equilibrium", "depth": 0}},
@@ -329,6 +350,20 @@ class TestMcCommand:
             "averages", "escape_rate_estimate", "n_particles", "n_resamplings",
             "n_steps", "standard_errors", "survival_fraction"]
 
+    def test_builds_no_grid(self, tmp_path, monkeypatch):
+        # the particle route reads no grid, so it neither builds one nor
+        # checks the strata of one
+        from qemlab import cli
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("mc builds no grid")
+
+        monkeypatch.setattr(cli, "build_grid", no_grid)
+        path, _ = write_config(tmp_path, samples_per_cell=0, mc=MC)
+        out = tmp_path / "out"
+        assert main(["mc", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert (out / "mc.json").exists()
+
     def test_extinct_exit_code(self, tmp_path):
         path, _ = write_config(
             tmp_path, noise={"epsilon": 0.0},
@@ -474,6 +509,24 @@ class TestFiltrationCommand:
         assert report["deviation"] <= 1e-6
         assert abs(report["per_stratum"]["2"] - 2 / 3) < 1e-3
         assert abs(report["per_stratum"]["1"] - 3 / 5) < 1e-3
+
+    def test_report_solves_no_left_eigenvector(self, tmp_path, monkeypatch):
+        # strata_report.json holds eigenvalues only
+        from qemlab import spectral
+
+        path, _ = write_config(tmp_path, **self.TWO_REPELLER)
+        assert main(["filtration", "--config", path,
+                     "--out", str(tmp_path / "a")]) == EXIT_OK
+
+        def no_left(*args, **kwargs):
+            raise AssertionError("filtration solves no left eigenvector")
+
+        monkeypatch.setattr(spectral, "leading_left", no_left)
+        assert main(["filtration", "--config", path,
+                     "--out", str(tmp_path / "b")]) == EXIT_OK
+        report = "strata_report.json"
+        assert ((tmp_path / "a" / report).read_bytes()
+                == (tmp_path / "b" / report).read_bytes())
 
     def test_stratified_diagnostics(self, tmp_path):
         path, _ = write_config(tmp_path, **SINGLE_EPSILON_EXTRAS["filtration"])

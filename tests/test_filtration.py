@@ -211,6 +211,21 @@ class TestStratifiedWorkflow:
         assert math.isnan(report.global_triple.gap_ratio)
         assert all(math.isnan(r.triple.gap_ratio) for r in report.strata)
 
+    def test_solves_no_left_side_until_read(self, monkeypatch):
+        from qemlab import spectral
+
+        def fails(*args, **kwargs):
+            raise spectral.NonConvergenceError(
+                "adjoint power iteration did not converge", 1.0, 1)
+
+        monkeypatch.setattr(spectral, "leading_left", fails)
+        report = stratified_qem_workflow(self.matrix, self.order, self.strata)
+        assert report.argmax_key == 2
+        assert all(r.triple is not None for r in report.strata)
+        # a failing left solve raises where the left side is first read
+        with pytest.raises(spectral.NonConvergenceError):
+            report.global_triple.qem
+
     def test_zero_stratum_recorded_absent(self):
         centers = self.grid.centers()[:, 0]
         hole = np.flatnonzero((centers >= 1.0 / 3.0) & (centers < 2.0 / 3.0))

@@ -1,9 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qemlab import spectral
 from qemlab.dynamics import NoiseModel, WeightField, \
     constant_weight, make_system, zero_weight
 from qemlab.spectral import (NonConvergenceError, assemble_qem, leading_left,
@@ -276,6 +279,61 @@ class TestTripleInvariants:
             lam_d, right_d, _ = growth_rate_dense(M.toarray())
             assert abs(lam - lam_d) <= 1e-8
             assert np.max(np.abs(right - right_d)) <= 1e-6
+
+
+class TestLeftSideOnFirstRead:
+    LEFT_SIDE = ("left", "left_residual", "pairing", "qem")
+
+    @pytest.mark.parametrize("label,resolution,samples", [
+        ("ternary_hole", 243, 3), ("two_repeller", 135, 15),
+        ("open_baker", 27, (3, 1))])
+    def test_read_later_bitwise_equals_the_gap_solve(self, label, resolution,
+                                                     samples):
+        M, _ = _builtin_operator(label, resolution, 1e-3, samples)
+        eager, later = solve_triple(M), solve_triple(M, with_gap=False)
+        for name in self.LEFT_SIDE:
+            got, want = getattr(later, name), getattr(eager, name)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want), name
+
+    def test_solved_once_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return leading_left(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "leading_left", counted)
+        t = solve_triple(matrix_from_dense(RANK1), with_gap=False)
+        assert t.lam == pytest.approx(2.0 / 3.0) and not calls
+        for name in self.LEFT_SIDE:
+            getattr(t, name)
+        t.scalars()
+        assert len(calls) == 1
+
+    def test_holds_the_matrix_until_the_left_side_is_solved(self):
+        M = matrix_from_dense(RANK1)
+        t, held = solve_triple(M, with_gap=False), weakref.ref(M)
+        del M
+        gc.collect()
+        assert held() is not None
+        t.qem
+        gc.collect()
+        assert held() is None
+
+    def test_left_failure_raises_at_first_read(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise NonConvergenceError("adjoint power iteration did not "
+                                      "converge", 1.0, 1)
+
+        monkeypatch.setattr(spectral, "leading_left", fails)
+        M = matrix_from_dense(RANK1)
+        t = solve_triple(M, with_gap=False)
+        with pytest.raises(NonConvergenceError):
+            t.qem
+        # the gap needs the left side, so that solve raises as it always did
+        with pytest.raises(NonConvergenceError):
+            solve_triple(M)
 
 
 class TestBoundaryWeightSensitivity:

@@ -440,10 +440,13 @@ def assembly_cases(draw):
 
 class TestWholeArrayAssembly:
     @settings(max_examples=120, deadline=None)
-    @given(case=assembly_cases(), chunk=st.sampled_from([1, 3, 7, 128]))
-    def test_bitwise_equal_to_per_cell_loop(self, case, chunk):
-        # small passes put the cells of one grid into several passes
-        with mock.patch.object(ulam, "_CHUNK_CELLS", chunk):
+    @given(case=assembly_cases(), chunk=st.sampled_from([1, 3, 7, 128]),
+           bins_per_entry=st.sampled_from([0, 4, 10 ** 9]))
+    def test_bitwise_equal_to_per_cell_loop(self, case, chunk, bins_per_entry):
+        # small passes put the cells of one grid into several passes; every
+        # pass sorts its sums with a bin budget of 0 and none with 10**9
+        with mock.patch.object(ulam, "_CHUNK_CELLS", chunk), \
+                mock.patch.object(ulam, "_BINS_PER_ENTRY", bins_per_entry):
             try:
                 want = reference_assemble(*case)
             except ValueError:  # the region meets no grid cell
@@ -460,6 +463,40 @@ class TestWholeArrayAssembly:
         case = (b.system, NoiseModel(eps, b.system.dimension), zero_weight(),
                 b.survivor, build_grid(b.system.domain, res), strata)
         _assert_same_csr(assemble_operator(*case), reference_assemble(*case))
+
+    def test_pass_with_every_stratum_killed(self):
+        # cell 0 meets the region, but its one stratum's midpoint 1/18 does
+        # not, so its pass of one cell sums no entry
+        b = make_system("ternary_hole")
+        region = RegionSpec((Box((0.0,), (0.05,)), Box((0.5,), (1.0,))))
+        case = (b.system, NoiseModel(1e-3, 1), zero_weight(), region,
+                build_grid(b.system.domain, 9), 1)
+        with mock.patch.object(ulam, "_CHUNK_CELLS", 1):
+            M = assemble_operator(*case)
+        assert region_fractions(region, case[4])[0] > 0 and M.indptr[1] == 0
+        assert M.nnz > 0
+        _assert_same_csr(M, reference_assemble(*case))
+
+    @pytest.mark.parametrize("bins_per_entry", [0, 4, 10 ** 9])
+    @pytest.mark.parametrize("label,res,eps,strata", [
+        ("ternary_hole", 81, 1e-2, 3), ("two_repeller", 81, 3e-2, 5),
+        ("open_baker", 27, 1e-2, (3, 1))])
+    def test_rows_that_wrap_a_seam(self, label, res, eps, strata,
+                                   bins_per_entry):
+        # a row whose image wraps the seam holds the first and the last
+        # column of its box, so its band spans the whole box; with 10**9
+        # bins per entry every pass sums in bands, 2-D ones included
+        b = make_system(label)
+        grid = build_grid(b.system.domain, res)
+        case = (b.system, NoiseModel(eps, b.system.dimension), zero_weight(),
+                b.survivor, grid, strata)
+        with mock.patch.object(ulam, "_BINS_PER_ENTRY", bins_per_entry):
+            M = assemble_operator(*case)
+        per_box = grid.cells_per_box
+        assert any(c.size and c[0] % per_box == 0
+                   and c[-1] % per_box == per_box - 1
+                   for c in np.split(M.indices, M.indptr[1:-1]))
+        _assert_same_csr(M, reference_assemble(*case))
 
     def test_counts_point_masses(self):
         # with one stratum per cell, the cells holding the branch points 1/3
