@@ -106,10 +106,6 @@ class ExperimentConfig:
         label = system.get("label")
         if label is not None and label not in builtin_labels():
             raise ConfigError("unknown-system", f"unknown system label {label!r}")
-        grid = raw.get("grid", {"resolution": 81})
-        resolution = grid.get("resolution")
-        if not _is_int(resolution, 1):
-            raise ConfigError("bad-resolution", "resolution must be an integer >= 1")
         noise = raw.get("noise", {})
         eps = noise.get("epsilon", 0.0)
         eps_list = eps if isinstance(eps, list) else [eps]
@@ -125,7 +121,7 @@ class ExperimentConfig:
             system=system,
             weight=weight,
             region=raw.get("region", {"kind": "survivor"}),
-            grid=grid,
+            grid=raw.get("grid", {"resolution": 81}),
             noise=noise,
             solver=raw.get("solver", {}),
             mc=raw.get("mc", {}),
@@ -157,8 +153,11 @@ class ExperimentConfig:
                                             "integer >= 1 or a list of them")
         _checked("bad-strata", lambda: _strata_counts(self.samples_per_cell,
                                                       builtin.system.dimension))
+        resolution = self.grid.get("resolution")
+        if not _is_int(resolution, 1):
+            raise ConfigError("bad-resolution", "resolution must be an integer >= 1")
         problem = Problem(builtin, region, weight,
-                          build_grid(builtin.system.domain, self.grid["resolution"]))
+                          build_grid(builtin.system.domain, resolution))
         if not np.any(region_fractions(problem.region, problem.grid) > 0):
             raise ConfigError("empty-region", "the region covers no grid cell")
         return problem
@@ -255,18 +254,12 @@ def load_config(path: str, seed: int | None = None) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# deterministic writers
+# deterministic writers: str of a float is its shortest round-trip repr
 # ---------------------------------------------------------------------------
-
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
 
 def write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -275,7 +268,7 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def write_series(path: Path, xs, ys) -> None:
-    path.write_text("".join(f"{_fmt(float(x))} {_fmt(float(y))}\n"
+    path.write_text("".join(f"{float(x)} {float(y)}\n"
                             for x, y in zip(xs, ys)))
 
 

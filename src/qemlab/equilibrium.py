@@ -159,11 +159,11 @@ class ReferenceMeasure:
         if grid.dimension != 1:
             raise ValueError("grid projection implemented for 1d grids")
         out = np.zeros(grid.n_cells)
-        centers = grid.centers()[:, 0]
         h = grid.cell_volume
-        lows = centers - h / 2.0
+        lows = grid.cell_lo[:, 0]
+        highs = lows + grid.cell_width[:, 0]
         for (lo, hi), m in zip(self.intervals(), self.masses):
-            overlap = np.minimum(hi, lows + h) - np.maximum(lo, lows)
+            overlap = np.minimum(hi, highs) - np.maximum(lo, lows)
             overlap[overlap < 1e-12 * h] = 0.0  # drop roundoff slivers
             total = overlap.sum()
             if total > 0:

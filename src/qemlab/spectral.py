@@ -15,8 +15,9 @@ power iteration.
 
 The spectral gap |lambda_2| / lambda_1 comes from a restarted Arnoldi method
 on the operator with the Perron pair projected out; it counts as converged
-only when its Ritz residual is at most ``tol * lambda_1``.  It starts from a
-fixed vector, so the gap, like the rest, is a function of the matrix alone.
+only when its condition number times its Ritz residual is at most
+``tol * lambda_1``.  It starts from a fixed vector, so the gap, like the
+rest, is a function of the matrix alone.
 """
 
 from __future__ import annotations
@@ -113,10 +114,16 @@ def _deflated_ratio(matrix, triple, tol, max_iters):
     The Perron pair is projected out, ``x -> Mx - r (l.Mx) / (l.r)``, and
     Arnoldi builds a Krylov basis of ``KRYLOV_DIM`` vectors for that
     operator, fully reorthogonalised (classical Gram-Schmidt, two passes).
-    The Ritz value of largest modulus of the small Hessenberg matrix
+    The Ritz value theta of largest modulus of the small Hessenberg matrix
     estimates lambda_2; complex and equal-modulus pairs come out exactly.
-    It is accepted once its Ritz residual ``|h_{m+1,m}| |y_m| / |y|`` is at
-    most ``tol * lambda_1``, or when the basis spans an invariant subspace.
+    It is accepted once ``kappa * residual <= tol * lambda_1``: the Ritz
+    residual ``|h_{m+1,m}| |y_m| / |y|`` is a backward error, and
+    ``kappa = 1 / |x^H y|``, for unit left and right eigenvectors x and y of
+    the Hessenberg matrix, makes it a forward error (Saad, *Numerical Methods
+    for Large Eigenvalue Problems*, 2011, ch. 3).  x comes from ``eig`` of
+    the transpose: ``inv(vecs)`` would load another LAPACK routine, about
+    0.5 MB of peak memory.  A breakdown (an invariant subspace) decides at
+    once: a restart would break down at a 1 x 1 matrix, whose kappa is 1.
     Otherwise Arnoldi restarts from the real span of that Ritz vector.
     The first start is ``sin(1), ..., sin(n)``.  Any vector with a component
     along the subdominant eigenvector will do; this one is neither symmetric
@@ -139,7 +146,7 @@ def _deflated_ratio(matrix, triple, tol, max_iters):
         if nv == 0.0:
             return 0.0, True
         basis[0] = v / nv
-        k = min(m, max_iters - used)
+        k, invariant = min(m, max_iters - used), False
         for j in range(k):
             w = matrix.apply(basis[j])
             w -= r * (np.dot(l, w) / denom)
@@ -151,15 +158,21 @@ def _deflated_ratio(matrix, triple, tol, max_iters):
             hess[j + 1, j] = beta = float(np.linalg.norm(w))
             used += 1
             if beta <= tol * lam:
-                k = j + 1
+                k, invariant = j + 1, True
                 break
             basis[j + 1] = w / beta
         vals, vecs = np.linalg.eig(hess[:k, :k])
         i = int(np.argmax(np.abs(vals)))
         theta, y = float(abs(vals[i])), vecs[:, i]  # eig gives |y| = 1
-        residual = abs(hess[k, k - 1] * y[-1])
-        if residual <= tol * lam:
-            return theta / lam, True
+        residual = float(abs(hess[k, k - 1] * y[-1]))
+        converged = residual <= tol * lam  # needed, as kappa >= 1
+        if converged:  # x, a left eigenvector of theta, is a right one of H^T
+            left_vals, left_vecs = np.linalg.eig(hess[:k, :k].T)
+            x = left_vecs[:, int(np.argmin(np.abs(left_vals - vals[i])))]
+            pairing = float(abs(x @ y))  # 1 / kappa, 0 when defective
+            converged = pairing > 0.0 and residual <= tol * lam * pairing
+        if converged or invariant:
+            return theta / lam, converged
         v = (y.real + y.imag) @ basis[:k]
     return theta / lam, False
 
@@ -170,8 +183,8 @@ class SpectralTriple:
 
     lam > 0; right >= 0 with sup norm 1; gap_ratio is the Arnoldi estimate
     of |lambda_2| / lambda_1 (NaN when no gap was asked for, as in the
-    filtration workflow), and gap_converged says its Ritz residual is at
-    most ``tol * lambda_1``.
+    filtration workflow), and gap_converged says :func:`_deflated_ratio`
+    certified it to ``tol * lambda_1``.
 
     The left side is solved on the first read of ``left``,
     ``left_residual``, ``pairing`` or ``qem``, once, and kept: left >= 0 with

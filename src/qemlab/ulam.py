@@ -48,7 +48,9 @@ outermost), so the matrices are bitwise those of assembling one cell, one
 stratum and one axis at a time.  The sums need no sort on 1-D grids: each
 row sums into a dense band of bins that spans its columns, and the bins come
 out in row, then column order.  Where the bands would be sparse, as on 2-D
-grids, the pass sorts its (row, column) keys instead.
+grids, the pass sorts its (row, column) keys instead.  The matrix is that
+one sorted list of (row, column, value) entries, read as it is by every
+matvec, restriction and export.
 """
 
 from __future__ import annotations
@@ -73,8 +75,11 @@ class GridPartition:
     """Uniform partition of each domain box into ``resolution^d`` cells.
 
     Cells are half open and indexed row-major within each box; boxes are
-    concatenated, so ``n_cells = n_boxes * resolution^dimension``.  Immutable
-    after construction.
+    concatenated, so ``n_cells = n_boxes * resolution^dimension``.  With
+    ``h = box width / resolution`` and a cell's row-major digits in its box,
+    ``cell_lo = box lo + digits * h``, ``cell_width = (cell_lo + h) - cell_lo``
+    and the center is ``box lo + (digits + 0.5) * h``: every reader of a
+    cell's box takes it from here.  Immutable after construction.
     """
 
     boxes: tuple[Box, ...]
@@ -82,26 +87,28 @@ class GridPartition:
     dimension: int = field(init=False)
     n_cells: int = field(init=False)
     cell_volume: float = field(init=False)
+    cell_lo: Array = field(init=False, repr=False)
+    cell_width: Array = field(init=False, repr=False)
     _centers: Array = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.resolution < 1:
             raise ValueError("resolution must be >= 1")
-        self.dimension = self.boxes[0].dimension
-        per_box = self.resolution ** self.dimension
+        d = self.dimension = self.boxes[0].dimension
+        per_box = self.resolution ** d
         self.n_cells = len(self.boxes) * per_box
         vols = {round(b.volume / per_box, 15) for b in self.boxes}
         if len(vols) != 1:
             raise ValueError("boxes must produce equal cell volumes")
         self.cell_volume = self.boxes[0].volume / per_box
-        centers = []
-        for box in self.boxes:
-            axes = [np.asarray(box.lo[k]) + (np.arange(self.resolution) + 0.5)
-                    * (box.widths[k] / self.resolution)
-                    for k in range(self.dimension)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            centers.append(np.stack([m.ravel() for m in mesh], axis=1))
-        self._centers = np.concatenate(centers, axis=0)
+        box, rem = np.divmod(np.arange(self.n_cells), per_box)
+        place = self.resolution ** np.arange(d - 1, -1, -1)
+        digits = rem[:, None] // place % self.resolution
+        lo = np.array([b.lo for b in self.boxes], dtype=float)[box]
+        h = np.array([b.widths for b in self.boxes])[box] / self.resolution
+        self.cell_lo = lo + digits * h
+        self.cell_width = (self.cell_lo + h) - self.cell_lo
+        self._centers = lo + (digits + 0.5) * h
 
     @property
     def cells_per_box(self) -> int:
@@ -132,29 +139,21 @@ def build_grid(boxes, resolution: int) -> GridPartition:
 
 @dataclass(eq=False)
 class AnnealedMatrix:
-    """Row-compressed nonnegative matrix with per-row weights and metadata.
+    """Nonnegative sparse matrix with per-row weights and metadata.
 
-    ``indices`` are sorted within each row.  ``cell_ids`` maps local row/col
-    indices back to the cells of the original grid after a restriction
-    (None means the identity).  Immutable after assembly.
+    The matrix is one list of ``(rows, indices, data)`` entries, sorted by
+    row and then by column, with no pair repeated.  Immutable after
+    assembly.
     """
 
     n_cells: int
-    indptr: Array
+    rows: Array
     indices: Array
     data: Array
     row_weight: Array
     cell_volume: float
     metadata: dict
-    cell_ids: Array | None = None
     diagnostics: dict = field(default_factory=dict)
-    _row_ids: Array | None = field(default=None, repr=False)
-
-    def _rows(self) -> Array:
-        if self._row_ids is None:
-            counts = np.diff(self.indptr)
-            self._row_ids = np.repeat(np.arange(self.n_cells), counts)
-        return self._row_ids
 
     @property
     def nnz(self) -> int:
@@ -165,7 +164,7 @@ class AnnealedMatrix:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n_cells,):
             raise ValueError(f"vector length {v.shape} != {self.n_cells}")
-        return np.bincount(self._rows(), weights=self.data * v[self.indices],
+        return np.bincount(self.rows, weights=self.data * v[self.indices],
                            minlength=self.n_cells)
 
     def apply_adjoint(self, u: Array) -> Array:
@@ -173,17 +172,16 @@ class AnnealedMatrix:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.n_cells,):
             raise ValueError(f"vector length {u.shape} != {self.n_cells}")
-        return np.bincount(self.indices, weights=self.data * u[self._rows()],
+        return np.bincount(self.indices, weights=self.data * u[self.rows],
                            minlength=self.n_cells)
 
     def toarray(self) -> Array:
         out = np.zeros((self.n_cells, self.n_cells))
-        out[self._rows(), self.indices] = self.data
+        out[self.rows, self.indices] = self.data
         return out
 
     def row_sums(self) -> Array:
-        return np.bincount(self._rows(), weights=self.data,
-                           minlength=self.n_cells)
+        return np.bincount(self.rows, weights=self.data, minlength=self.n_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +260,7 @@ def region_fractions(region: RegionSpec, grid: GridPartition) -> Array:
     straddles its boundary gets :func:`qemlab.dynamics.region_fraction`.
     """
     n = grid.n_cells
-    centers = grid.centers()
-    h = np.asarray(grid.boxes[0].widths) / grid.resolution
-    lo_all = centers - h / 2.0
-    hi_all = centers + h / 2.0
+    lo_all, hi_all = grid.cell_lo, grid.cell_lo + grid.cell_width
     inside = np.zeros(n, dtype=bool)
     touches = np.zeros(n, dtype=bool)
     for box in region.boxes:
@@ -308,7 +303,7 @@ def _strata_counts(samples_per_cell, dimension: int) -> tuple[int, ...]:
 
 class _Assembly:
     """One operator assembly: the inputs every pass reads, the stratum
-    template, per-box tables and the assembly counters."""
+    template, per-domain-box tables and the assembly counters."""
 
     def __init__(self, system: MapSystem, region: RegionSpec,
                  grid: GridPartition, eps: float, counts: tuple[int, ...],
@@ -325,11 +320,7 @@ class _Assembly:
         corner_signs = np.array(list(product((0.0, 1.0), repeat=d)))
         self.shr = corner_signs * (1.0 - 2.0 * _ETA) + _ETA
         self.stratum_mass = 1.0 / self.rel_lo.shape[0]
-        # place value of each axis in a cell's row-major index within its box
-        self.place = grid.resolution ** np.arange(d - 1, -1, -1)
-        # one row per grid box and per domain box
-        self.grid_lo = np.array([b.lo for b in grid.boxes], dtype=float)
-        self.grid_w = np.array([b.widths for b in grid.boxes])
+        # one row per domain box
         domain = system.domain.boxes
         self.dom_lo = np.array([b.lo for b in domain], dtype=float)
         self.dom_w = np.array([b.widths for b in domain])
@@ -339,18 +330,9 @@ class _Assembly:
     def strata(self, cells: Array) -> tuple[Array, Array, Array, Array]:
         """Kept strata of the cells, in cell then stratum order: the
         position of their cell in ``cells``, their lower corners, widths and
-        midpoints.
-
-        A cell's box starts at ``lo = box lo + digits * h`` for its row-major
-        digits within its grid box, with the width taken as ``(lo + h) - lo``.
-        """
-        grid, d = self.grid, self.grid.dimension
-        res, n_strata = grid.resolution, self.rel_lo.shape[0]
-        box = cells // grid.cells_per_box
-        digits = (cells % grid.cells_per_box)[:, None] // self.place % res
-        h = self.grid_w[box] / res
-        lo = self.grid_lo[box] + digits * h
-        h = (lo + h) - lo
+        midpoints, with the cell boxes of :class:`GridPartition`."""
+        d, n_strata = self.grid.dimension, self.rel_lo.shape[0]
+        lo, h = self.grid.cell_lo[cells], self.grid.cell_width[cells]
         s_lo = lo[:, None, :] + self.rel_lo * h[:, None, :]
         s_w = self.rel_w * h
         mids = (s_lo + 0.5 * s_w[:, None, :]).reshape(-1, d)
@@ -397,9 +379,10 @@ class _Assembly:
         return alive, box, centerp - half, centerp + half
 
     def rows(self, cells: Array) -> tuple[Array, Array, Array]:
-        """CSR pieces of the rows of ``cells`` (sorted): their entry counts,
-        then the columns (sorted within each row) and values of their
-        entries, each (row, column) summed by :func:`_sum_entries`."""
+        """The entries of the rows of ``cells`` (sorted): each row's entry
+        count, then the columns (sorted within each row) and values, each
+        (row, column) summed by :func:`_sum_entries`.  The counts become row
+        ids only after the last pass, which keeps the peak memory lower."""
         grid, d = self.grid, self.grid.dimension
         res = grid.resolution
         owner, s_lo, s_w, mids = self.strata(cells)
@@ -495,7 +478,7 @@ def assemble_operator(system: MapSystem, noise: NoiseModel, weight: WeightField,
         row_nnz[cells], cols, vals = job.rows(cells)
         col_parts.append(cols)
         val_parts.append(vals)
-    indptr = np.concatenate([[0], np.cumsum(row_nnz)])
+    rows = np.repeat(np.arange(grid.n_cells), row_nnz)
     indices = np.concatenate([np.empty(0, dtype=np.int64), *col_parts])
     data = np.concatenate([np.empty(0), *val_parts])
     metadata = {
@@ -509,7 +492,7 @@ def assemble_operator(system: MapSystem, noise: NoiseModel, weight: WeightField,
         "system": system.label,
         "resolution": grid.resolution,
     }
-    return AnnealedMatrix(grid.n_cells, indptr, indices, data,
+    return AnnealedMatrix(grid.n_cells, rows, indices, data,
                           row_weight=weights_at_centers,
                           cell_volume=grid.cell_volume, metadata=metadata,
                           diagnostics=job.counters)
@@ -525,14 +508,13 @@ def export_matrix(matrix: AnnealedMatrix, path) -> None:
     import json
     from pathlib import Path
 
-    rows_i = np.repeat(np.arange(matrix.n_cells), np.diff(matrix.indptr))
     payload = {
         "n_cells": matrix.n_cells,
         "metadata": matrix.metadata,
         "cell_volume": matrix.cell_volume,
         "row_weight": matrix.row_weight.tolist(),
         "entries": [[int(i), int(j), float(v)] for i, j, v in
-                    zip(rows_i, matrix.indices, matrix.data)],
+                    zip(matrix.rows, matrix.indices, matrix.data)],
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
@@ -547,8 +529,7 @@ def load_matrix(path) -> AnnealedMatrix:
     entries = np.asarray(payload["entries"], dtype=float).reshape(-1, 3)
     i, j = entries[:, 0].astype(np.int64), entries[:, 1].astype(np.int64)
     order = np.lexsort((j, i))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(i, minlength=n))])
-    return AnnealedMatrix(n, indptr, j[order], entries[order, 2],
+    return AnnealedMatrix(n, i[order], j[order], entries[order, 2],
                           row_weight=np.asarray(payload["row_weight"]),
                           cell_volume=float(payload["cell_volume"]),
                           metadata=payload["metadata"])
@@ -557,8 +538,8 @@ def load_matrix(path) -> AnnealedMatrix:
 def restrict_operator(matrix: AnnealedMatrix, cells) -> AnnealedMatrix:
     """Principal submatrix on the given cell subset.
 
-    Rows and columns outside the subset are removed; local indices follow the
-    sorted subset order and ``cell_ids`` records the original cells.
+    Rows and columns outside the subset are removed and the rest are
+    renumbered in the sorted subset order, which keeps the entries sorted.
     """
     cells = np.asarray(cells, dtype=np.int64).ravel()
     if cells.size == 0:
@@ -570,19 +551,11 @@ def restrict_operator(matrix: AnnealedMatrix, cells) -> AnnealedMatrix:
     kept = np.zeros(matrix.n_cells, dtype=bool)
     kept[cells] = True
     cells = np.flatnonzero(kept)
-    remap = np.where(kept, np.cumsum(kept) - 1, -1)
-    row, rank = _ragged(matrix.indptr[cells + 1] - matrix.indptr[cells])
-    stored = matrix.indptr[cells][row] + rank
-    cols = remap[matrix.indices[stored]]
-    good = cols >= 0
-    indptr = np.concatenate([[0], np.cumsum(
-        np.bincount(row[good], minlength=cells.size))])
-    indices, data = cols[good], matrix.data[stored[good]]
-    old_ids = (matrix.cell_ids if matrix.cell_ids is not None
-               else np.arange(matrix.n_cells))
+    remap = np.cumsum(kept) - 1
+    entry = kept[matrix.rows] & kept[matrix.indices]
     meta = dict(matrix.metadata)
     meta["restricted_to"] = int(cells.size)
-    return AnnealedMatrix(cells.size, indptr, indices, data,
+    return AnnealedMatrix(cells.size, remap[matrix.rows[entry]],
+                          remap[matrix.indices[entry]], matrix.data[entry],
                           row_weight=matrix.row_weight[cells],
-                          cell_volume=matrix.cell_volume,
-                          metadata=meta, cell_ids=old_ids[cells])
+                          cell_volume=matrix.cell_volume, metadata=meta)

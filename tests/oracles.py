@@ -13,18 +13,18 @@ import numpy as np
 from qemlab.ulam import AnnealedMatrix
 
 
-def csr_from_rows(n: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(indptr, indices, data)`` of ``n`` rows, each ``(columns, values)``."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    idx_parts, val_parts = [], []
+def entries_from_rows(n: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, indices, data)`` of ``n`` rows, each ``(columns, values)``,
+    listed row after row."""
+    row_parts, idx_parts, val_parts = [], [], []
     for i, (idx, val) in enumerate(rows):
-        indptr[i + 1] = indptr[i] + idx.size
+        row_parts.append(np.full(idx.size, i, dtype=np.int64))
         idx_parts.append(idx)
         val_parts.append(val)
-    indices = (np.concatenate(idx_parts) if idx_parts
-               else np.empty(0, dtype=np.int64))
-    data = np.concatenate(val_parts) if val_parts else np.empty(0)
-    return indptr, indices, data
+    if not row_parts:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+    return (np.concatenate(row_parts), np.concatenate(idx_parts),
+            np.concatenate(val_parts))
 
 
 def matrix_from_dense(A, cell_volume: float = 1.0,
@@ -35,8 +35,7 @@ def matrix_from_dense(A, cell_volume: float = 1.0,
     for i in range(A.shape[0]):
         nz = np.flatnonzero(A[i] != 0.0).astype(np.int64)
         rows.append((nz, A[i, nz]))
-    indptr, indices, data = csr_from_rows(A.shape[0], rows)
-    return AnnealedMatrix(A.shape[0], indptr, indices, data,
+    return AnnealedMatrix(A.shape[0], *entries_from_rows(A.shape[0], rows),
                           row_weight=np.ones(A.shape[0]),
                           cell_volume=cell_volume, metadata=metadata or {})
 

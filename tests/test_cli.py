@@ -49,7 +49,7 @@ class TestConfigValidation:
     def test_zero_resolution(self, tmp_path):
         path, _ = write_config(tmp_path, grid={"resolution": 0})
         with pytest.raises(ConfigError) as err:
-            load_config(path)
+            load_config(path).problem()
         assert err.value.code == "bad-resolution"
 
     def test_unknown_system(self, tmp_path):
@@ -363,6 +363,12 @@ class TestMcCommand:
         out = tmp_path / "out"
         assert main(["mc", "--config", path, "--out", str(out)]) == EXIT_OK
         assert (out / "mc.json").exists()
+
+    def test_reads_no_resolution(self, tmp_path):
+        # grid.resolution is read by the grid alone, so mc does not check it
+        path, _ = write_config(tmp_path, grid={"resolution": 0}, mc=MC)
+        assert main(["mc", "--config", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
 
     def test_extinct_exit_code(self, tmp_path):
         path, _ = write_config(

@@ -143,6 +143,11 @@ BUILTIN_GAP_CASES = {
 }
 
 
+# branch-aligned grids at eps 0
+NOISELESS_CASES = [("ternary_hole", 729, 1), ("five_hole", 625, 1),
+                   ("open_baker", 27, (1, 1))]
+
+
 class TestGapAgainstDenseEigenvalues:
     @pytest.mark.parametrize("case", sorted(BUILTIN_GAP_CASES))
     def test_builtin_gap(self, case):
@@ -152,15 +157,30 @@ class TestGapAgainstDenseEigenvalues:
         assert t.gap_converged
         assert abs(t.gap_ratio - _dense_ratio(M)) <= 1e-6
 
-    @pytest.mark.parametrize("label,resolution,samples", [
-        ("ternary_hole", 729, 1), ("five_hole", 625, 1),
-        ("open_baker", 27, (1, 1))])
-    def test_noiseless_gap_converges(self, label, resolution, samples):
-        # nearly defective at eps 0, so dense eigenvalues are no reference
+    @pytest.mark.parametrize("label,resolution,samples", NOISELESS_CASES)
+    def test_eps0_not_certified(self, label, resolution, samples):
+        # the deflated operator is nilpotent at eps 0 (see the oracle below),
+        # so every small Ritz value sits on a roundoff-split Jordan block
+        # whose condition number rules out any certificate
         M, _ = _builtin_operator(label, resolution, 0.0, samples)
         t = solve_triple(M)
-        assert t.gap_converged
+        assert t.gap_converged is False
         assert 0.0 <= t.gap_ratio < 0.01
+
+    @pytest.mark.parametrize("label,resolution,samples", NOISELESS_CASES)
+    def test_eps0_deflation_is_nilpotent(self, label, resolution, samples):
+        # on a branch-aligned grid at eps 0 the Ulam matrix of these Markov
+        # maps is a killed de Bruijn shift: M^k has rank one for k the
+        # number of symbols needed to name a cell, so the true gap is 0
+        M, _ = _builtin_operator(label, resolution, 0.0, samples)
+        A = M.toarray()
+        lam, right, left = growth_rate_dense(A)
+        D = A - lam * np.outer(right, left) / np.dot(left, right)
+        k = round(math.log(M.n_cells) / math.log(
+            {"ternary_hole": 3, "five_hole": 5, "open_baker": 3}[label]))
+        power = np.linalg.matrix_power(D, k - 1)
+        assert np.max(np.abs(power)) >= 1e-3
+        assert np.max(np.abs(power @ D)) <= 1e-12
 
 
 def _planted_matrix(n, kind, seed):

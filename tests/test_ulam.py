@@ -13,7 +13,7 @@ from qemlab.ulam import (_h_antideriv, _strata_counts, assemble_operator,
                          build_grid, export_matrix, load_matrix,
                          region_fractions, restrict_operator)
 
-from oracles import csr_from_rows, matrix_from_dense
+from oracles import entries_from_rows, matrix_from_dense
 
 
 def ternary_matrix(resolution, eps=0.0, samples=1, weight=None, region=None):
@@ -66,6 +66,27 @@ class TestBuildGrid:
         for i in range(g.n_cells):
             lo, hi = cell_box(g, i)
             assert np.array_equal((lo + hi) / 2.0, g.centers()[i])
+
+    @pytest.mark.parametrize("boxes,res", [
+        ([([0.0], [1.0])], 2187), ([([0.0], [1.0]), ([2.0], [3.0])], 243),
+        ([([0.0, 0.0], [1.0, 1.0])], 27),
+        ([([0.0, 0.0], [1.0, 2.0]), ([2.0, 0.0], [4.0, 1.0])], 9)])
+    def test_cell_boxes_bitwise(self, boxes, res):
+        g = build_grid(boxes, res)
+        for i in range(g.n_cells):
+            lo, hi = cell_box(g, i)
+            assert np.array_equal(g.cell_lo[i], lo)
+            assert np.array_equal(g.cell_lo[i] + g.cell_width[i], hi)
+
+
+class TestRegionFractions:
+    def test_boxes_of_different_shapes(self):
+        # equal cell volumes, unequal cell widths: the second box's cells
+        # are 1 x 0.5, not box 0's 0.5 x 1
+        g = build_grid([([0.0, 0.0], [1.0, 2.0]), ([2.0, 0.0], [4.0, 1.0])], 2)
+        region = RegionSpec((Box((2.0, 0.0), (4.0, 1.0)),))
+        assert np.array_equal(region_fractions(region, g),
+                              [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
 
 
 class TestAssembly:
@@ -128,7 +149,7 @@ class TestAssembly:
     def test_assembly_deterministic(self):
         M1, _ = ternary_matrix(27, eps=2e-3, samples=4)
         M2, _ = ternary_matrix(27, eps=2e-3, samples=4)
-        assert np.array_equal(M1.indptr, M2.indptr)
+        assert np.array_equal(M1.rows, M2.rows)
         assert np.array_equal(M1.indices, M2.indices)
         assert np.array_equal(M1.data, M2.data)
 
@@ -182,7 +203,7 @@ class TestRestrict:
         M, _ = ternary_matrix(3)
         R = restrict_operator(M, [0, 2])
         assert np.allclose(R.toarray(), np.full((2, 2), 1.0 / 3.0))
-        assert np.array_equal(R.cell_ids, [0, 2])
+        assert np.array_equal(R.toarray(), M.toarray()[np.ix_([0, 2], [0, 2])])
 
     def test_restrict_to_hole_is_zero(self):
         M, _ = ternary_matrix(3)
@@ -196,9 +217,9 @@ class TestRestrict:
 
     def test_restriction_composes(self):
         M, _ = ternary_matrix(9)
-        R1 = restrict_operator(M, [0, 2, 6, 8])
-        R2 = restrict_operator(R1, [0, 3])
-        assert np.array_equal(R2.cell_ids, [0, 8])
+        a, b = np.array([0, 2, 6, 8]), np.array([0, 3])
+        R2 = restrict_operator(restrict_operator(M, a), b)
+        _assert_same_entries(R2, entries_of(restrict_operator(M, a[b])))
 
 
 class TestExport:
@@ -208,7 +229,7 @@ class TestExport:
         export_matrix(M, path)
         loaded = load_matrix(path)
         assert loaded.n_cells == M.n_cells
-        assert np.array_equal(loaded.indptr, M.indptr)
+        assert np.array_equal(loaded.rows, M.rows)
         assert np.array_equal(loaded.indices, M.indices)
         assert np.array_equal(loaded.data, M.data)
         assert loaded.metadata == M.metadata
@@ -223,7 +244,7 @@ class TestExport:
         np.random.default_rng(3).shuffle(payload["entries"])
         path.write_text(json.dumps(payload))
         loaded = load_matrix(path)
-        for got, want in ((loaded.indptr, M.indptr), (loaded.indices, M.indices),
+        for got, want in ((loaded.rows, M.rows), (loaded.indices, M.indices),
                           (loaded.data, M.data)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -371,7 +392,7 @@ def reference_assemble(system, noise, weight, region, grid, samples_per_cell):
         dense = np.bincount(ids, weights=vals, minlength=grid.n_cells)
         nz = np.flatnonzero(dense > 1e-300)
         rows.append((nz.astype(np.int64), dense[nz] * weights_at_centers[i]))
-    return csr_from_rows(grid.n_cells, rows)
+    return entries_from_rows(grid.n_cells, rows)
 
 
 def reference_restrict(matrix, cells):
@@ -381,15 +402,19 @@ def reference_restrict(matrix, cells):
     remap[cells] = np.arange(cells.size)
     rows = []
     for old_i in cells:
-        sl = slice(matrix.indptr[old_i], matrix.indptr[old_i + 1])
+        sl = matrix.rows == old_i
         cols = remap[matrix.indices[sl]]
         good = cols >= 0
         rows.append((cols[good], matrix.data[sl][good]))
-    return csr_from_rows(cells.size, rows)
+    return entries_from_rows(cells.size, rows)
 
 
-def _assert_same_csr(matrix, csr):
-    for got, want in zip((matrix.indptr, matrix.indices, matrix.data), csr):
+def entries_of(matrix):
+    return matrix.rows, matrix.indices, matrix.data
+
+
+def _assert_same_entries(matrix, entries):
+    for got, want in zip(entries_of(matrix), entries):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -453,7 +478,7 @@ class TestWholeArrayAssembly:
                 with pytest.raises(ValueError, match="empty conditioning region"):
                     assemble_operator(*case)
                 return
-            _assert_same_csr(assemble_operator(*case), want)
+            _assert_same_entries(assemble_operator(*case), want)
 
     @pytest.mark.parametrize("label,res,eps,strata", [
         ("ternary_hole", 2187, 1e-3, 3), ("two_repeller", 1215, 1e-3, 15),
@@ -462,7 +487,7 @@ class TestWholeArrayAssembly:
         b = make_system(label)
         case = (b.system, NoiseModel(eps, b.system.dimension), zero_weight(),
                 b.survivor, build_grid(b.system.domain, res), strata)
-        _assert_same_csr(assemble_operator(*case), reference_assemble(*case))
+        _assert_same_entries(assemble_operator(*case), reference_assemble(*case))
 
     def test_pass_with_every_stratum_killed(self):
         # cell 0 meets the region, but its one stratum's midpoint 1/18 does
@@ -473,9 +498,9 @@ class TestWholeArrayAssembly:
                 build_grid(b.system.domain, 9), 1)
         with mock.patch.object(ulam, "_CHUNK_CELLS", 1):
             M = assemble_operator(*case)
-        assert region_fractions(region, case[4])[0] > 0 and M.indptr[1] == 0
+        assert region_fractions(region, case[4])[0] > 0 and 0 not in M.rows
         assert M.nnz > 0
-        _assert_same_csr(M, reference_assemble(*case))
+        _assert_same_entries(M, reference_assemble(*case))
 
     @pytest.mark.parametrize("bins_per_entry", [0, 4, 10 ** 9])
     @pytest.mark.parametrize("label,res,eps,strata", [
@@ -495,8 +520,8 @@ class TestWholeArrayAssembly:
         per_box = grid.cells_per_box
         assert any(c.size and c[0] % per_box == 0
                    and c[-1] % per_box == per_box - 1
-                   for c in np.split(M.indices, M.indptr[1:-1]))
-        _assert_same_csr(M, reference_assemble(*case))
+                   for c in np.split(M.indices, np.flatnonzero(np.diff(M.rows)) + 1))
+        _assert_same_entries(M, reference_assemble(*case))
 
     def test_counts_point_masses(self):
         # with one stratum per cell, the cells holding the branch points 1/3
@@ -515,7 +540,8 @@ class TestWholeArrayAssembly:
         M = assemble_operator(system, NoiseModel(0.0, 1), zero_weight(), full,
                               build_grid(system.domain, 9), 1)
         assert M.diagnostics == {"point_mass_strata": 0, "absorbed_strata": 6}
-        assert np.array_equal(np.diff(M.indptr) > 0, np.arange(9) < 3)
+        assert np.array_equal(np.bincount(M.rows, minlength=9) > 0,
+                              np.arange(9) < 3)
 
     @pytest.mark.parametrize("label,res,strata,point_masses", [
         # the corner shrink is below one ulp at the branch point, so one
@@ -545,5 +571,5 @@ class TestWholeArrayRestrict:
         if cells.size == 0:
             cells = np.array([res - 1])
         R = restrict_operator(M, cells)
-        _assert_same_csr(R, reference_restrict(M, cells))
-        _assert_same_csr(restrict_operator(R, [0]), reference_restrict(R, [0]))
+        _assert_same_entries(R, reference_restrict(M, cells))
+        _assert_same_entries(restrict_operator(R, [0]), reference_restrict(R, [0]))
