@@ -116,15 +116,17 @@ def _deflated_ratio(matrix, triple, tol, max_iters):
     operator, fully reorthogonalised (classical Gram-Schmidt, two passes).
     The Ritz value theta of largest modulus of the small Hessenberg matrix
     estimates lambda_2; complex and equal-modulus pairs come out exactly.
-    It is accepted once ``kappa * residual <= tol * lambda_1``: the Ritz
+    It is certified only when ``kappa * residual <= tol * lambda_1``: the Ritz
     residual ``|h_{m+1,m}| |y_m| / |y|`` is a backward error, and
     ``kappa = 1 / |x^H y|``, for unit left and right eigenvectors x and y of
     the Hessenberg matrix, makes it a forward error (Saad, *Numerical Methods
     for Large Eigenvalue Problems*, 2011, ch. 3).  x comes from ``eig`` of
     the transpose: ``inv(vecs)`` would load another LAPACK routine, about
-    0.5 MB of peak memory.  A breakdown (an invariant subspace) decides at
-    once: a restart would break down at a 1 x 1 matrix, whose kappa is 1.
-    Otherwise Arnoldi restarts from the real span of that Ritz vector.
+    0.5 MB of peak memory.  The first cycle whose plain residual passes,
+    as every breakdown (an invariant subspace) does, decides: a restart
+    from that Ritz vector would break down at a 1 x 1 matrix, whose kappa
+    is 1, and so certify the same theta.  Otherwise Arnoldi restarts from
+    the real span of that Ritz vector.
     The first start is ``sin(1), ..., sin(n)``.  Any vector with a component
     along the subdominant eigenvector will do; this one is neither symmetric
     nor antisymmetric under index reversal, so the mirror symmetry of the
@@ -146,7 +148,7 @@ def _deflated_ratio(matrix, triple, tol, max_iters):
         if nv == 0.0:
             return 0.0, True
         basis[0] = v / nv
-        k, invariant = min(m, max_iters - used), False
+        k = min(m, max_iters - used)
         for j in range(k):
             w = matrix.apply(basis[j])
             w -= r * (np.dot(l, w) / denom)
@@ -158,21 +160,19 @@ def _deflated_ratio(matrix, triple, tol, max_iters):
             hess[j + 1, j] = beta = float(np.linalg.norm(w))
             used += 1
             if beta <= tol * lam:
-                k, invariant = j + 1, True
+                k = j + 1
                 break
             basis[j + 1] = w / beta
         vals, vecs = np.linalg.eig(hess[:k, :k])
         i = int(np.argmax(np.abs(vals)))
         theta, y = float(abs(vals[i])), vecs[:, i]  # eig gives |y| = 1
         residual = float(abs(hess[k, k - 1] * y[-1]))
-        converged = residual <= tol * lam  # needed, as kappa >= 1
-        if converged:  # x, a left eigenvector of theta, is a right one of H^T
+        if residual <= tol * lam:  # needed, as kappa >= 1; a breakdown passes
+            # x, a left eigenvector of theta, is a right one of H^T
             left_vals, left_vecs = np.linalg.eig(hess[:k, :k].T)
             x = left_vecs[:, int(np.argmin(np.abs(left_vals - vals[i])))]
             pairing = float(abs(x @ y))  # 1 / kappa, 0 when defective
-            converged = pairing > 0.0 and residual <= tol * lam * pairing
-        if converged or invariant:
-            return theta / lam, converged
+            return theta / lam, residual <= tol * lam * pairing
         v = (y.real + y.imag) @ basis[:k]
     return theta / lam, False
 

@@ -478,6 +478,14 @@ class TestFiltrationCommand:
         assert order["indices"] == [4, 2, 1]
         assert order["subgraphs"] == [[1, 4, 2, 7], [5, 6], [3]]
 
+    def test_without_strata_reads_no_resolution(self, tmp_path):
+        # only the strata build a grid, so the graph alone skips the check
+        path, _ = write_config(tmp_path, grid={"resolution": 0},
+                               filtration=self.GRAPH)
+        out = tmp_path / "out"
+        assert main(["filtration", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert (out / "sequence.txt").read_text().strip() == "1>4>2>7>5>6>3"
+
     def test_cycle_rejected(self, tmp_path, capsys):
         bad = {"nodes": [{"id": 1, "pressure": 0.1},
                          {"id": 2, "pressure": 0.2}],

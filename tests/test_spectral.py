@@ -183,6 +183,26 @@ class TestGapAgainstDenseEigenvalues:
         assert np.max(np.abs(power @ D)) <= 1e-12
 
 
+class TestGapCertificate:
+    def test_long_shift_not_certified(self):
+        # a Perron cell beside a 60-step shift: the deflated operator is
+        # nilpotent with a Jordan block longer than KRYLOV_DIM, so the first
+        # Arnoldi cycle runs to the full basis without a breakdown, and the
+        # shift's pseudo-eigenvalues give Ritz values with tiny residuals
+        n = 61
+        A = np.zeros((n, n))
+        A[0, 0] = 1.0
+        A[np.arange(2, n), np.arange(1, n - 1)] = 1.0
+        M = matrix_from_dense(A)
+        assert np.max(np.abs(np.linalg.matrix_power(A[1:, 1:], 60))) == 0.0
+        matvecs = []
+        apply = M.apply
+        M.apply = lambda x: matvecs.append(1) or apply(x)
+        t = solve_triple(M)
+        assert t.gap_converged is False
+        assert len(matvecs) < 10_000
+
+
 def _planted_matrix(n, kind, seed):
     """Nonnegative n x n matrix whose subdominant eigenvalues are a planted
     complex pair or a planted +-mu pair.
