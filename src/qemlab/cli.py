@@ -121,7 +121,7 @@ class ExperimentConfig:
             system=system,
             weight=weight,
             region=raw.get("region", {"kind": "survivor"}),
-            grid=raw.get("grid", {"resolution": 81}),
+            grid=raw.get("grid", {}),
             noise=noise,
             solver=raw.get("solver", {}),
             mc=raw.get("mc", {}),
@@ -153,7 +153,7 @@ class ExperimentConfig:
                                             "integer >= 1 or a list of them")
         _checked("bad-strata", lambda: _strata_counts(self.samples_per_cell,
                                                       builtin.system.dimension))
-        resolution = self.grid.get("resolution")
+        resolution = self.grid.get("resolution", 81)
         if not _is_int(resolution, 1):
             raise ConfigError("bad-resolution", "resolution must be an integer >= 1")
         problem = Problem(builtin, region, weight,
@@ -306,7 +306,7 @@ def _vectors_csv(path: Path, grid: GridPartition, triple) -> None:
 def _operator(config: ExperimentConfig, problem: Problem, epsilon: float):
     """The Ulam matrix of the config's problem at one noise level."""
     builtin, region, weight, grid = problem
-    noise = NoiseModel(epsilon, builtin.system.dimension)
+    noise = NoiseModel(epsilon)
     return assemble_operator(builtin.system, noise, weight, region, grid,
                              samples_per_cell=config.samples_per_cell)
 
@@ -330,7 +330,7 @@ def cmd_mc(config: ExperimentConfig, out: Path, args) -> int:
                for box in builtin.system.domain.boxes):
         raise ConfigError("empty-region", "the region covers no part of the domain")
     dimension = builtin.system.dimension
-    noise = NoiseModel(config.single_epsilon("mc"), dimension)
+    noise = NoiseModel(config.single_epsilon("mc"))
     run = _checked("bad-mc", lambda: _mc_arguments(config.mc, dimension, region))
     stats = run_conditioned(builtin.system, noise, weight, region,
                             seed=config.seed, **run)
@@ -385,7 +385,7 @@ def cmd_sweep(config: ExperimentConfig, out: Path, args) -> int:
     problem = config.problem()
     builtin, grid = problem.builtin, problem.grid
     reference = _reference_vector(config, builtin, grid)
-    dictionary = TestDictionary(dimension=builtin.system.dimension)
+    dictionary = TestDictionary()
     centers = grid.centers()
 
     rows, runtimes, diagnostics, failures = [], [], {}, []
@@ -464,7 +464,7 @@ def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
         write_json(out / "diagnostics.json", matrix.diagnostics)
         strata_cells = _checked("bad-region", lambda: {
             int(k): _cells_in_boxes(problem.grid, v) for k, v in strata.items()})
-        report = stratified_qem_workflow(matrix, order, strata_cells,
+        report = stratified_qem_workflow(matrix, strata_cells,
                                          **config.solver_kwargs())
         write_json(out / "strata_report.json", {
             "lambda_global": report.lambda_global,
@@ -497,7 +497,7 @@ def cmd_compare(args) -> int:
     nu_centers, nu = _read_qem_csv(args.inputs[1])
     if centers.shape != nu_centers.shape or not np.allclose(centers, nu_centers):
         raise ConfigError("grid-mismatch", "qem files live on different grids")
-    dictionary = TestDictionary(k_max=args.dictionary, dimension=centers.shape[1])
+    dictionary = TestDictionary(k_max=args.dictionary)
     disc = weak_star_discrepancy(mu, nu, dictionary, centers)
     print(f"weak_star_discrepancy {disc!r}")
     if centers.shape[1] == 1:

@@ -136,9 +136,9 @@ class _Blocks:
     the slot weights, in arrays allocated once and overwritten every step."""
 
     def __init__(self, n_particles: int):
-        self.block_of = np.arange(n_particles) * JACKKNIFE_BLOCKS // n_particles
-        sizes = np.bincount(self.block_of)
+        sizes = np.bincount(np.arange(n_particles) * JACKKNIFE_BLOCKS // n_particles)
         self.sizes = sizes[sizes > 0]
+        self.block_of = np.repeat(np.arange(self.sizes.size), self.sizes)
         self.starts = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
         # row b lists block b's slots, then the slots after them up to the
         # length of the longest block
@@ -303,13 +303,11 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
         block_resamplings += fire
         resample_times.append(t + 1)
 
-    alive = log_mass > -math.inf
-    averages, errors = _ratio_with_jackknife(log_mass, alive, birk, n,
-                                            blocks.block_of)
+    averages, errors = _ratio_with_jackknife(blocks, log_mass, birk, n)
     stats = EnsembleStats(
         averages=averages,
         standard_errors=errors,
-        survival_fraction=float(np.mean(alive)),
+        survival_fraction=float(np.mean(log_mass > -math.inf)),
         escape_rate_estimate=math.nan,
         log_mass_series=series,
         n_steps=n,
@@ -338,27 +336,27 @@ def _sample_region(region: RegionSpec, n: int, rng) -> Array:
     return pos
 
 
-def _ratio_with_jackknife(log_mass, alive, birk, n, block_of):
+def _ratio_with_jackknife(blocks: _Blocks, log_mass, birk, n):
     """Equal-weight mean of per-block conditioned ratios, with jackknife SE.
 
     Each block is an independent replica, so its mass-weighted ratio is a
     consistent estimate of the same conditioned average; combining blocks
     with equal weights (rather than by their total masses, which drift apart
     multiplicatively over long runs) keeps every replica informative.
-    Extinct blocks are dropped.
+    Extinct blocks are dropped.  The slot masses are those of
+    :meth:`_Blocks.weigh`, relative to their block's peak; the sums run over
+    the live slots in slot order.
     """
-    ids = np.flatnonzero(alive)
-    blocks = block_of[ids]
-    # per-block weights, each block normalized by its own peak for stability
-    peak_b = np.full(JACKKNIFE_BLOCKS, -math.inf)
-    np.maximum.at(peak_b, blocks, log_mass[ids])
-    w = np.exp(log_mass[ids] - peak_b[blocks])
-    denom_b = np.bincount(blocks, weights=w, minlength=JACKKNIFE_BLOCKS)
+    _, w, _, _ = blocks.weigh(log_mass)
+    ids = np.flatnonzero(log_mass > -math.inf)
+    of = blocks.block_of[ids]
+    w = w[ids]
+    denom_b = np.bincount(of, weights=w, minlength=blocks.sizes.size)
     live_blocks = denom_b > 0.0
     averages, errors = {}, {}
     for name, b_all in birk.items():
         vals = b_all[ids] / n
-        numer_b = np.bincount(blocks, weights=w * vals, minlength=JACKKNIFE_BLOCKS)
+        numer_b = np.bincount(of, weights=w * vals, minlength=blocks.sizes.size)
         theta = numer_b[live_blocks] / denom_b[live_blocks]
         m = theta.size
         averages[name] = float(np.mean(theta))
@@ -370,16 +368,16 @@ def _ratio_with_jackknife(log_mass, alive, birk, n, block_of):
     return averages, errors
 
 
-def escape_rate_mc(stats: EnsembleStats, burn_in_fraction: float = 0.2) -> float:
+def escape_rate_mc(stats: EnsembleStats) -> float:
     """Escape rate from the survival-mass curve: minus its late-time log slope.
 
-    The first ``burn_in_fraction`` of steps is discarded (transient alignment
-    with the dominant eigenfunction); the rate is the least-squares slope of
-    log mean mass over the remaining window.  ``exp(-rate)`` estimates the
-    leading eigenvalue of the killed operator.
+    The first fifth of the steps is discarded (transient alignment with the
+    dominant eigenfunction); the rate is the least-squares slope of log mean
+    mass over the remaining window.  ``exp(-rate)`` estimates the leading
+    eigenvalue of the killed operator.
     """
     series = stats.log_mass_series
-    start = int(math.ceil(burn_in_fraction * (series.size - 1)))
+    start = int(math.ceil(0.2 * (series.size - 1)))
     window = series[start:]
     if window.size < 3:
         raise ValueError("need at least two mass windows past the burn-in")

@@ -209,19 +209,19 @@ def region_fraction(region: RegionSpec, cell_lo, cell_hi) -> float:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Additive product-uniform noise on ``[-eps, eps]^d``."""
+    """Additive product-uniform noise on ``[-eps, eps]^d``, d the points'
+    dimension: :meth:`sample` draws each entry of its ``shape`` independently."""
 
     epsilon: float
-    dimension: int
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
 
-    def sample(self, rng: np.random.Generator, n: int) -> Array:
+    def sample(self, rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
         if self.epsilon == 0.0:
-            return np.zeros((n, self.dimension))
-        return rng.uniform(-self.epsilon, self.epsilon, size=(n, self.dimension))
+            return np.zeros(shape)
+        return rng.uniform(-self.epsilon, self.epsilon, size=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +342,19 @@ class MapSystem:
     """Deterministic map with its Jacobian determinant on a box domain.
 
     ``forward`` and ``jacobian_det`` take arrays of shape ``(n, d)`` and
-    return ``(n, d)`` and ``(n,)``; the assembly checks a stratum's image
-    volume against the determinant.  ``forward`` must send domain points
-    into the domain.
+    return ``(n, d)`` and ``(n,)``, with d the domain's dimension; the
+    assembly checks a stratum's image volume against the determinant.
+    ``forward`` must send domain points into the domain.
     """
 
-    dimension: int
     forward: Callable[[Array], Array]
     jacobian_det: Callable[[Array], Array]
     domain: Domain
     label: str
+
+    @property
+    def dimension(self) -> int:
+        return self.domain.dimension
 
 
 def step_points(system: MapSystem, noise: NoiseModel, points: Array,
@@ -361,7 +364,7 @@ def step_points(system: MapSystem, noise: NoiseModel, points: Array,
     Returns ``(new_points, alive)``.  Dead rows hold unspecified values.
     """
     base = system.forward(np.atleast_2d(points))
-    delta = noise.sample(rng, base.shape[0])
+    delta = noise.sample(rng, base.shape)
     return system.domain.apply_boundary(base, base + delta)
 
 
@@ -375,13 +378,17 @@ class Builtin:
 
     ``survivor`` is the killing-complement Y: the process dies on leaving it.
     ``escape_eigenvalue`` is the analytic leading eigenvalue of the killed
-    transfer operator at eps = 0 (None when no closed form exists).
+    transfer operator at eps = 0 (None when no closed form exists).  The
+    label is the map's.
     """
 
-    label: str
     system: MapSystem
     survivor: RegionSpec
     escape_eigenvalue: float | None
+
+    @property
+    def label(self) -> str:
+        return self.system.label
 
 
 def _interval_domain(lo=0.0, hi=1.0) -> Domain:
@@ -394,33 +401,22 @@ def _ternary_forward(p: Array) -> Array:
 
 def ternary_hole() -> Builtin:
     """x -> 3x mod 1 on the circle, killed on the middle third [1/3, 2/3)."""
-    dom = _interval_domain()
-    system = MapSystem(
-        dimension=1,
-        forward=_ternary_forward,
-        jacobian_det=lambda p: np.full(p.shape[0], 3.0),
-        domain=dom,
-        label="ternary_hole",
-    )
+    system = MapSystem(_ternary_forward, lambda p: np.full(p.shape[0], 3.0),
+                       _interval_domain(), "ternary_hole")
     survivor = RegionSpec(
         (Box((0.0,), (1.0 / 3.0,)), Box((2.0 / 3.0,), (1.0,))),
         label="survivor:ternary",
     )
-    return Builtin("ternary_hole", system, survivor, 2.0 / 3.0)
+    return Builtin(system, survivor, 2.0 / 3.0)
 
 
 def five_hole() -> Builtin:
     """x -> 5x mod 1, killed on the two rightmost branches [3/5, 1)."""
-    dom = _interval_domain()
-    system = MapSystem(
-        dimension=1,
-        forward=lambda p: _wrap_mod(5.0 * p, 1.0),
-        jacobian_det=lambda p: np.full(p.shape[0], 5.0),
-        domain=dom,
-        label="five_hole",
-    )
+    system = MapSystem(lambda p: _wrap_mod(5.0 * p, 1.0),
+                       lambda p: np.full(p.shape[0], 5.0),
+                       _interval_domain(), "five_hole")
     survivor = RegionSpec((Box((0.0,), (3.0 / 5.0,)),), label="survivor:five")
-    return Builtin("five_hole", system, survivor, 3.0 / 5.0)
+    return Builtin(system, survivor, 3.0 / 5.0)
 
 
 def _baker_forward(p: Array) -> Array:
@@ -438,18 +434,13 @@ def open_baker() -> Builtin:
     eigenvalue matches the one-dimensional ternary system.
     """
     dom = Domain((Box((0.0, 0.0), (1.0, 1.0), (True, True)),))
-    system = MapSystem(
-        dimension=2,
-        forward=_baker_forward,
-        jacobian_det=lambda p: np.ones(p.shape[0]),
-        domain=dom,
-        label="open_baker",
-    )
+    system = MapSystem(_baker_forward, lambda p: np.ones(p.shape[0]), dom,
+                       "open_baker")
     survivor = RegionSpec(
         (Box((0.0, 0.0), (1.0 / 3.0, 1.0)), Box((2.0 / 3.0, 0.0), (1.0, 1.0))),
         label="survivor:baker",
     )
-    return Builtin("open_baker", system, survivor, 2.0 / 3.0)
+    return Builtin(system, survivor, 2.0 / 3.0)
 
 
 def smooth_perturbed(a: float = 0.03) -> Builtin:
@@ -460,7 +451,6 @@ def smooth_perturbed(a: float = 0.03) -> Builtin:
     """
     if abs(a) >= 0.05:
         raise ValueError("smooth_perturbed requires |a| < 0.05")
-    dom = _interval_domain()
 
     def fwd(p: Array) -> Array:
         return _wrap_mod(3.0 * p + a * np.sin(2.0 * np.pi * p), 1.0)
@@ -468,18 +458,12 @@ def smooth_perturbed(a: float = 0.03) -> Builtin:
     def jac(p: Array) -> Array:
         return 3.0 + 2.0 * np.pi * a * np.cos(2.0 * np.pi * p[:, 0])
 
-    system = MapSystem(
-        dimension=1,
-        forward=fwd,
-        jacobian_det=jac,
-        domain=dom,
-        label="smooth_perturbed",
-    )
+    system = MapSystem(fwd, jac, _interval_domain(), "smooth_perturbed")
     survivor = RegionSpec(
         (Box((0.0,), (1.0 / 3.0,)), Box((2.0 / 3.0,), (1.0,))),
         label="survivor:smooth",
     )
-    return Builtin("smooth_perturbed", system, survivor, None)
+    return Builtin(system, survivor, None)
 
 
 def _two_repeller_forward(p: Array) -> Array:
@@ -496,19 +480,15 @@ def two_repeller() -> Builtin:
     the global escape eigenvalue is the larger of the two (2/3).
     """
     dom = Domain((Box((0.0,), (1.0,), (True,)), Box((2.0,), (3.0,), (True,))))
-    system = MapSystem(
-        dimension=1,
-        forward=_two_repeller_forward,
-        jacobian_det=lambda p: np.where(p[:, 0] < 1.5, 3.0, 5.0),
-        domain=dom,
-        label="two_repeller",
-    )
+    system = MapSystem(_two_repeller_forward,
+                       lambda p: np.where(p[:, 0] < 1.5, 3.0, 5.0), dom,
+                       "two_repeller")
     survivor = RegionSpec(
         (Box((0.0,), (1.0 / 3.0,)), Box((2.0 / 3.0,), (1.0,)),
          Box((2.0,), (2.6,))),
         label="survivor:two_repeller",
     )
-    return Builtin("two_repeller", system, survivor, 2.0 / 3.0)
+    return Builtin(system, survivor, 2.0 / 3.0)
 
 
 _BUILTINS: dict[str, Callable[..., Builtin]] = {

@@ -88,17 +88,17 @@ def full_shift_model(digits, base: int, log_weight: float) -> MarkovModel:
                        base=int(base))
 
 
-def model_for(label: str, log_weight_shift: float = 0.0) -> MarkovModel:
+def model_for(label: str) -> MarkovModel:
     """Symbolic model of a built-in system for the geometric weight.
 
-    psi = phi - log|slope| with constant phi = ``log_weight_shift``; the
-    open_baker shares the ternary x-structure (its contracting direction
-    carries no expansion).
+    psi = -log|slope| on every surviving branch (phi = 0); the open_baker
+    shares the ternary x-structure (its contracting direction carries no
+    expansion).
     """
     if label in ("ternary_hole", "open_baker"):
-        return full_shift_model((0, 2), 3, log_weight_shift - math.log(3.0))
+        return full_shift_model((0, 2), 3, -math.log(3.0))
     if label == "five_hole":
-        return full_shift_model((0, 1, 2), 5, log_weight_shift - math.log(5.0))
+        return full_shift_model((0, 1, 2), 5, -math.log(5.0))
     raise KeyError(f"no symbolic model for {label!r}")
 
 
@@ -219,17 +219,18 @@ class TestDictionary:
     """Fixed dictionary {1} u {cos(2 pi k x_j)/(2 pi k), sin(...)/(2 pi k)}.
 
     Every non-constant member has Lipschitz constant at most 1 on the unit
-    box, so the dictionary maximum is a weak-* discrepancy surrogate.
+    box, so the dictionary maximum is a weak-* discrepancy surrogate.  The
+    coordinates x_j are those of the points it is evaluated on:
+    :meth:`members` builds the members for a given dimension.
     """
 
     __test__ = False  # not a pytest class, despite the name
 
     k_max: int = 8
-    dimension: int = 1
 
-    def members(self):
+    def members(self, dimension: int):
         out = [("one", lambda x: np.ones(np.atleast_2d(x).shape[0]))]
-        for j in range(self.dimension):
+        for j in range(dimension):
             for k in range(1, self.k_max + 1):
                 c = 2.0 * math.pi * k
                 out.append((f"cos{k}_x{j}",
@@ -243,16 +244,18 @@ def weak_star_discrepancy(mu: Array, nu: Array, dictionary: TestDictionary,
                           centers: Array) -> float:
     """max over dictionary members f of |sum_i (mu_i - nu_i) f(center_i)|.
 
-    ``centers`` holds one cell center per row, shape ``(n_cells, d)``.
+    ``centers`` holds one cell center per row, shape ``(n_cells, d)``; the
+    members are built for all d coordinates.
     """
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
     centers = np.asarray(centers, dtype=float)
-    if mu.shape != (centers.shape[0],) or nu.shape != (centers.shape[0],):
+    if centers.ndim != 2 or mu.shape != (centers.shape[0],) \
+            or nu.shape != (centers.shape[0],):
         raise ValueError("vectors do not match the cell centers")
     diff = mu - nu
     return max(abs(float(np.dot(diff, f(centers))))
-               for _, f in dictionary.members())
+               for _, f in dictionary.members(centers.shape[1]))
 
 
 def w1_1d(mu: Array, nu: Array, centers: Array, cell_volume: float) -> float:

@@ -242,20 +242,22 @@ class StratifiedReport:
         return abs(self.lambda_global - self.lambda_max_restricted)
 
 
-def stratified_qem_workflow(matrix: AnnealedMatrix, order: FiltrationOrder,
+def stratified_qem_workflow(matrix: AnnealedMatrix,
                             strata: Mapping[int, Sequence[int]],
                             tol: float = 1e-10, max_iters: int = 100_000
                             ) -> StratifiedReport:
     """Solve the global problem and one restricted problem per stratum.
 
     ``strata`` maps a rank (or any stable key) to the grid cells of that
-    stratum.  The report records that the global leading eigenvalue equals
-    the largest restricted one.  No spectral gap is solved (``gap_ratio`` is
-    NaN), and each triple solves its left side only when it is read (see
-    :class:`qemlab.spectral.SpectralTriple`).  So a stratum is recorded as
-    absent only when its right solve raises a ValueError, as on a zero
-    principal submatrix; a left solve that fails, or a degenerate pairing,
-    raises where ``left`` or ``qem`` is first read.
+    stratum.  The strata are solved in descending key order, which is the
+    filtration order when the keys are the ranks of a
+    :class:`FiltrationOrder`.  The report records that the global leading
+    eigenvalue equals the largest restricted one.  No spectral gap is solved
+    (``gap_ratio`` is NaN), and each triple solves its left side only when
+    it is read (see :class:`qemlab.spectral.SpectralTriple`).  So a stratum
+    is recorded as absent only when its right solve raises a ValueError, as
+    on a zero principal submatrix; a left solve that fails, or a degenerate
+    pairing, raises where ``left`` or ``qem`` is first read.
     """
     solver = {"tol": tol, "max_iters": max_iters, "with_gap": False}
     global_triple = solve_triple(matrix, **solver)

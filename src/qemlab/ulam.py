@@ -520,17 +520,32 @@ def export_matrix(matrix: AnnealedMatrix, path) -> None:
 
 
 def load_matrix(path) -> AnnealedMatrix:
-    """Read a matrix written by :func:`export_matrix`."""
+    """Read a matrix written by :func:`export_matrix`.
+
+    Raises a ValueError that names the fault when an index is not a cell,
+    a (row, column) pair repeats, a value is negative or not finite, or
+    ``row_weight`` does not have one entry per cell.
+    """
     import json
     from pathlib import Path
 
     payload = json.loads(Path(path).read_text())
     n = int(payload["n_cells"])
     entries = np.asarray(payload["entries"], dtype=float).reshape(-1, 3)
-    i, j = entries[:, 0].astype(np.int64), entries[:, 1].astype(np.int64)
+    ij = entries[:, :2]
+    if np.any((ij < 0) | (ij >= n) | (ij != np.floor(ij))):
+        raise ValueError(f"an entry index is not a cell index in [0, {n})")
+    i, j = ij.T.astype(np.int64)
     order = np.lexsort((j, i))
-    return AnnealedMatrix(n, i[order], j[order], entries[order, 2],
-                          row_weight=np.asarray(payload["row_weight"]),
+    i, j, data = i[order], j[order], entries[order, 2]
+    row_weight = np.asarray(payload["row_weight"], dtype=float)
+    if np.any((i[1:] == i[:-1]) & (j[1:] == j[:-1])):
+        raise ValueError("an entry (row, column) pair repeats")
+    if not np.all(np.isfinite(data) & (data >= 0.0)):
+        raise ValueError("an entry value is negative or not finite")
+    if row_weight.shape != (n,):
+        raise ValueError(f"row_weight has {row_weight.size} entries, want {n}")
+    return AnnealedMatrix(n, i, j, data, row_weight=row_weight,
                           cell_volume=float(payload["cell_volume"]),
                           metadata=payload["metadata"])
 

@@ -13,7 +13,7 @@ def ternary_fine():
     grid = build_grid(b.system.domain, 2187)
     triples = {}
     for eps in (1e-2, 3e-3, 1e-3):
-        matrix = assemble_operator(b.system, NoiseModel(eps, 1), zero_weight(),
+        matrix = assemble_operator(b.system, NoiseModel(eps), zero_weight(),
                                    b.survivor, grid, 3)
         triples[eps] = solve_triple(matrix, with_gap=False)
     oracle = equilibrium_cylinder_measure(model_for("ternary_hole"), 7)

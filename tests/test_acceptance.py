@@ -34,7 +34,7 @@ def report(criterion, message):
 def ternary_operator(resolution, eps, weight=None, region=None, samples=3):
     b = make_system("ternary_hole")
     grid = build_grid(b.system.domain, resolution)
-    M = assemble_operator(b.system, NoiseModel(eps, 1),
+    M = assemble_operator(b.system, NoiseModel(eps),
                           weight or zero_weight(), region or b.survivor,
                           grid, samples)
     return M, grid
@@ -74,7 +74,7 @@ def test_criterion_02_conditioned_stability_1d(ternary_fine):
 def test_criterion_03_hyperbolic_baker():
     b = make_system("open_baker")
     grid = build_grid(b.system.domain, 81)
-    M = assemble_operator(b.system, NoiseModel(1e-3, 2), zero_weight(),
+    M = assemble_operator(b.system, NoiseModel(1e-3), zero_weight(),
                           b.survivor, grid, samples_per_cell=(3, 1))
     triple = solve_triple(M, with_gap=False)
     assert abs(triple.lam - 2.0 / 3.0) <= 0.02 * (2.0 / 3.0)
@@ -104,7 +104,7 @@ def test_criterion_04_quasi_ergodic_theorem_mc(ternary_fine):
     moments = {"x": float(triple.qem @ x),
                "x^2": float(triple.qem @ x ** 2),
                "cos2pix": float(triple.qem @ np.cos(2.0 * np.pi * x))}
-    noise = NoiseModel(1e-3, 1)
+    noise = NoiseModel(1e-3)
     lines = []
     for seed, start in ((11, 0.1), (12, 0.9)):
         stats = run_conditioned(b.system, noise, zero_weight(), b.survivor,
@@ -126,7 +126,7 @@ def test_criterion_04_quasi_ergodic_theorem_mc(ternary_fine):
 
 
 def test_criterion_05_escape_rate_consistency():
-    noise = NoiseModel(1e-3, 1)
+    noise = NoiseModel(1e-3)
     results = []
     for label, resolution in (("ternary_hole", 729), ("five_hole", 625)):
         b = make_system(label)
@@ -154,7 +154,7 @@ def test_criterion_06_weight_correspondence():
     h = 1.0 / res
     b = make_system("ternary_hole")
     grid = build_grid(b.system.domain, res)
-    noise = NoiseModel(1e-3, 1)
+    noise = NoiseModel(1e-3)
     V = b.survivor
     nested = RegionSpec((Box((0.0,), (1.0 / 9.0,)),
                          Box((2.0 / 9.0,), (1.0 / 3.0,)),
@@ -240,7 +240,7 @@ def test_criterion_09_filtration_ordering():
 
 def test_criterion_10_two_repeller_global():
     b = make_system("two_repeller")
-    noise = NoiseModel(1e-3, 1)
+    noise = NoiseModel(1e-3)
     grid = build_grid(b.system.domain, 405)
     M = assemble_operator(b.system, noise, zero_weight(), b.survivor,
                           grid, 15)
@@ -249,7 +249,7 @@ def test_criterion_10_two_repeller_global():
     centers = grid.centers()[:, 0]
     strata = {2: np.flatnonzero(centers < 1.5),
               1: np.flatnonzero(centers > 1.5)}
-    rep = stratified_qem_workflow(M, order, strata)
+    rep = stratified_qem_workflow(M, strata)
     assert abs(rep.lambda_global - 2.0 / 3.0) <= 1e-3
     sub_mass = float(rep.global_triple.qem[centers > 1.5].sum())
     assert sub_mass <= 1e-3
@@ -291,11 +291,11 @@ def test_criterion_12_brute_force_equivalence():
     for res, eps, k in ((3, 0.0, 1), (6, 0.0, 2), (6, 0.01, 3), (3, 1e-3, 3)):
         grid = build_grid(b.system.domain, res)
         matrices.append(assemble_operator(
-            b.system, NoiseModel(eps, 1), zero_weight(), b.survivor, grid,
+            b.system, NoiseModel(eps), zero_weight(), b.survivor, grid,
             k))
     baker = make_system("open_baker")
     matrices.append(assemble_operator(
-        baker.system, NoiseModel(0.01, 2), zero_weight(), baker.survivor,
+        baker.system, NoiseModel(0.01), zero_weight(), baker.survivor,
         build_grid(baker.system.domain, 2), samples_per_cell=(2, 2)))
     matrices.append(restrict_operator(matrices[0], [0, 2]))
     worst = 0.0

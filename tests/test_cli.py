@@ -52,6 +52,14 @@ class TestConfigValidation:
             load_config(path).problem()
         assert err.value.code == "bad-resolution"
 
+    def test_empty_grid_section_takes_the_default_resolution(self, tmp_path):
+        path, _ = write_config(tmp_path, grid={})
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "spectrum.json").read_text())[
+            "metadata"]["resolution"] == 81
+        assert len((out / "qem.csv").read_text().splitlines()) == 1 + 81
+
     def test_unknown_system(self, tmp_path):
         path, _ = write_config(tmp_path, system={"label": "lorenz96"})
         with pytest.raises(ConfigError) as err:

@@ -12,7 +12,7 @@ from qemlab.dynamics import (Box, Domain, MapSystem, NoiseModel, RegionSpec,
                              zero_weight)
 
 TERNARY = make_system("ternary_hole")
-NOISE = NoiseModel(1e-3, 1)
+NOISE = NoiseModel(1e-3)
 FULL = RegionSpec((Box((0.0,), (1.0,)),), label="full")
 X = {"x": lambda c: c}
 
@@ -47,7 +47,7 @@ class TestRunConditioned:
 
     def test_extinct_start_in_hole(self):
         with pytest.raises(EnsembleExtinctError) as err:
-            run_conditioned(TERNARY.system, NoiseModel(0.0, 1), zero_weight(),
+            run_conditioned(TERNARY.system, NoiseModel(0.0), zero_weight(),
                             TERNARY.survivor, np.array([0.5]),
                             n=100, n_particles=50, observables=X, seed=4)
         assert err.value.time == 0
@@ -148,9 +148,9 @@ class TestRunConditioned:
             return np.mod(3.0 * p, 1.0)
 
         t = TERNARY.system
-        system = MapSystem(1, forward, t.jacobian_det,
+        system = MapSystem(forward, t.jacobian_det,
                            Domain((Box((0.0,), (1.0,), (False,)),)), "absorbing")
-        stats = run_conditioned(system, NoiseModel(0.05, 1), zero_weight(),
+        stats = run_conditioned(system, NoiseModel(0.05), zero_weight(),
                                 FULL, FULL, n=50, n_particles=500,
                                 observables=X, seed=3)
         assert stats.log_mass_series[-1] < stats.log_mass_series[0]
@@ -178,7 +178,7 @@ class TestBlockDiagnostics:
 
     def test_extinct_blocks_are_counted(self):
         # blocks of 10 particles under wide noise: some die out, not all
-        stats = run_conditioned(TERNARY.system, NoiseModel(0.1, 1),
+        stats = run_conditioned(TERNARY.system, NoiseModel(0.1),
                                 zero_weight(), TERNARY.survivor,
                                 TERNARY.survivor, n=100, n_particles=100,
                                 observables=X, seed=1)
@@ -257,7 +257,7 @@ class TestEscapeRate:
 
     def test_baker_rate(self):
         b = make_system("open_baker")
-        stats = run_conditioned(b.system, NoiseModel(1e-3, 2), zero_weight(),
+        stats = run_conditioned(b.system, NoiseModel(1e-3), zero_weight(),
                                 b.survivor, np.array([0.1, 0.4]),
                                 n=2000, n_particles=2000,
                                 observables={"x": lambda c: c[:, 0]}, seed=8)
@@ -269,4 +269,4 @@ class TestEscapeRate:
                                 FULL, n=2, n_particles=50,
                                 observables=X, seed=9)
         with pytest.raises(ValueError):
-            escape_rate_mc(stats, burn_in_fraction=0.9)
+            escape_rate_mc(stats)

@@ -24,19 +24,19 @@ def step_one(system, noise, x, generator):
 class TestStepRandom:
     def test_ternary_deterministic_step(self):
         b = make_system("ternary_hole")
-        out, alive = step_one(b.system, NoiseModel(0.0, 1), [0.1], rng())
+        out, alive = step_one(b.system, NoiseModel(0.0), [0.1], rng())
         assert alive
         assert out[0] == pytest.approx(0.3)
 
     def test_noise_stays_in_kernel_support(self):
         b = make_system("ternary_hole")
         for seed in range(20):
-            out, _ = step_one(b.system, NoiseModel(0.01, 1), [0.1], rng(seed))
+            out, _ = step_one(b.system, NoiseModel(0.01), [0.1], rng(seed))
             assert 0.29 <= out[0] <= 0.31
 
     def test_baker_fixed_point(self):
         b = make_system("open_baker")
-        out, _ = step_one(b.system, NoiseModel(0.0, 2), [0.0, 0.0], rng())
+        out, _ = step_one(b.system, NoiseModel(0.0), [0.0, 0.0], rng())
         assert np.allclose(out, [0.0, 0.0])
 
     @pytest.mark.parametrize("label", builtin_labels())
@@ -44,13 +44,13 @@ class TestStepRandom:
         b = make_system(label)
         d = b.system.dimension
         pts = np.asarray([box.lo for box in b.system.domain.boxes]) + 0.1379
-        new, alive = step_points(b.system, NoiseModel(0.0, d), pts, rng())
+        new, alive = step_points(b.system, NoiseModel(0.0), pts, rng())
         assert alive.all()
         assert np.allclose(new, b.system.forward(pts))
 
     def test_seeded_step_is_bit_reproducible(self):
         b = make_system("five_hole")
-        noise = NoiseModel(2e-3, 1)
+        noise = NoiseModel(2e-3)
         a, _ = step_one(b.system, noise, [0.2], np.random.default_rng(42))
         c, _ = step_one(b.system, noise, [0.2], np.random.default_rng(42))
         assert a[0] == c[0]
@@ -61,18 +61,28 @@ class TestStepRandom:
         dom = Domain((Box((0.0,), (1.0,), (False,)),))
         system = make_system("ternary_hole").system
         absorbing = type(system)(
-            dimension=1, forward=system.forward,
+            forward=system.forward,
             jacobian_det=system.jacobian_det,
             domain=dom, label="absorbing")
         pts = np.full((200, 1), 0.333)
-        new, alive = step_points(absorbing, NoiseModel(0.05, 1), pts, rng())
+        new, alive = step_points(absorbing, NoiseModel(0.05), pts, rng())
         assert not alive.all()  # 3*0.333=0.999, half the kernel exits
         assert ((new[alive, 0] >= 0.0) & (new[alive, 0] < 1.0)).all()
+
+    def test_baker_offsets_are_independent_per_axis(self):
+        # product noise: x and y each get their own offset, as in assembly
+        b = make_system("open_baker")
+        pts = np.full((2000, 2), 0.1)
+        new, alive = step_points(b.system, NoiseModel(0.01), pts, rng(5))
+        offsets = new - b.system.forward(pts)
+        assert alive.all() and np.all(np.abs(offsets) <= 0.01)
+        assert abs(np.corrcoef(offsets.T)[0, 1]) < 0.1
+        assert np.count_nonzero(offsets[:, 0] == offsets[:, 1]) == 0
 
     def test_two_repeller_preserves_boxes(self):
         b = make_system("two_repeller")
         pts = np.array([[0.1], [0.9], [2.05], [2.95]])
-        new, alive = step_points(b.system, NoiseModel(1e-3, 1), pts, rng(3))
+        new, alive = step_points(b.system, NoiseModel(1e-3), pts, rng(3))
         assert alive.all()
         assert (new[:2, 0] < 1.0).all() and (new[2:, 0] >= 2.0).all()
 
@@ -464,14 +474,14 @@ class TestSharedCompression:
 
 class TestNoiseModel:
     def test_samples_within_bounds(self):
-        noise = NoiseModel(0.02, 2)
-        s = noise.sample(rng(1), 5000)
+        noise = NoiseModel(0.02)
+        s = noise.sample(rng(1), (5000, 2))
         assert s.shape == (5000, 2)
         assert np.all(np.abs(s) <= 0.02)
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
-            NoiseModel(-0.1, 1)
+            NoiseModel(-0.1)
 
 
 class TestRegionFraction:

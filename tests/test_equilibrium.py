@@ -112,9 +112,9 @@ class TestEquilibriumMeasure:
 
 class TestDictionaryAndMetrics:
     def test_members_are_lipschitz(self):
-        d = TestDictionary(k_max=8, dimension=1)
+        d = TestDictionary(k_max=8)
         xs = np.linspace(0.0, 1.0, 4001)[:, None]
-        for name, f in d.members():
+        for name, f in d.members(1):
             vals = f(xs)
             slopes = np.abs(np.diff(vals)) / np.diff(xs[:, 0])
             assert slopes.max() <= 1.0 + 1e-6, name
@@ -131,6 +131,22 @@ class TestDictionaryAndMetrics:
         disc = weak_star_discrepancy(mu, nu, TestDictionary(), grid.centers())
         assert disc >= 1.0 / math.pi - 1e-2
         assert disc == pytest.approx(1.0 / math.pi, abs=1e-2)
+
+    def test_discrepancy_sees_every_coordinate(self):
+        # two measures on a 2-D grid that differ only in y have the
+        # discrepancy of their y-marginals
+        grid = build_grid([((0.0, 0.0), (1.0, 1.0))], 8)
+        y = grid.centers()[:, 1]
+        mu = np.where(y < 0.5, 2.0, 0.0) / grid.n_cells
+        nu = np.where(y >= 0.5, 2.0, 0.0) / grid.n_cells
+        disc = weak_star_discrepancy(mu, nu, TestDictionary(), grid.centers())
+        line = unit_grid(8)
+        y_line = line.centers()[:, 0]
+        marginal = weak_star_discrepancy(np.where(y_line < 0.5, 0.25, 0.0),
+                                         np.where(y_line >= 0.5, 0.25, 0.0),
+                                         TestDictionary(), line.centers())
+        assert disc > 0.2
+        assert disc == pytest.approx(marginal, rel=1e-12)
 
     def test_discrepancy_one_cell_shift(self):
         grid = unit_grid(729)

@@ -175,7 +175,7 @@ class TestStratifiedWorkflow:
         self.builtin = make_system("two_repeller")
         self.grid = build_grid(self.builtin.system.domain, 135)
         self.matrix = assemble_operator(
-            self.builtin.system, NoiseModel(1e-3, 1), zero_weight(),
+            self.builtin.system, NoiseModel(1e-3), zero_weight(),
             self.builtin.survivor, self.grid, 15)
         self.order = filtration_order(graph(
             {1: math.log(3.0 / 5.0), 2: math.log(2.0 / 3.0)}, []))
@@ -184,7 +184,7 @@ class TestStratifiedWorkflow:
                        1: np.flatnonzero(centers > 1.5)}
 
     def test_two_repeller_lambdas(self):
-        report = stratified_qem_workflow(self.matrix, self.order, self.strata)
+        report = stratified_qem_workflow(self.matrix, self.strata)
         lams = {r.key: r.triple.lam for r in report.strata}
         assert lams[2] == pytest.approx(2.0 / 3.0, abs=1e-3)
         assert lams[1] == pytest.approx(3.0 / 5.0, abs=1e-3)
@@ -194,8 +194,7 @@ class TestStratifiedWorkflow:
 
     def test_single_stratum_equals_global(self):
         report = stratified_qem_workflow(
-            self.matrix, self.order,
-            {2: np.arange(self.matrix.n_cells)})
+            self.matrix, {2: np.arange(self.matrix.n_cells)})
         r = report.strata[0]
         assert r.triple.lam == pytest.approx(report.lambda_global, abs=1e-12)
         assert np.allclose(r.triple.qem, report.global_triple.qem, atol=1e-9)
@@ -207,7 +206,7 @@ class TestStratifiedWorkflow:
             raise AssertionError("the workflow reads no spectral gap")
 
         monkeypatch.setattr(spectral, "_deflated_ratio", no_gap)
-        report = stratified_qem_workflow(self.matrix, self.order, self.strata)
+        report = stratified_qem_workflow(self.matrix, self.strata)
         assert math.isnan(report.global_triple.gap_ratio)
         assert all(math.isnan(r.triple.gap_ratio) for r in report.strata)
 
@@ -219,7 +218,7 @@ class TestStratifiedWorkflow:
                 "adjoint power iteration did not converge", 1.0, 1)
 
         monkeypatch.setattr(spectral, "leading_left", fails)
-        report = stratified_qem_workflow(self.matrix, self.order, self.strata)
+        report = stratified_qem_workflow(self.matrix, self.strata)
         assert report.argmax_key == 2
         assert all(r.triple is not None for r in report.strata)
         # a failing left solve raises where the left side is first read
@@ -231,6 +230,6 @@ class TestStratifiedWorkflow:
         hole = np.flatnonzero((centers >= 1.0 / 3.0) & (centers < 2.0 / 3.0))
         strata = dict(self.strata)
         strata[0] = hole
-        report = stratified_qem_workflow(self.matrix, self.order, strata)
+        report = stratified_qem_workflow(self.matrix, strata)
         absent = next(r for r in report.strata if r.key == 0)
         assert absent.triple is None

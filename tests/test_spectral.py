@@ -65,7 +65,7 @@ class TestLeadingLeft:
     def test_left_right_eigenvalue_consistency(self):
         b = make_system("ternary_hole")
         grid = build_grid(b.system.domain, 81)
-        M = assemble_operator(b.system, NoiseModel(1e-3, 1), zero_weight(),
+        M = assemble_operator(b.system, NoiseModel(1e-3), zero_weight(),
                               b.survivor, grid, 3)
         lam_r, _, _ = leading_pair(M, tol=1e-10)
         lam_l, _, _ = leading_left(M, tol=1e-10)
@@ -115,7 +115,7 @@ class TestGapEstimate:
 def _builtin_operator(label, resolution, epsilon, samples):
     b = make_system(label)
     grid = build_grid(b.system.domain, resolution)
-    M = assemble_operator(b.system, NoiseModel(epsilon, b.system.dimension),
+    M = assemble_operator(b.system, NoiseModel(epsilon),
                           zero_weight(), b.survivor, grid, samples)
     return M, grid
 
@@ -256,7 +256,7 @@ class TestSupportCheck:
     def test_hole_cell_violation(self):
         b = make_system("ternary_hole")
         grid = build_grid(b.system.domain, 3)
-        M = assemble_operator(b.system, NoiseModel(0.0, 1), zero_weight(),
+        M = assemble_operator(b.system, NoiseModel(0.0), zero_weight(),
                               b.survivor, grid, 1)
         t = solve_triple(M)
         report = support_check(t, [1], floor=0.1)
@@ -272,7 +272,7 @@ class TestTripleInvariants:
     def test_qem_probability_vector(self):
         b = make_system("ternary_hole")
         grid = build_grid(b.system.domain, 243)
-        M = assemble_operator(b.system, NoiseModel(1e-3, 1), zero_weight(),
+        M = assemble_operator(b.system, NoiseModel(1e-3), zero_weight(),
                               b.survivor, grid, 3)
         t = solve_triple(M)
         assert np.all(t.qem >= 0.0)
@@ -286,7 +286,7 @@ class TestTripleInvariants:
     def test_left_fixed_point_l1_residual(self):
         b = make_system("ternary_hole")
         grid = build_grid(b.system.domain, 81)
-        M = assemble_operator(b.system, NoiseModel(1e-3, 1), zero_weight(),
+        M = assemble_operator(b.system, NoiseModel(1e-3), zero_weight(),
                               b.survivor, grid, 3)
         tol = 1e-10
         lam, m, _ = leading_left(M, tol=tol)
@@ -297,8 +297,8 @@ class TestTripleInvariants:
         b = make_system("ternary_hole")
         grid = build_grid(b.system.domain, 27)
         kw = dict(region=b.survivor, grid=grid, samples_per_cell=3)
-        M0 = assemble_operator(b.system, NoiseModel(1e-3, 1), zero_weight(), **kw)
-        M2 = assemble_operator(b.system, NoiseModel(1e-3, 1),
+        M0 = assemble_operator(b.system, NoiseModel(1e-3), zero_weight(), **kw)
+        M2 = assemble_operator(b.system, NoiseModel(1e-3),
                                constant_weight(math.log(2.0)), **kw)
         t0, t2 = solve_triple(M0), solve_triple(M2)
         assert abs(t2.lam - 2.0 * t0.lam) <= 1e-10
@@ -310,7 +310,7 @@ class TestTripleInvariants:
         for res, eps, k in [(3, 0.0, 1), (6, 0.0, 2), (6, 0.01, 3)]:
             grid = build_grid(b.system.domain, res)
             small.append(assemble_operator(
-                b.system, NoiseModel(eps, 1), zero_weight(), b.survivor,
+                b.system, NoiseModel(eps), zero_weight(), b.survivor,
                 grid, k))
         small.append(restrict_operator(small[0], [0, 2]))
         for M in small:
@@ -386,7 +386,7 @@ class TestBoundaryWeightSensitivity:
         b = make_system("ternary_hole")
         res = 243
         grid = build_grid(b.system.domain, res)
-        noise = NoiseModel(1e-3, 1)
+        noise = NoiseModel(1e-3)
         plain = assemble_operator(b.system, noise, zero_weight(), b.survivor,
                                   grid, 3)
         tapered_w = WeightField(0.0, support_cutoff=b.survivor,

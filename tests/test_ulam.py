@@ -20,7 +20,7 @@ def ternary_matrix(resolution, eps=0.0, samples=1, weight=None, region=None):
     b = make_system("ternary_hole")
     grid = build_grid(b.system.domain, resolution)
     return assemble_operator(
-        b.system, NoiseModel(eps, 1), weight or zero_weight(),
+        b.system, NoiseModel(eps), weight or zero_weight(),
         region or b.survivor, grid, samples_per_cell=samples), grid
 
 
@@ -141,7 +141,7 @@ class TestAssembly:
         from qemlab.spectral import leading_pair
         b = make_system("five_hole")
         grid = build_grid(b.system.domain, 25)
-        M = assemble_operator(b.system, NoiseModel(0.0, 1), zero_weight(),
+        M = assemble_operator(b.system, NoiseModel(0.0), zero_weight(),
                               b.survivor, grid, samples_per_cell=1)
         lam, _, _ = leading_pair(M)
         assert abs(lam - 3.0 / 5.0) < 1e-12
@@ -187,7 +187,7 @@ class TestAssembly:
         from qemlab.spectral import leading_pair
         b = make_system("open_baker")
         grid = build_grid(b.system.domain, 9)
-        M = assemble_operator(b.system, NoiseModel(0.0, 2), zero_weight(),
+        M = assemble_operator(b.system, NoiseModel(0.0), zero_weight(),
                               b.survivor, grid, samples_per_cell=(3, 1))
         lam, _, _ = leading_pair(M)
         assert abs(lam - 2.0 / 3.0) < 1e-12
@@ -247,6 +247,37 @@ class TestExport:
         for got, want in ((loaded.rows, M.rows), (loaded.indices, M.indices),
                           (loaded.data, M.data)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("row 30 of 27", "not a cell index"),
+        ("column -1", "not a cell index"),
+        ("repeated pair", "pair repeats"),
+        ("negative value", "negative or not finite"),
+        ("infinite value", "negative or not finite"),
+        ("short row_weight", "row_weight has 26 entries"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, fault, message):
+        import json
+        M, _ = ternary_matrix(27, eps=1e-3, samples=3)
+        path = tmp_path / "operator.json"
+        export_matrix(M, path)
+        payload = json.loads(path.read_text())
+        entries = payload["entries"]
+        if fault == "row 30 of 27":
+            entries[0][0] = 30
+        elif fault == "column -1":
+            entries[0][1] = -1
+        elif fault == "repeated pair":
+            entries.append(list(entries[0]))
+        elif fault == "negative value":
+            entries[0][2] = -entries[0][2]
+        elif fault == "infinite value":
+            entries[0][2] = float("inf")
+        else:
+            payload["row_weight"].pop()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_matrix(path)
 
 
 class TestApply:
@@ -460,7 +491,7 @@ def assembly_cases(draw):
                              tuple(lo[k] + a[k] + 2 * w[k] for k in range(d))))
         region = RegionSpec(tuple(boxes), label="custom")
     grid = build_grid(b.system.domain, res)
-    return (b.system, NoiseModel(eps, d), weight, region, grid, strata)
+    return (b.system, NoiseModel(eps), weight, region, grid, strata)
 
 
 class TestWholeArrayAssembly:
@@ -485,7 +516,7 @@ class TestWholeArrayAssembly:
         ("open_baker", 27, 1e-3, (3, 1)), ("smooth_perturbed", 243, 1e-2, 4)])
     def test_builtin_sizes_bitwise(self, label, res, eps, strata):
         b = make_system(label)
-        case = (b.system, NoiseModel(eps, b.system.dimension), zero_weight(),
+        case = (b.system, NoiseModel(eps), zero_weight(),
                 b.survivor, build_grid(b.system.domain, res), strata)
         _assert_same_entries(assemble_operator(*case), reference_assemble(*case))
 
@@ -494,7 +525,7 @@ class TestWholeArrayAssembly:
         # not, so its pass of one cell sums no entry
         b = make_system("ternary_hole")
         region = RegionSpec((Box((0.0,), (0.05,)), Box((0.5,), (1.0,))))
-        case = (b.system, NoiseModel(1e-3, 1), zero_weight(), region,
+        case = (b.system, NoiseModel(1e-3), zero_weight(), region,
                 build_grid(b.system.domain, 9), 1)
         with mock.patch.object(ulam, "_CHUNK_CELLS", 1):
             M = assemble_operator(*case)
@@ -513,7 +544,7 @@ class TestWholeArrayAssembly:
         # bins per entry every pass sums in bands, 2-D ones included
         b = make_system(label)
         grid = build_grid(b.system.domain, res)
-        case = (b.system, NoiseModel(eps, b.system.dimension), zero_weight(),
+        case = (b.system, NoiseModel(eps), zero_weight(),
                 b.survivor, grid, strata)
         with mock.patch.object(ulam, "_BINS_PER_ENTRY", bins_per_entry):
             M = assemble_operator(*case)
@@ -534,10 +565,10 @@ class TestWholeArrayAssembly:
         # x -> 3x on an absorbing [0, 1): cells from 1/3 on leave the domain
         from qemlab.dynamics import Domain, MapSystem
         t = make_system("ternary_hole").system
-        system = MapSystem(1, lambda p: 3.0 * p, t.jacobian_det,
+        system = MapSystem(lambda p: 3.0 * p, t.jacobian_det,
                            Domain((Box((0.0,), (1.0,), (False,)),)), "open")
         full = RegionSpec((Box((0.0,), (1.0,)),), label="full")
-        M = assemble_operator(system, NoiseModel(0.0, 1), zero_weight(), full,
+        M = assemble_operator(system, NoiseModel(0.0), zero_weight(), full,
                               build_grid(system.domain, 9), 1)
         assert M.diagnostics == {"point_mass_strata": 0, "absorbed_strata": 6}
         assert np.array_equal(np.bincount(M.rows, minlength=9) > 0,
@@ -554,7 +585,7 @@ class TestWholeArrayAssembly:
     def test_point_masses_on_aligned_grids(self, label, res, strata,
                                            point_masses):
         b = make_system(label)
-        M = assemble_operator(b.system, NoiseModel(1e-3, b.system.dimension),
+        M = assemble_operator(b.system, NoiseModel(1e-3),
                               zero_weight(), b.survivor,
                               build_grid(b.system.domain, res), strata)
         assert M.diagnostics == {"point_mass_strata": point_masses,
