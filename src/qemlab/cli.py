@@ -4,11 +4,14 @@
            [--seed N] [--export-matrix (spectrum)] [--svg (sweep)]
     qemlab compare A/qem.csv B/qem.csv [--dictionary K]
 
-``sweep`` solves its epsilons one after another; ``--export-matrix`` makes
-``spectrum`` also write the operator as ``operator.json``.  The seed drives
-the particle ensemble of ``mc`` and nothing else: ``spectrum``, ``sweep``
-and ``filtration`` write the same bytes at every seed.  ``compare`` prints
-the weak-* discrepancy and, in 1d, the 1-Wasserstein distance of two
+Flags follow the command in any order, as ``--flag value`` or
+``--flag=value``; ``-h`` or ``--help`` prints the lines above and exits 0,
+and any other malformed command line exits 2.  ``sweep`` solves its epsilons
+one after another; ``--export-matrix`` makes ``spectrum`` also write the
+operator as ``operator.json``.  The seed drives the particle ensemble of
+``mc`` and nothing else: ``spectrum``, ``sweep`` and ``filtration`` write
+the same bytes at every seed.  ``compare`` prints the weak-* discrepancy
+and, in 1d, the 1-Wasserstein distance of two
 quasi-ergodic vectors, using the metrics of :mod:`qemlab.equilibrium`.
 
 Configs are JSON with a versioned ``schema`` field; see README for the full
@@ -24,13 +27,13 @@ assembly strata fell back to a point mass or were absorbed off the domain.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -292,11 +295,13 @@ def write_svg_line(path: Path, xs, ys, title: str) -> None:
 
 
 def _vectors_csv(path: Path, grid: GridPartition, triple) -> None:
+    """``qem.csv``: one row per cell, formatted column by column."""
     coord_cols = [f"center_{ax}" for ax in "xy"[:grid.dimension]]
-    table = np.column_stack([grid.centers(), triple.right, triple.left,
-                             triple.qem]).tolist()
-    write_csv(path, ["cell_index", *coord_cols, "right", "left", "qem"],
-              ([i, *row] for i, row in enumerate(table)))
+    header = ["cell_index", *coord_cols, "right", "left", "qem"]
+    columns = [range(grid.n_cells), *grid.centers().T.tolist(),
+               triple.right.tolist(), triple.left.tolist(), triple.qem.tolist()]
+    rows = map(",".join, zip(*(map(str, column) for column in columns)))
+    path.write_text(",".join(header) + "\n" + "\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -518,28 +523,84 @@ def _read_qem_csv(path: str):
 # entry point
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qemlab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "mc", "sweep", "filtration"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default="out")
-        p.add_argument("--seed", type=int, default=None)
-        if name == "spectrum":
-            p.add_argument("--export-matrix", action="store_true",
-                           help="also write the assembled operator as operator.json")
-        if name == "sweep":
-            p.add_argument("--svg", action="store_true",
-                           help="also plot lambda against epsilon as sweep_lambda.svg")
-    p = sub.add_parser("compare")
-    p.add_argument("inputs", nargs=2)
-    p.add_argument("--dictionary", type=int, default=8)
-    return parser
+# the flags of each command and the kind of value each takes; a bool flag
+# takes none
+_RUN_FLAGS = {"--config": str, "--out": str, "--seed": int}
+_FLAGS = {
+    "spectrum": {**_RUN_FLAGS, "--export-matrix": bool},
+    "mc": _RUN_FLAGS,
+    "sweep": {**_RUN_FLAGS, "--svg": bool},
+    "filtration": _RUN_FLAGS,
+    "compare": {"--dictionary": int},
+}
+_HELP = ("-h", "--help")
+_DEFAULTS = {"config": None, "out": "out", "seed": None, "export_matrix": False,
+             "svg": False, "dictionary": 8}
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _usage() -> str:
+    """The usage lines of this module's docstring, unindented."""
+    return "\n".join(line[4:] for line in __doc__.split("\n\n")[1].splitlines())
+
+
+def _help():
+    print(_usage())
+    raise SystemExit(EXIT_OK)
+
+
+def _usage_error(message: str):
+    print(f"{_usage()}\nqemlab: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_CONFIG)
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command, its positional inputs and its flags, defaults filled in.
+
+    ``-h`` or ``--help`` prints the usage and exits 0; any other malformed
+    command line prints the usage and an error and exits 2.  A flag's value
+    is the next word, whatever it is, or follows an ``=``.
+    """
+    if argv and argv[0] in _HELP:
+        _help()
+    if not argv or argv[0] not in _FLAGS:
+        _usage_error(f"unknown command {argv[0]!r}" if argv else "no command")
+    command, flags = argv[0], _FLAGS[argv[0]]
+    args = SimpleNamespace(command=command, inputs=[], **_DEFAULTS)
+    words = iter(argv[1:])
+    for word in words:
+        if word in _HELP:
+            _help()
+        if not word.startswith("-"):
+            args.inputs.append(word)
+            continue
+        name, eq, value = word.partition("=")
+        kind = flags.get(name)
+        if kind is None:
+            _usage_error(f"{command} has no flag {name!r}")
+        if kind is bool:
+            if eq:
+                _usage_error(f"{name} takes no value")
+            value = True
+        elif not eq:
+            value = next(words, None)
+            if value is None:
+                _usage_error(f"{name} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"{name} needs an integer, not {value!r}")
+        setattr(args, name[2:].replace("-", "_"), value)
+    if len(args.inputs) != (2 if command == "compare" else 0):
+        _usage_error(f"{command} takes {'two' if command == 'compare' else 'no'} "
+                     f"positional arguments, got {args.inputs}")
+    if command != "compare" and args.config is None:
+        _usage_error(f"{command} needs --config")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.command == "compare":
             return cmd_compare(args)

@@ -33,6 +33,7 @@ from .ulam import AnnealedMatrix
 Array = np.ndarray
 
 KRYLOV_DIM = 40  # Arnoldi basis size of the spectral-gap solver
+STALL_WINDOW = 100  # power steps without a new best residual before the shift
 
 
 class NonConvergenceError(RuntimeError):
@@ -53,22 +54,46 @@ def _power_iteration(matvec, n: int, tol: float, max_iters: int,
                      l1: bool = False):
     """Power iteration from the all-ones vector: ``(lam, v, residual)`` with
     the sup-norm residual ``max|matvec(v) - lam v|`` at most ``tol * lam``;
-    with ``l1`` the l1 residual must also be at most ``tol * lam * |v|_1``."""
+    with ``l1`` the l1 residual must also be at most ``tol * lam * |v|_1``.
+
+    Each step calls ``matvec`` once and otherwise works in place, in ``v``
+    and one work vector.  A periodic (imprimitive) nonnegative matrix has
+    several eigenvalues of modulus lambda, so its iterates cycle and the
+    residual never falls.  When the residual relative to ``lam`` has not
+    fallen below its best for ``STALL_WINDOW`` steps and every entry of the
+    iterate is positive, the iteration switches, once, to ``M + alpha I``
+    with ``alpha`` the current ``lam``: the shift keeps the Perron vector,
+    moves every other eigenvalue of the spectral circle strictly inside, and
+    is undone in the returned ``lam`` (Stewart, *Introduction to the
+    Numerical Solution of Markov Chains*, 1994).  A nonnegative nilpotent
+    matrix has a zero row, so its iterates keep a zero entry and never
+    shift: they reach zero and raise ZeroOperatorError.  A primitive matrix
+    converges before it stalls, so it never takes the shift and its result
+    is bitwise that of the plain iteration.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     v = np.ones(n)
-    res = math.inf
-    for _ in range(max_iters):
+    work = np.empty(n)
+    res, best, fell, shift = math.inf, math.inf, 0, 0.0
+    for step in range(max_iters):
         w = matvec(v)
-        lam = float(np.max(np.abs(w)))
+        if shift:
+            w += np.multiply(v, shift, out=work)
+        top = float(np.max(np.abs(w, out=work)))  # lam + shift
+        lam = top - shift
         if lam <= 0.0:
             raise ZeroOperatorError("no positive spectral radius")
-        diff = w - lam * v
-        res = float(np.max(np.abs(diff)))
-        if res <= tol * lam and (not l1 or float(np.sum(np.abs(diff)))
+        np.multiply(v, top, out=work)
+        res = float(np.max(np.abs(np.subtract(w, work, out=work), out=work)))
+        if res <= tol * lam and (not l1 or float(np.sum(work))
                                  <= tol * lam * float(np.sum(np.abs(v)))):
             return lam, v, res
-        v = w / lam
+        np.divide(w, top, out=v)
+        if res / lam < best:
+            best, fell = res / lam, step
+        elif not shift and step - fell >= STALL_WINDOW and np.min(v) > 0.0:
+            shift = lam
     kind = "adjoint power iteration" if l1 else "power iteration"
     raise NonConvergenceError(f"{kind} did not converge", res, max_iters)
 

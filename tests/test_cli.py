@@ -255,6 +255,66 @@ def test_flag_of_another_command_is_a_usage_error(tmp_path, command, flag):
     assert exc.value.code == 2
 
 
+USAGE = qemlab.cli.__doc__.split("\n\n")[1].replace("\n    ", "\n").strip()
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command",
+                         [[], ["spectrum"], ["mc"], ["sweep"], ["filtration"],
+                          ["compare"]])
+def test_help_prints_the_usage_and_exits_0(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, flag])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out == USAGE + "\n" and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["nosuch", "--config", "{path}"],
+    ["spectrum", "--out", "{out}"],
+    ["spectrum", "--config"],
+    ["spectrum", "--conf", "{path}"],
+    ["spectrum", "--config", "{path}", "--seed", "x"],
+    ["spectrum", "--config", "{path}", "--export-matrix=yes"],
+    ["spectrum", "--config", "{path}", "extra"],
+    ["compare", "{path}"],
+    ["compare", "{path}", "{path}", "--dictionary", "4.5"],
+], ids=lambda argv: " ".join(argv) or "nothing")
+def test_usage_error_exits_2(tmp_path, capsys, argv):
+    path, _ = write_config(tmp_path)
+    argv = [w.format(path=path, out=tmp_path / "o") for w in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(USAGE) and "qemlab: error: " in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_flag_values_may_follow_an_equals_sign(tmp_path):
+    path, _ = write_config(tmp_path, grid={"resolution": 27})
+    written = []
+    for name, argv in (("a", ["--config", path, "--out", str(tmp_path / "a"),
+                              "--export-matrix", "--seed", "3"]),
+                       ("b", ["--seed=3", "--export-matrix",
+                              f"--out={tmp_path / 'b'}", f"--config={path}"])):
+        assert main(["spectrum", *argv]) == EXIT_OK
+        written.append({f.name: f.read_bytes()
+                        for f in sorted((tmp_path / name).iterdir())})
+    assert written[0] == written[1] and "operator.json" in written[0]
+
+
+def test_main_reads_sys_argv_when_given_none(tmp_path, monkeypatch):
+    path, _ = write_config(tmp_path, grid={"resolution": 27})
+    out = tmp_path / "o"
+    monkeypatch.setattr(sys, "argv", ["qemlab", "spectrum", "--config", path,
+                                      "--out", str(out)])
+    assert main() == EXIT_OK
+    assert (out / "spectrum.json").exists()
+
+
 class TestSpectrumCommand:
     def test_writes_artifacts_and_lambda(self, tmp_path):
         path, _ = write_config(tmp_path, grid={"resolution": 243})
@@ -635,27 +695,35 @@ class TestSeedOverride:
 
     def test_negative_cli_seed_is_a_config_error(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, grid={"resolution": 27})
-        assert main(["spectrum", "--config", path, "--out",
-                     str(tmp_path / "o"), "--seed", "-1"]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "error[schema]" in err and "Traceback" not in err
+        for seed in (["--seed", "-1"], ["--seed=-1"]):
+            assert main(["spectrum", "--config", path, "--out",
+                         str(tmp_path / "o"), *seed]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "error[schema]" in err and "Traceback" not in err
 
 
-def _imports_numpy_random(code: str, cwd) -> bool:
-    """Whether a fresh interpreter running ``code`` has loaded numpy.random."""
+def _loads(module: str, code: str, cwd) -> bool:
+    """Whether a fresh interpreter running ``code`` has loaded ``module``."""
     env = {**os.environ,
            "PYTHONPATH": str(Path(qemlab.__file__).resolve().parents[1])}
-    script = f"import sys\n{code}\nprint('numpy.random' in sys.modules)"
+    script = f"import sys\n{code}\nprint({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout.split()[-1] == "True"
 
 
 def test_spectrum_does_not_import_numpy_random(tmp_path):
-    if _imports_numpy_random("import numpy", tmp_path):
+    if _loads("numpy.random", "import numpy", tmp_path):
         pytest.skip("this numpy loads numpy.random on import")
     path, _ = write_config(tmp_path, grid={"resolution": 27})
-    assert not _imports_numpy_random(
+    assert not _loads(
+        "numpy.random",
         "from qemlab.cli import main\n"
         f"assert main(['spectrum', '--config', {path!r}, '--out', 'o']) == 0",
         tmp_path)
+
+
+def test_cli_does_not_import_argparse(tmp_path):
+    if _loads("argparse", "import numpy", tmp_path):
+        pytest.skip("this numpy loads argparse on import")
+    assert not _loads("argparse", "import qemlab.cli", tmp_path)

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from qemlab import spectral
 from qemlab.dynamics import NoiseModel, WeightField, \
     constant_weight, make_system, zero_weight
-from qemlab.spectral import (NonConvergenceError, assemble_qem, leading_left,
-                             leading_pair, solve_triple, support_check)
+from qemlab.spectral import (NonConvergenceError, ZeroOperatorError,
+                             assemble_qem, leading_left, leading_pair,
+                             solve_triple, support_check)
 from qemlab.ulam import assemble_operator, build_grid, restrict_operator
 from qemlab.equilibrium import w1_1d
 
@@ -44,11 +45,116 @@ class TestLeadingPair:
             leading_pair(matrix_from_dense(np.zeros((2, 2))))
 
     def test_non_convergence_reports_residual(self):
-        # eigenvalues +-sqrt(2): no spectral gap, iteration oscillates
-        M = matrix_from_dense(np.array([[0.0, 2.0], [1.0, 0.0]]))
+        # eigenvalue ratio 0.999: the residual falls by 0.1% a step, far too
+        # slowly to reach 1e-12 in 300 steps
+        M = matrix_from_dense(np.diag([1.0, 0.999]))
         with pytest.raises(NonConvergenceError) as err:
             leading_pair(M, tol=1e-12, max_iters=300)
         assert err.value.residual > 0.0
+        assert err.value.iterations == 300
+
+
+# periodic (imprimitive) irreducible matrices: several eigenvalues share the
+# modulus of the Perron root, so the plain iterates cycle and only the shift
+# converges
+PERIODIC = {
+    "2-cycle": ([[0.0, 2.0], [1.0, 0.0]], math.sqrt(2.0)),
+    "3-cycle": ([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [3.0, 0.0, 0.0]],
+                6.0 ** (1.0 / 3.0)),
+    "bipartite": ([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0],
+                   [1.0, 2.0, 0.0, 0.0], [3.0, 1.0, 0.0, 0.0]], math.sqrt(7.0)),
+}
+
+
+class TestPeriodicMatrices:
+    @pytest.mark.parametrize("name", sorted(PERIODIC))
+    @pytest.mark.parametrize("side", ["apply", "apply_adjoint"])
+    def test_shift_converges_in_a_few_hundred_matvecs(self, name, side):
+        dense, rho = PERIODIC[name]
+        M = matrix_from_dense(np.array(dense))
+        matvecs = []
+        product = getattr(M, side)
+        setattr(M, side, lambda x: matvecs.append(1) or product(x))
+        solve = leading_pair if side == "apply" else leading_left
+        lam, vec, res = solve(M)
+        assert lam == pytest.approx(rho, rel=1e-9)
+        assert np.all(vec > 0.0)
+        assert res <= 1e-10 * lam * float(np.max(vec))
+        assert spectral.STALL_WINDOW < len(matvecs) <= spectral.STALL_WINDOW + 100
+
+    def test_long_nilpotent_chain_is_still_a_zero_operator(self):
+        # the chain stalls for longer than STALL_WINDOW, but its sink row
+        # keeps a zero in every iterate, so it never shifts and its iterates
+        # vanish at step 150
+        n = 150
+        A = np.zeros((n, n))
+        A[np.arange(1, n), np.arange(n - 1)] = 1.0
+        with pytest.raises(ZeroOperatorError):
+            leading_pair(matrix_from_dense(A))
+
+
+def _parent_power_iteration(matvec, n, tol, max_iters, l1=False):
+    """The plain power iteration with fresh temporaries at every step: the
+    reference the in-place loop must match bit for bit until it shifts."""
+    v = np.ones(n)
+    for step in range(max_iters):
+        w = matvec(v)
+        lam = float(np.max(np.abs(w)))
+        diff = w - lam * v
+        res = float(np.max(np.abs(diff)))
+        if res <= tol * lam and (not l1 or float(np.sum(np.abs(diff)))
+                                 <= tol * lam * float(np.sum(np.abs(v)))):
+            return lam, v, res, step + 1
+        v = w / lam
+    raise AssertionError("reference did not converge")
+
+
+def _assert_matches_parent(M, tol=1e-10):
+    """leading_pair and leading_left against the reference loop: the same
+    bits and the same number of matvecs."""
+    for solve, side, l1 in ((leading_pair, "apply", False),
+                            (leading_left, "apply_adjoint", True)):
+        product = getattr(M, side)
+        lam, v, res, steps = _parent_power_iteration(product, M.n_cells, tol,
+                                                     100_000, l1)
+        if l1:
+            total = float(np.sum(v) * M.cell_volume)
+            v, res = v / total, res / total
+        matvecs = []
+        setattr(M, side, lambda x: matvecs.append(1) or product(x))
+        got = solve(M, tol)
+        del M.__dict__[side]
+        assert got[0] == lam and got[2] == res and len(matvecs) == steps
+        assert np.array_equal(got[1], v)
+
+
+class TestInPlaceIteration:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), density=st.floats(0.3, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_primitive_matrices(self, n, density, seed):
+        # a positive diagonal and a positive cycle through every cell make
+        # the matrix irreducible and aperiodic, so primitive
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < density)
+        A[np.arange(n), np.arange(n)] += rng.uniform(0.1, 1.0, n)
+        A[np.arange(n), np.roll(np.arange(n), 1)] += rng.uniform(0.1, 1.0, n)
+        _assert_matches_parent(matrix_from_dense(A, cell_volume=1.0 / n))
+
+    def test_builtin_run_longer_than_the_stall_window(self):
+        # two_repeller at 405 cells per box takes more power steps than
+        # STALL_WINDOW, so a residual that stopped falling would show here
+        b = make_system("two_repeller")
+        grid = build_grid(b.system.domain, 405)
+        M = assemble_operator(b.system, NoiseModel(1e-3), zero_weight(),
+                              b.survivor, grid, 15)
+        matvecs = []
+        apply = M.apply
+        M.apply = lambda x: matvecs.append(1) or apply(x)
+        leading_pair(M)
+        del M.apply
+        assert len(matvecs) > spectral.STALL_WINDOW
+        _assert_matches_parent(M)
 
 
 class TestLeadingLeft:
