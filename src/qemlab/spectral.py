@@ -80,19 +80,19 @@ def _power_iteration(matvec, n: int, tol: float, max_iters: int,
         w = matvec(v)
         if shift:
             w += np.multiply(v, shift, out=work)
-        top = float(np.max(np.abs(w, out=work)))  # lam + shift
+        top = float(np.abs(w, out=work).max())  # lam + shift
         lam = top - shift
         if lam <= 0.0:
             raise ZeroOperatorError("no positive spectral radius")
         np.multiply(v, top, out=work)
-        res = float(np.max(np.abs(np.subtract(w, work, out=work), out=work)))
-        if res <= tol * lam and (not l1 or float(np.sum(work))
-                                 <= tol * lam * float(np.sum(np.abs(v)))):
+        res = float(np.abs(np.subtract(w, work, out=work), out=work).max())
+        if res <= tol * lam and (not l1 or float(work.sum())
+                                 <= tol * lam * float(np.abs(v).sum())):
             return lam, v, res
         np.divide(w, top, out=v)
         if res / lam < best:
             best, fell = res / lam, step
-        elif not shift and step - fell >= STALL_WINDOW and np.min(v) > 0.0:
+        elif not shift and step - fell >= STALL_WINDOW and v.min() > 0.0:
             shift = lam
     kind = "adjoint power iteration" if l1 else "power iteration"
     raise NonConvergenceError(f"{kind} did not converge", res, max_iters)
