@@ -533,7 +533,6 @@ _FLAGS = {
     "filtration": _RUN_FLAGS,
     "compare": {"--dictionary": int},
 }
-_HELP = ("-h", "--help")
 _DEFAULTS = {"config": None, "out": "out", "seed": None, "export_matrix": False,
              "svg": False, "dictionary": 8}
 
@@ -541,11 +540,6 @@ _DEFAULTS = {"config": None, "out": "out", "seed": None, "export_matrix": False,
 def _usage() -> str:
     """The usage lines of this module's docstring, unindented."""
     return "\n".join(line[4:] for line in __doc__.split("\n\n")[1].splitlines())
-
-
-def _help():
-    print(_usage())
-    raise SystemExit(EXIT_OK)
 
 
 def _usage_error(message: str):
@@ -556,20 +550,19 @@ def _usage_error(message: str):
 def _parse_args(argv: list[str]) -> SimpleNamespace:
     """The command, its positional inputs and its flags, defaults filled in.
 
-    ``-h`` or ``--help`` prints the usage and exits 0; any other malformed
-    command line prints the usage and an error and exits 2.  A flag's value
-    is the next word, whatever it is, or follows an ``=``.
+    ``-h`` or ``--help`` anywhere prints the usage and exits 0; any other
+    malformed command line prints the usage and an error and exits 2.  A
+    flag's value is the next word, whatever it is, or follows an ``=``.
     """
-    if argv and argv[0] in _HELP:
-        _help()
+    if "-h" in argv or "--help" in argv:
+        print(_usage())
+        raise SystemExit(EXIT_OK)
     if not argv or argv[0] not in _FLAGS:
         _usage_error(f"unknown command {argv[0]!r}" if argv else "no command")
     command, flags = argv[0], _FLAGS[argv[0]]
     args = SimpleNamespace(command=command, inputs=[], **_DEFAULTS)
     words = iter(argv[1:])
     for word in words:
-        if word in _HELP:
-            _help()
         if not word.startswith("-"):
             args.inputs.append(word)
             continue
@@ -591,9 +584,9 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
             except ValueError:
                 _usage_error(f"{name} needs an integer, not {value!r}")
         setattr(args, name[2:].replace("-", "_"), value)
-    if len(args.inputs) != (2 if command == "compare" else 0):
-        _usage_error(f"{command} takes {'two' if command == 'compare' else 'no'} "
-                     f"positional arguments, got {args.inputs}")
+    wanted = 2 if command == "compare" else 0
+    if len(args.inputs) != wanted:
+        _usage_error(f"{command} takes {wanted} files, got {args.inputs}")
     if command != "compare" and args.config is None:
         _usage_error(f"{command} needs --config")
     return args
