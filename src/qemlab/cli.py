@@ -11,22 +11,24 @@ one after another; ``--export-matrix`` makes ``spectrum`` also write the
 operator as ``operator.json``.  The seed drives the particle ensemble of
 ``mc`` and nothing else: ``spectrum``, ``sweep`` and ``filtration`` write
 the same bytes at every seed.  ``compare`` prints the weak-* discrepancy
-and, in 1d, the 1-Wasserstein distance of two
-quasi-ergodic vectors, using the metrics of :mod:`qemlab.equilibrium`.
+and, in 1d, the 1-Wasserstein distance of two quasi-ergodic vectors, using
+the metrics of :mod:`qemlab.equilibrium`.
 
 Configs are JSON with a versioned ``schema`` field; see README for the full
-layout.  Exit codes: 0 success, 2 config error, 3 numerical failure (no
-convergence, or a nilpotent operator), 4 ensemble extinct; each cause prints
-its own ``error[code]``, never a traceback.  Given the same config and seed,
-re-runs write byte-identical primary artifacts.  Only ``sweep`` writes
-wall-clock timings (``runtimes.csv``, one row per epsilon).  Counters go to
-``diagnostics.json``: per-block resampling counts for ``mc``; for
-``spectrum`` and ``filtration``, and per epsilon for ``sweep``, how many
-assembly strata fell back to a point mass or were absorbed off the domain.
+layout.  Exit codes: 0 success, 2 config or usage error, 3 numerical
+failure (no convergence, or a nilpotent operator), 4 ensemble extinct; each
+cause but a usage error prints its own ``error[code]``, none a traceback.
+Given the same config and seed, re-runs write byte-identical primary
+artifacts.  Only ``sweep`` writes wall-clock timings (``runtimes.csv``, one
+row per epsilon).  Counters go to ``diagnostics.json``: per-block
+resampling counts for ``mc``; for ``spectrum`` and ``filtration``, and per
+epsilon for ``sweep``, how many assembly strata fell back to a point mass or
+were absorbed off the domain.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import sys
@@ -592,8 +594,34 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
     return args
 
 
+# glibc's mallopt parameter for the free heap top it keeps (<malloc.h>), and
+# the amount kept here: more than any heap swing of one command
+_M_TRIM_THRESHOLD = -1
+_KEPT_HEAP_BYTES = 64 << 20
+
+
+def _keep_freed_heap() -> None:
+    """Let glibc keep freed heap mapped for the rest of the process.
+
+    By default glibc hands the top of the heap back to the kernel whenever
+    128 KiB of it is free.  Assembly passes, power steps and particle steps
+    each free their temporaries and then allocate them again, so the pages
+    come straight back as page faults.  With glibc 2.36's default a
+    ``strata_2rep`` command of the benchmark takes about 800 minor faults
+    after set-up, a ``sweep_1d`` one about 3700 and an ``mc_1d`` one about
+    30000; with the heap kept, about 140, 800 and 900.  Without glibc's
+    ``mallopt`` (another C library) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, _KEPT_HEAP_BYTES)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    _keep_freed_heap()
     try:
         if args.command == "compare":
             return cmd_compare(args)
