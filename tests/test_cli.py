@@ -315,6 +315,19 @@ def test_main_reads_sys_argv_when_given_none(tmp_path, monkeypatch):
     assert (out / "spectrum.json").exists()
 
 
+def _no_c_library(name):
+    raise OSError(f"cannot load {name!r}")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_c_library],
+                         ids=["no-mallopt", "no-library"])
+def test_runs_where_the_c_library_has_no_mallopt(tmp_path, monkeypatch, cdll):
+    monkeypatch.setattr(qemlab.cli.ctypes, "CDLL", cdll)
+    path, _ = write_config(tmp_path, grid={"resolution": 27})
+    assert main(["spectrum", "--config", path,
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
 class TestSpectrumCommand:
     def test_writes_artifacts_and_lambda(self, tmp_path):
         path, _ = write_config(tmp_path, grid={"resolution": 243})

@@ -93,7 +93,7 @@ class TestPeriodicMatrices:
             leading_pair(matrix_from_dense(A))
 
 
-def _parent_power_iteration(matvec, n, tol, max_iters, l1=False):
+def _plain_power_iteration(matvec, n, tol, max_iters, l1=False):
     """The plain power iteration with fresh temporaries at every step: the
     reference the in-place loop must match bit for bit until it shifts."""
     v = np.ones(n)
@@ -109,13 +109,13 @@ def _parent_power_iteration(matvec, n, tol, max_iters, l1=False):
     raise AssertionError("reference did not converge")
 
 
-def _assert_matches_parent(M, tol=1e-10):
+def _assert_matches_plain(M, tol=1e-10):
     """leading_pair and leading_left against the reference loop: the same
     bits and the same number of matvecs."""
     for solve, side, l1 in ((leading_pair, "apply", False),
                             (leading_left, "apply_adjoint", True)):
         product = getattr(M, side)
-        lam, v, res, steps = _parent_power_iteration(product, M.n_cells, tol,
+        lam, v, res, steps = _plain_power_iteration(product, M.n_cells, tol,
                                                      100_000, l1)
         if l1:
             total = float(np.sum(v) * M.cell_volume)
@@ -139,7 +139,7 @@ class TestInPlaceIteration:
         A = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < density)
         A[np.arange(n), np.arange(n)] += rng.uniform(0.1, 1.0, n)
         A[np.arange(n), np.roll(np.arange(n), 1)] += rng.uniform(0.1, 1.0, n)
-        _assert_matches_parent(matrix_from_dense(A, cell_volume=1.0 / n))
+        _assert_matches_plain(matrix_from_dense(A, cell_volume=1.0 / n))
 
     def test_builtin_run_longer_than_the_stall_window(self):
         # two_repeller at 405 cells per box takes more power steps than
@@ -154,7 +154,7 @@ class TestInPlaceIteration:
         leading_pair(M)
         del M.apply
         assert len(matvecs) > spectral.STALL_WINDOW
-        _assert_matches_parent(M)
+        _assert_matches_plain(M)
 
 
 class TestLeadingLeft:
