@@ -20,10 +20,10 @@ failure (no convergence, or a nilpotent operator), 4 ensemble extinct; each
 cause but a usage error prints its own ``error[code]``, none a traceback.
 Given the same config and seed, re-runs write byte-identical primary
 artifacts.  Only ``sweep`` writes wall-clock timings (``runtimes.csv``, one
-row per epsilon).  Counters go to ``diagnostics.json``: per-block
-resampling counts for ``mc``; for ``spectrum`` and ``filtration``, and per
-epsilon for ``sweep``, how many assembly strata fell back to a point mass or
-were absorbed off the domain.
+row per epsilon).  Counters go to ``diagnostics.json``: the resampling
+count, smallest ESS fraction and record count for ``mc``; for ``spectrum``
+and ``filtration``, and per epsilon for ``sweep``, how many assembly strata
+fell back to a point mass or were absorbed off the domain.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import equilibrium
-from .conditioned_mc import EnsembleExtinctError, run_conditioned
+from .conditioned_mc import MIN_STEPS, EnsembleExtinctError, run_conditioned
 from .dynamics import (Box, Builtin, NoiseModel, RegionSpec, WeightField,
                        builtin_labels, make_system, region_fraction)
 from .equilibrium import TestDictionary, w1_1d, weak_star_discrepancy
@@ -353,9 +353,10 @@ def _mc_arguments(mc: dict, dimension: int, region: RegionSpec) -> dict:
     n, n_particles, start = (mc.get("n", 1000), mc.get("n_particles", 1000),
                              mc.get("start"))
     start = region if start is None else np.atleast_1d(np.asarray(start, float))
-    if not (_is_int(n, 1) and _is_int(n_particles, 2)
+    if not (_is_int(n, MIN_STEPS) and _is_int(n_particles, 2)
             and (start is region or start.shape == (dimension,))):
-        raise ValueError(f"mc needs integers n >= 1 and n_particles >= 2 and a "
+        raise ValueError(f"mc needs integers n >= {MIN_STEPS} (the shortest "
+                         f"horizon with a record) and n_particles >= 2 and a "
                          f"start point with {dimension} coordinates")
     return {"start": start, "n": n, "n_particles": n_particles,
             "resample_threshold": _number(mc.get("resample_threshold", 0.5)),

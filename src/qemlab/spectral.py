@@ -60,14 +60,17 @@ def _power_iteration(matvec, n: int, tol: float, max_iters: int,
     and one work vector.  A periodic (imprimitive) nonnegative matrix has
     several eigenvalues of modulus lambda, so its iterates cycle and the
     residual never falls.  When the residual relative to ``lam`` has not
-    fallen below its best for ``STALL_WINDOW`` steps and every entry of the
-    iterate is positive, the iteration switches, once, to ``M + alpha I``
-    with ``alpha`` the current ``lam``: the shift keeps the Perron vector,
-    moves every other eigenvalue of the spectral circle strictly inside, and
-    is undone in the returned ``lam`` (Stewart, *Introduction to the
-    Numerical Solution of Markov Chains*, 1994).  A nonnegative nilpotent
-    matrix has a zero row, so its iterates keep a zero entry and never
-    shift: they reach zero and raise ZeroOperatorError.  A primitive matrix
+    fallen below its best for ``STALL_WINDOW`` steps and the step kept the
+    iterate's count of nonzero entries, the iteration switches, once, to
+    ``M + alpha I`` with ``alpha`` the current ``lam``: the shift keeps the
+    Perron vector, moves every other eigenvalue of the spectral circle
+    strictly inside, and is undone in the returned ``lam`` (Stewart,
+    *Introduction to the Numerical Solution of Markov Chains*, 1994).  The
+    supports of the iterates ``M^k 1`` of a nonnegative matrix are nested,
+    so an unchanged count means an invariant support, which holds a cycle
+    and so a positive ``lam``; the shift leaves the entries off it at zero.
+    A nilpotent matrix loses support every step until its iterates vanish,
+    so it never shifts and raises ZeroOperatorError.  A primitive matrix
     converges before it stalls, so it never takes the shift and its result
     is bitwise that of the plain iteration.
     """
@@ -89,11 +92,12 @@ def _power_iteration(matvec, n: int, tol: float, max_iters: int,
         if res <= tol * lam and (not l1 or float(work.sum())
                                  <= tol * lam * float(np.abs(v).sum())):
             return lam, v, res
-        np.divide(w, top, out=v)
         if res / lam < best:
             best, fell = res / lam, step
-        elif not shift and step - fell >= STALL_WINDOW and v.min() > 0.0:
+        elif (not shift and step - fell >= STALL_WINDOW
+              and np.count_nonzero(w) == np.count_nonzero(v)):
             shift = lam
+        np.divide(w, top, out=v)
     kind = "adjoint power iteration" if l1 else "power iteration"
     raise NonConvergenceError(f"{kind} did not converge", res, max_iters)
 

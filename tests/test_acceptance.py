@@ -12,7 +12,8 @@ import pytest
 from qemlab.conditioned_mc import run_conditioned
 from qemlab.dynamics import (Box, NoiseModel, RegionSpec, WeightField,
                              constant_weight, make_system, zero_weight)
-from qemlab.equilibrium import w1_1d
+from qemlab.equilibrium import (MarkovModel, equilibrium_cylinder_measure,
+                                pressure_sft, w1_1d)
 from qemlab.filtration import (ConnectionGraph, CycleError, Node,
                                filtration_order, stratified_qem_workflow)
 from qemlab.spectral import leading_pair, solve_triple, support_check
@@ -307,3 +308,55 @@ def test_criterion_12_brute_force_equivalence():
         assert abs(lam - lam_dense) <= 1e-8
     report(12, f"{len(matrices)} small matrices: power iteration matches "
                f"repeated squaring within {worst:.1e}")
+
+
+def test_criterion_13_weighted_five_hole_three_routes():
+    """A Hoelder weight that shapes the measure, read by all three routes.
+
+    On five_hole's repeller (base-5 digits 0, 1, 2) phi equals c_a on the
+    branch interval of digit a, [a/5, a/5 + 0.1], and is linear across the
+    gaps and the seam.  So the equilibrium state of phi - log 5 is Bernoulli
+    with p_a proportional to e^{c_a}: lambda = sum_a e^{c_a} / 5 and the mean
+    is E[digit] / 4.  The spectral tolerances are the deviations the
+    625-cell operator shows, rounded up.
+    """
+    c = (0.0, 0.5, 1.0)
+    lam = sum(math.exp(ca) for ca in c) / 5.0
+    mean = sum(a * math.exp(ca) for a, ca in enumerate(c)) \
+        / sum(math.exp(ca) for ca in c) / 4.0
+
+    def phi(p):
+        return np.interp(p[:, 0], [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 1.0],
+                         [c[0], c[0], c[1], c[1], c[2], c[2], c[0]])
+
+    model = MarkovModel(np.array([[ca - math.log(5.0)] * 3 for ca in c]),
+                        digits=(0, 1, 2), base=5)
+    assert abs(math.exp(pressure_sft(model)) - lam) <= 1e-12
+    depth = 7
+    symbolic = equilibrium_cylinder_measure(model, depth).mean()
+    assert abs(symbolic - mean) <= 5.0 ** -depth
+
+    b = make_system("five_hole")
+    noise = NoiseModel(1e-3)
+    weight = WeightField(phi, label="c_a on digit a")
+    grid = build_grid(b.system.domain, 625)
+    triple = solve_triple(assemble_operator(b.system, noise, weight,
+                                            b.survivor, grid, 3))
+    spectral_mean = float(triple.qem @ grid.centers()[:, 0])
+    assert abs(triple.lam - lam) <= 5e-5
+    assert abs(spectral_mean - mean) <= 2.1e-4
+    assert triple.gap_converged
+
+    lines = []
+    for seed in (101, 102):
+        stats = run_conditioned(b.system, noise, weight, b.survivor,
+                                np.array([0.1]), n=2000, n_particles=10_000,
+                                observables={"x": lambda x: x}, seed=seed)
+        z = (stats.averages["x"] - mean) / stats.standard_errors["x"]
+        mc_lam = math.exp(-stats.escape_rate_estimate)
+        assert abs(z) <= 3.0, f"seed {seed}"
+        assert abs(mc_lam - lam) <= 0.01, f"seed {seed}"
+        lines.append(f"seed {seed}: z={z:+.2f}, exp(-rate)={mc_lam:.4f}")
+    report(13, f"lambda={lam:.7f}, mean={mean:.7f}; symbolic mean "
+               f"{symbolic:.7f}; spectral lambda {triple.lam:.7f}, mean "
+               f"{spectral_mean:.6f}; particles " + "; ".join(lines))

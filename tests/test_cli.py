@@ -416,20 +416,28 @@ class TestMcCommand:
         assert abs(payload["averages"]["x"] - 0.5) < 0.1
         assert (out / "mass_series.csv").exists()
 
-    def test_writes_block_diagnostics(self, tmp_path):
+    def test_writes_population_diagnostics(self, tmp_path):
         path, _ = write_config(
             tmp_path, mc={"n": 200, "n_particles": 2000, "start": [0.1]})
         out = tmp_path / "out"
         assert main(["mc", "--config", path, "--out", str(out)]) == EXIT_OK
         diag = json.loads((out / "diagnostics.json").read_text())
-        assert diag["n_blocks"] == 10 and diag["extinct_blocks"] == 0
-        assert len(diag["block_resamplings"]) == 10
-        assert all(0.0 < f <= 1.0 for f in diag["block_min_ess_fraction"])
         payload = json.loads((out / "mc.json").read_text())
-        assert max(diag["block_resamplings"]) <= payload["n_resamplings"]
+        assert diag["resamplings"] == payload["n_resamplings"] > 0
+        assert 0.0 < diag["min_ess_fraction"] < 0.5
+        assert diag["records"] == 19
+        assert (diag["lag"], diag["record_every"], diag["batches"]) == (10, 10, 20)
         assert sorted(payload) == [
             "averages", "escape_rate_estimate", "n_particles", "n_resamplings",
             "n_steps", "standard_errors", "survival_fraction"]
+
+    def test_horizon_without_a_record_names_the_shortest(self, tmp_path,
+                                                          capsys):
+        path, _ = write_config(tmp_path, mc={**MC, "n": 9})
+        assert main(["mc", "--config", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error[bad-mc]" in err and "n >= 10" in err
 
     def test_builds_no_grid(self, tmp_path, monkeypatch):
         # the particle route reads no grid, so it neither builds one nor

@@ -1,15 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis import example, given, settings, strategies as st
 
-from qemlab.conditioned_mc import (EnsembleExtinctError, _Blocks,
+from qemlab import conditioned_mc
+from qemlab.conditioned_mc import (LAG, MIN_STEPS, RECORD_EVERY,
+                                   EnsembleExtinctError, _systematic_sources,
                                    escape_rate_mc, run_conditioned)
 from qemlab.dynamics import (Box, Domain, MapSystem, NoiseModel, RegionSpec,
                              WeightField, constant_weight, make_system,
-                             zero_weight)
+                             step_points, zero_weight)
 
 TERNARY = make_system("ternary_hole")
 NOISE = NoiseModel(1e-3)
@@ -37,13 +39,25 @@ class TestRunConditioned:
         assert series[-1] < series[0]
         assert np.all(np.diff(series) <= 1e-12)
 
-    def test_constant_observable_is_exact(self):
-        stats = run_conditioned(TERNARY.system, NOISE, zero_weight(),
+    @staticmethod
+    def _assert_constant_observable_is_exact(weight):
+        stats = run_conditioned(TERNARY.system, NOISE, weight,
                                 TERNARY.survivor, np.array([0.1]),
                                 n=200, n_particles=2000,
                                 observables={"one": lambda c: np.ones_like(c)},
                                 seed=3)
+        # every record is exactly 1, not only their mean
         assert stats.averages["one"] == 1.0
+        assert stats.standard_errors["one"] == 0.0
+
+    def test_constant_observable_is_exact(self):
+        self._assert_constant_observable_is_exact(zero_weight())
+
+    def test_constant_observable_is_exact_under_varying_weight(self):
+        # a weight that varies makes the masses unequal, where a sum and a
+        # dot product can round apart
+        self._assert_constant_observable_is_exact(
+            WeightField(lambda p: np.cos(2 * np.pi * p[:, 0])))
 
     def test_extinct_start_in_hole(self):
         with pytest.raises(EnsembleExtinctError) as err:
@@ -72,19 +86,23 @@ class TestRunConditioned:
         assert np.array_equal(a.log_mass_series, b.log_mass_series)
 
     def test_resampling_unbiased_vs_plain(self):
-        # short horizon so the never-resampled ensemble keeps survivors
+        # short horizon so the never-resampled ensemble keeps survivors; its
+        # one record reads the start of the paths that survive it, so the
+        # start is spread and the error bar comes from repeated runs
         kw = dict(n=12, n_particles=20_000, observables=X)
-        plain = run_conditioned(TERNARY.system, NOISE, zero_weight(),
-                                TERNARY.survivor, np.array([0.1]),
-                                resample_threshold=0.0, seed=7, **kw)
-        resampled = run_conditioned(TERNARY.system, NOISE, zero_weight(),
-                                    TERNARY.survivor, np.array([0.1]),
-                                    resample_threshold=0.5, seed=8, **kw)
-        allowance = 3 * (plain.standard_errors["x"]
-                         + resampled.standard_errors["x"])
-        assert abs(plain.averages["x"] - resampled.averages["x"]) <= allowance
-        assert plain.resample_times == []
-        assert len(resampled.resample_times) > 0
+        means = {}
+        for threshold, seeds in ((0.0, range(7, 15)), (0.5, range(15, 23))):
+            runs = [run_conditioned(TERNARY.system, NOISE, zero_weight(),
+                                    TERNARY.survivor, TERNARY.survivor,
+                                    resample_threshold=threshold, seed=seed,
+                                    **kw) for seed in seeds]
+            assert all(r.n_records == 1 for r in runs)
+            assert all((len(r.resample_times) > 0) == (threshold > 0.0)
+                       for r in runs)
+            x = np.array([r.averages["x"] for r in runs])
+            means[threshold] = (x.mean(), x.std(ddof=1) / math.sqrt(x.size))
+        (plain, se_plain), (resampled, se_resampled) = means[0.0], means[0.5]
+        assert abs(plain - resampled) <= 3 * math.hypot(se_plain, se_resampled)
 
     def test_weight_shift_leaves_averages_and_scales_mass(self):
         kw = dict(n=400, n_particles=2000, observables=X, seed=12)
@@ -105,7 +123,7 @@ class TestRunConditioned:
             (Box((0.0,), (1.0 / 3.0,)),)), taper_width=0.0)
         with pytest.raises(EnsembleExtinctError) as err:
             run_conditioned(TERNARY.system, NOISE, weight, TERNARY.survivor,
-                            np.array([0.1]), n=8, n_particles=1000,
+                            np.array([0.1]), n=MIN_STEPS, n_particles=1000,
                             observables=X, seed=1)
         assert err.value.time == 3
 
@@ -156,54 +174,78 @@ class TestRunConditioned:
         assert stats.log_mass_series[-1] < stats.log_mass_series[0]
 
 
-class TestBlockDiagnostics:
-    def test_counts_on_uneven_blocks(self):
+class TestPopulationDiagnostics:
+    def test_counts(self):
         stats = run_conditioned(TERNARY.system, NOISE, zero_weight(),
                                 TERNARY.survivor, np.array([0.1]), n=300,
                                 n_particles=3003, observables=X, seed=14)
-        counts = stats.block_resamplings
-        assert len(counts) == len(stats.block_min_ess_fraction) == 10
-        assert max(counts) <= len(stats.resample_times) <= sum(counts)
-        assert all(0.0 < f < 0.5 for f in stats.block_min_ess_fraction)
-        assert stats.extinct_blocks == 0
-        assert stats.diagnostics()["n_blocks"] == 10
+        diag = stats.diagnostics()
+        assert diag == {"resamplings": len(stats.resample_times),
+                        "min_ess_fraction": stats.min_ess_fraction,
+                        "records": (300 - 30) // RECORD_EVERY + 1,
+                        "lag": LAG, "record_every": RECORD_EVERY,
+                        "batches": conditioned_mc.BATCHES}
+        assert 0 < diag["resamplings"] < 300
+        assert 0.0 < diag["min_ess_fraction"] < 0.5
 
     def test_zero_threshold_never_resamples(self):
         stats = run_conditioned(TERNARY.system, NOISE, zero_weight(),
                                 TERNARY.survivor, np.array([0.1]), n=12,
                                 n_particles=2000, observables=X,
                                 resample_threshold=0.0, seed=7)
-        assert stats.block_resamplings == [0] * 10
-        assert all(0.0 < f <= 1.0 for f in stats.block_min_ess_fraction)
-
-    def test_extinct_blocks_are_counted(self):
-        # blocks of 10 particles under wide noise: some die out, not all
-        stats = run_conditioned(TERNARY.system, NoiseModel(0.1),
-                                zero_weight(), TERNARY.survivor,
-                                TERNARY.survivor, n=100, n_particles=100,
-                                observables=X, seed=1)
-        dead = sum(f == 0.0 for f in stats.block_min_ess_fraction)
-        assert 0 < stats.extinct_blocks == dead < 10
-        assert stats.survival_fraction <= 1.0 - dead / 10
+        assert stats.diagnostics()["resamplings"] == 0
+        assert 0.0 < stats.min_ess_fraction <= 1.0
 
 
-def _systematic_resample(weights, n_out, jitter):
-    """Reference: systematic resampling of one block by searchsorted."""
-    cum = np.cumsum(weights)
+class TestShortHorizons:
+    @pytest.mark.parametrize("n", range(1, MIN_STEPS))
+    def test_below_the_shortest_horizon_fails_fast(self, n):
+        with pytest.raises(ValueError, match=f"n must be >= {MIN_STEPS}"):
+            run_conditioned(TERNARY.system, NOISE, zero_weight(),
+                            TERNARY.survivor, np.array([0.1]), n=n,
+                            n_particles=200, observables=X, seed=n)
+
+    @pytest.mark.parametrize("n", [*range(MIN_STEPS, 31), 199, 200, 201])
+    def test_every_horizon_gives_finite_averages(self, n):
+        stats = run_conditioned(TERNARY.system, NOISE, zero_weight(),
+                                TERNARY.survivor, np.array([0.1]), n=n,
+                                n_particles=500, observables=X, seed=n)
+        first = max(n // 10, LAG)
+        assert stats.n_records == (n - first) // RECORD_EVERY + 1 >= 1
+        assert math.isfinite(stats.averages["x"])
+        assert math.isfinite(stats.escape_rate_estimate)
+        # NaN only when the records fill fewer than two batches
+        if stats.n_records > 1:
+            assert stats.standard_errors["x"] > 0.0
+        else:
+            assert math.isnan(stats.standard_errors["x"])
+
+
+def _loop_sources(w, jitter):
+    """Reference: systematic resampling by a plain walk over the quantiles."""
+    cum = np.cumsum(w)
     cum /= cum[-1]
-    u = (jitter + np.arange(n_out)) / n_out
-    return np.searchsorted(cum, u)
+    picks, i = [], 0
+    for j in range(w.size):
+        q = (jitter + j) / w.size
+        while cum[i] < q:
+            i += 1
+        picks.append(i)
+    return np.array(picks)
 
 
-class TestAllBlockResampling:
+class TestSystematicResampling:
+    # near-equal masses at an extreme jitter put the floor one above the
+    # count, so this example needs the downward step
+    @example(n_particles=100, kind="near_equal", dead=0.0, seed=0, jitter=1.0)
     @settings(max_examples=150, deadline=None)
-    @given(n_particles=st.sampled_from([10, 1003, 2000]) | st.integers(2, 400),
+    @given(n_particles=st.sampled_from([1, 10, 1003, 2000]) | st.integers(1, 400),
            kind=st.sampled_from(["random", "equal", "near_equal", "tiny"]),
            dead=st.floats(0.0, 0.95), seed=st.integers(0, 2 ** 32 - 1),
-           data=st.data())
-    def test_matches_per_block_searchsorted(self, n_particles, kind, dead,
-                                            seed, data):
-        blocks = _Blocks(n_particles)
+           jitter=st.sampled_from([2.0 ** -53, 1.0 - 2.0 ** -53, 1.0])
+           | st.floats(2.0 ** -53, 1.0))
+    def test_matches_a_loop_over_the_quantiles(self, n_particles, kind, dead,
+                                               seed, jitter):
         rng = np.random.default_rng(seed)
         # near-equal weights put cumulative weights within ulps of the
         # quantiles, where rounding decides the counts
@@ -212,24 +254,52 @@ class TestAllBlockResampling:
              "near_equal": 1.0 + rng.integers(-64, 65, n_particles) * 2.0 ** -52,
              "tiny": np.exp(-700.0 * rng.uniform(size=n_particles))}[kind]
         w[rng.uniform(size=n_particles) < dead] = 0.0
-        n_blocks = blocks.sizes.size
-        totals = np.add.reduceat(w, blocks.starts)
-        fire = data.draw(arrays(bool, n_blocks)) & (totals > 0.0)
-        jitter = np.asarray(data.draw(st.lists(
-            st.sampled_from([2.0 ** -53, 1.0]) | st.floats(2.0 ** -53, 1.0),
-            min_size=int(fire.sum()), max_size=int(fire.sum()))), dtype=float)
-        src = np.arange(n_particles)
-        src[np.repeat(fire, blocks.sizes)] = blocks.sources(w, fire, jitter)
-        k = 0
-        for b, (lo, m) in enumerate(zip(blocks.starts, blocks.sizes)):
-            slots = np.arange(lo, lo + m)
-            if fire[b]:
-                want = slots[_systematic_resample(w[slots], m, jitter[k])]
-                k += 1
-                assert np.all(w[src[slots]] > 0.0)
-            else:
-                want = slots
-            assert np.array_equal(src[slots], want), b
+        w[rng.integers(n_particles)] = 1.0  # some mass is left
+        src = _systematic_sources(w, jitter)
+        assert np.array_equal(src, _loop_sources(w, jitter))
+        assert np.all(w[src] > 0.0)
+
+
+class TestAncestry:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(MIN_STEPS, 45), n_particles=st.integers(2, 40),
+           amplitude=st.floats(0.0, 3.0), threshold=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_records_read_the_replayed_ancestors(self, n, n_particles,
+                                                 amplitude, threshold, seed):
+        # nothing dies on the full interval, so a record reads every slot;
+        # the weight shapes the masses, so the population resamples
+        stepped, sources, seen = [], [], []
+
+        def step(system, noise, points, rng):
+            stepped.append(points[:, 0].copy())
+            return step_points(system, noise, points, rng)
+
+        def resample(w, jitter):
+            sources.append(_systematic_sources(w, jitter))
+            return sources[-1]
+
+        def h(c):
+            seen.append(c.copy())
+            return c
+
+        weight = WeightField(lambda p: amplitude * np.cos(2 * np.pi * p[:, 0]))
+        with mock.patch.object(conditioned_mc, "step_points", step), \
+                mock.patch.object(conditioned_mc, "_systematic_sources", resample):
+            stats = run_conditioned(TERNARY.system, NOISE, weight, FULL, FULL,
+                                    n=n, n_particles=n_particles,
+                                    observables={"h": h},
+                                    resample_threshold=threshold, seed=seed)
+        source_at = dict(zip(stats.resample_times, sources))
+        first = max(n // 10, LAG)
+        records = range(first, n + 1, RECORD_EVERY)
+        assert len(seen) == len(records) == stats.n_records
+        for got, t in zip(seen, records):
+            ancestor = np.arange(n_particles)
+            for s in range(t - LAG + 1, t):
+                if s in source_at:
+                    ancestor = ancestor[source_at[s]]
+            assert np.array_equal(got, stepped[t - LAG][ancestor])
 
 
 class TestEscapeRate:
@@ -266,7 +336,8 @@ class TestEscapeRate:
 
     def test_too_short_series(self):
         stats = run_conditioned(TERNARY.system, NOISE, zero_weight(), FULL,
-                                FULL, n=2, n_particles=50,
+                                FULL, n=MIN_STEPS, n_particles=50,
                                 observables=X, seed=9)
+        stats.log_mass_series = stats.log_mass_series[:3]
         with pytest.raises(ValueError):
             escape_rate_mc(stats)

@@ -82,9 +82,24 @@ class TestPeriodicMatrices:
         assert res <= 1e-10 * lam * float(np.max(vec))
         assert spectral.STALL_WINDOW < len(matvecs) <= spectral.STALL_WINDOW + 100
 
+    @pytest.mark.parametrize("side", ["apply", "apply_adjoint"])
+    def test_zero_row_keeps_a_zero_and_still_shifts(self, side):
+        # the third cell is off every cycle, so every iterate keeps a zero
+        # there; the support stops shrinking after one step
+        M = matrix_from_dense(np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 0.0],
+                                        [0.0, 0.0, 0.0]]))
+        matvecs = []
+        product = getattr(M, side)
+        setattr(M, side, lambda x: matvecs.append(1) or product(x))
+        solve = leading_pair if side == "apply" else leading_left
+        lam, vec, _ = solve(M)
+        assert lam == pytest.approx(math.sqrt(2.0), rel=1e-9)
+        assert vec[2] == 0.0 and np.all(vec[:2] > 0.0)
+        assert len(matvecs) <= spectral.STALL_WINDOW + 100
+
     def test_long_nilpotent_chain_is_still_a_zero_operator(self):
-        # the chain stalls for longer than STALL_WINDOW, but its sink row
-        # keeps a zero in every iterate, so it never shifts and its iterates
+        # the chain stalls for longer than STALL_WINDOW, but every step
+        # loses one nonzero entry, so it never shifts and its iterates
         # vanish at step 150
         n = 150
         A = np.zeros((n, n))
