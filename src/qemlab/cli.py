@@ -75,8 +75,11 @@ def _is_int(value, least: int) -> bool:
 
 
 def _is_number(value) -> bool:
-    """A JSON number: an integer or a float, neither a bool nor a string."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: an integer or a float, neither a bool nor a
+    string, within the float range.  Python's ``json`` reads ``NaN``,
+    ``Infinity`` and ``1e999``, and no comparison with NaN holds."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass
@@ -115,7 +118,8 @@ class ExperimentConfig:
         eps = noise.get("epsilon", 0.0)
         eps_list = eps if isinstance(eps, list) else [eps]
         if not all(_is_number(e) for e in eps_list):
-            raise ConfigError("bad-epsilon", "epsilon must be a number or a list")
+            raise ConfigError("bad-epsilon", "epsilon must be a finite number "
+                                             "or a list of them")
         if any(e < 0 for e in eps_list):
             raise ConfigError("negative-epsilon", "epsilon must be >= 0")
         weight = raw.get("weight", {"kind": "zero"})
@@ -143,6 +147,9 @@ class ExperimentConfig:
         if label is None:
             raise ConfigError("unknown-system", "config has no system label")
         params = {k: v for k, v in self.system.items() if k != "label"}
+        if not all(_is_number(v) for v in params.values()):
+            raise ConfigError("bad-system", "system parameters must be finite "
+                                            "numbers")
         builtin = _checked("bad-system", lambda: make_system(label, **params))
         return (builtin,
                 _checked("bad-region", lambda: self.region_spec(builtin)),
@@ -205,8 +212,9 @@ class ExperimentConfig:
         tol = self.solver.get("tol", 1e-10)
         max_iters = self.solver.get("max_iters", 100_000)
         if not (_is_number(tol) and tol > 0 and _is_int(max_iters, 1)):
-            raise ConfigError("bad-solver", "solver tol must be a number > 0 "
-                                            "and max_iters an integer >= 1")
+            raise ConfigError("bad-solver", "solver tol must be a finite "
+                                            "number > 0 and max_iters an "
+                                            "integer >= 1")
         return {"tol": float(tol), "max_iters": max_iters}
 
 
@@ -223,22 +231,25 @@ def _checked(code: str, build):
         return build()
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(code, repr(exc)) from None
 
 
 def _number(value) -> float:
-    """``value`` as a float when it is a JSON number, else a TypeError."""
+    """``value`` as a float when it is a finite JSON number, else a TypeError."""
     if not _is_number(value):
-        raise TypeError(f"want a number, got {value!r}")
+        raise TypeError(f"want a finite number, got {value!r}")
     return float(value)
+
+
+def _numbers(value) -> tuple[float, ...]:
+    """A number or a list of numbers as floats, else a TypeError."""
+    return tuple(_number(v) for v in (value if isinstance(value, list) else [value]))
 
 
 def _parse_boxes(payload, dimension: int) -> tuple[Box, ...]:
     """The boxes ``[lo, hi]`` of a config list, at least one, all ``dimension``-d."""
-    boxes = tuple(Box(tuple(float(v) for v in np.atleast_1d(lo)),
-                      tuple(float(v) for v in np.atleast_1d(hi)))
-                  for lo, hi in payload)
+    boxes = tuple(Box(_numbers(lo), _numbers(hi)) for lo, hi in payload)
     if not boxes or any(b.dimension != dimension for b in boxes):
         raise ValueError(f"want a nonempty list of {dimension}-d boxes")
     return boxes
@@ -352,7 +363,7 @@ def _mc_arguments(mc: dict, dimension: int, region: RegionSpec) -> dict:
     """The ensemble arguments of ``run_conditioned`` from the ``mc`` section."""
     n, n_particles, start = (mc.get("n", 1000), mc.get("n_particles", 1000),
                              mc.get("start"))
-    start = region if start is None else np.atleast_1d(np.asarray(start, float))
+    start = region if start is None else np.array(_numbers(start))
     if not (_is_int(n, MIN_STEPS) and _is_int(n_particles, 2)
             and (start is region or start.shape == (dimension,))):
         raise ValueError(f"mc needs integers n >= {MIN_STEPS} (the shortest "
@@ -455,6 +466,8 @@ def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
     if config.filtration is None:
         raise ConfigError("missing-graph", "filtration command needs a graph")
     graph = _checked("bad-graph", lambda: ConnectionGraph.from_dict(config.filtration))
+    if not all(_is_number(node.pressure) for node in graph.nodes):
+        raise ConfigError("bad-graph", "pressures must be finite numbers")
     strata = config.filtration.get("strata")
     if strata and not isinstance(strata, dict):
         raise ConfigError("bad-region", "filtration strata must map ids to boxes")

@@ -39,12 +39,16 @@ fraction and its record count (``EnsembleStats.diagnostics``, which the
 raises EnsembleExtinctError.
 
 The ensemble is stepped as whole arrays.  Every slot, dead or alive, is
-mapped, perturbed by its own noise draw and evaluated; a slot is dead
-exactly when its mass is 0 (log-mass -inf).  Mass 0 comes from leaving the
-region or from a weight of 0, so a zero weight kills.  A step costs the same
-for every slot, so its cost scales with ``n_particles``, not with the
-survivors: a dead slot comes back only at a resampling.  Runs are
-deterministic given the integer seed.
+mapped, perturbed by its own noise draw and evaluated; a boolean mask says
+which slots are alive.  A slot dies on leaving the region or where its
+log-mass reaches -inf, so a weight of 0 kills.  A constant weight (phi = 0
+included) gives every live slot the same mass, so the run keeps one log
+scale for all of them and each live mass is exactly 1; any other weight
+keeps a log-mass per slot, read only where the slot is alive.  Neither
+evaluates ``exp`` at -inf, which NumPy computes far more slowly than at
+finite inputs.  A step costs the same for every slot, so its cost scales
+with ``n_particles``, not with the survivors: a dead slot comes back only at
+a resampling.  Runs are deterministic given the integer seed.
 
 The particle route shares only :mod:`qemlab.dynamics` (map, noise, weight
 and region) with the spectral route: it reads no grid, and the seed is an
@@ -149,9 +153,10 @@ def _systematic_sources(w: Array, jitter: float) -> Array:
     ``searchsorted`` on the quantiles would.  With the jitter in [2**-53, 1],
     as ``1 - U`` is for a uniform draw U in [0, 1), no quantile is 0 and
     none exceeds 1, so a slot of mass 0 gets no offspring and every pick is
-    a slot.  Each slot's offspring are counted from the quantiles at or
-    below its cumulative mass, which takes a fraction of the time of a
-    binary search per quantile.
+    a slot.  Each slot counts the quantiles at or below its cumulative mass,
+    and pick j goes to the first slot whose count exceeds j: one
+    ``bincount`` of the counts and its cumulative sum, a fraction of the
+    time of a binary search per quantile.
     """
     m = w.size
     cum = np.cumsum(w)
@@ -162,10 +167,17 @@ def _systematic_sources(w: Array, jitter: float) -> Array:
     below -= jitter
     np.floor(below, out=below)
     below += 1.0
-    below += (below + jitter) / m <= cum
-    below -= (below - 1.0 + jitter) / m > cum
+    # each step adds or takes a comparison's 0.0 or 1.0; the quantiles and
+    # the comparisons share one buffer
+    quantile = np.add(below, jitter)
+    quantile /= m
+    below += np.less_equal(quantile, cum, out=quantile)
+    np.subtract(below, 1.0, out=quantile)
+    quantile += jitter
+    quantile /= m
+    below -= np.greater(quantile, cum, out=quantile)
     np.clip(below, 0.0, m, out=below)
-    return np.arange(m).repeat(np.diff(below, prepend=0.0).astype(np.intp))
+    return np.bincount(below.astype(np.intp), minlength=m + 1)[:m].cumsum()
 
 
 def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
@@ -195,17 +207,21 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
         pt = np.atleast_1d(np.asarray(start, dtype=float))
         pos = np.tile(pt, (n_particles, 1))
 
-    # a slot is alive exactly while its log-mass is finite
-    log_mass = np.where(region.contains(pos), 0.0, -math.inf)
-    if not np.any(log_mass > -math.inf):
+    live = region.contains(pos)
+    count = np.count_nonzero(live)
+    if not count:
         raise EnsembleExtinctError(0)  # started inside the killing region
+    # a constant weight gives every live slot one log-mass, ``scale``; any
+    # other weight keeps each slot's own, read only where the slot is live
     const_lw = _constant_log_weight(weight)
+    scale = 0.0
+    log_mass = None if const_lw is not None else np.zeros(n_particles)
     log_n = math.log(n_particles)
     resample_times: list[int] = []
     min_ess = 1.0
 
     series = np.empty(n + 1)
-    series[0] = math.log(np.count_nonzero(log_mass > -math.inf)) - log_n
+    series[0] = math.log(count) - log_n
 
     first = max(n // 10, LAG)
     records = np.empty((len(obs), (n - first) // RECORD_EVERY + 1))
@@ -216,54 +232,66 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
     for t in range(n):
         if t == anchor_at:
             anchor, ancestor = _coords(pos, d), None
-        if const_lw is None:
-            log_weight = weight.effective_log_values(pos)  # -inf kills
-            # dead slots stay dead, whatever the weight is where they sit
-            np.add(log_mass, log_weight, out=log_mass, where=log_mass > -math.inf)
+        if log_mass is not None:
+            log_mass += weight.effective_log_values(pos)
+            live &= log_mass > -math.inf  # a weight of 0 kills
         elif const_lw != 0.0:
-            log_mass += const_lw
+            scale += const_lw
 
         new_pos, moved_alive = step_points(system, noise, pos, rng)
         if not moved_alive.all():  # keep absorbed slots on domain points
             np.copyto(new_pos, pos, where=~moved_alive[:, None])
         pos = new_pos
-        log_mass = np.where(moved_alive & region.contains(pos), log_mass,
-                            -math.inf)
+        live &= moved_alive
+        live &= region.contains(pos)
 
-        peak = float(log_mass.max())
-        if peak == -math.inf:
-            raise EnsembleExtinctError(t + 1)
-        w = np.exp(log_mass - peak)
-        total = float(w.sum())
+        if log_mass is None:
+            # every live mass is exactly 1, and so is each square
+            total = sum_sq = float(np.count_nonzero(live))
+            if not total:
+                raise EnsembleExtinctError(t + 1)
+            peak, w = scale, live.astype(float)
+        else:
+            peak = float(np.where(live, log_mass, -math.inf).max())
+            if peak == -math.inf:
+                raise EnsembleExtinctError(t + 1)
+            # dead slots read 0 before the exp, whatever their log-mass
+            w = np.exp(np.where(live, log_mass - peak, 0.0))
+            w *= live
+            total, sum_sq = float(w.sum()), float((w * w).sum())
         series[t + 1] = peak + math.log(total) - log_n
-        ess = total * total / float((w * w).sum()) / n_particles
+        ess = total * total / sum_sq / n_particles
         min_ess = min(min_ess, ess)
 
         if t + 1 == anchor_at + LAG:
-            live = np.flatnonzero(w)
-            at = anchor[live if ancestor is None else ancestor[live]]
-            w_live = w[live]
+            kept = np.flatnonzero(w)
+            at = anchor[kept if ancestor is None else ancestor[kept]]
+            w_kept = w[kept]
             k = (t + 1 - first) // RECORD_EVERY
             # one sum for numerator and denominator, so h = 1 reads exactly 1
             for i, h in enumerate(obs.values()):
-                records[i, k] = ((w_live * np.asarray(h(at), dtype=float)).sum()
-                                 / w_live.sum())
+                records[i, k] = ((w_kept * np.asarray(h(at), dtype=float)).sum()
+                                 / w_kept.sum())
             anchor_at += RECORD_EVERY
             anchor = None
 
         if ess < resample_threshold:
             src = _systematic_sources(w, 1.0 - rng.uniform())
-            pos = pos[src]
+            pos = pos.take(src, axis=0)
             if anchor is not None:
                 ancestor = src if ancestor is None else ancestor[src]
-            log_mass = np.full(n_particles, series[t + 1])
+            live[:] = True
+            if log_mass is None:
+                scale = float(series[t + 1])
+            else:
+                log_mass.fill(series[t + 1])
             resample_times.append(t + 1)
 
     averages, errors = _batch_means(obs, records)
     stats = EnsembleStats(
         averages=averages,
         standard_errors=errors,
-        survival_fraction=float(np.mean(log_mass > -math.inf)),
+        survival_fraction=float(np.mean(live)),
         escape_rate_estimate=math.nan,
         log_mass_series=series,
         n_steps=n,

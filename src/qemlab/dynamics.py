@@ -111,19 +111,29 @@ class Domain:
         """
         base = np.atleast_2d(base)
         pts = np.atleast_2d(moved)
-        taken = np.zeros(base.shape[0], dtype=bool)
         alive = np.zeros(base.shape[0], dtype=bool)
-        for box in self.boxes:
+        last = len(self.boxes) - 1
+        for b, box in enumerate(self.boxes):
             in_box = box.contains(base)
-            in_box &= ~taken
-            taken |= in_box
+            if b:
+                in_box &= ~taken
+            if b < last:  # the rows an earlier box holds
+                taken = in_box if b == 0 else taken | in_box
+            everywhere = bool(in_box.all())
             inside = in_box
             for k, (lo, hi, wrap) in enumerate(zip(box.lo, box.hi, box.wrap)):
                 x = pts[:, k]
                 width = hi - lo
                 if wrap:
-                    wrapped = _wrap_mod(x - lo, width)
-                    np.copyto(x, np.add(wrapped, lo, out=wrapped), where=in_box)
+                    # x - 0.0 is x, and no wrapped value is -0.0, so a box
+                    # at 0 skips both shifts bitwise
+                    wrapped = _wrap_mod(x - lo if lo != 0.0 else x, width)
+                    if lo != 0.0:
+                        wrapped += lo
+                    if everywhere:
+                        x[...] = wrapped
+                    else:
+                        np.copyto(x, wrapped, where=in_box)
                 else:
                     inside = inside & ~((x < lo) | (x >= lo + width))
             alive |= inside

@@ -244,6 +244,69 @@ def test_malformed_command_config_exits_with_its_code(tmp_path, capsys, case):
     assert f"error[{code}]" in err and "Traceback" not in err
 
 
+# Python's json reads these as floats that are not finite, and the last as an
+# integer past the float range
+NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400)
+X = "non-finite"  # where the number goes
+FILTRATION = SINGLE_EPSILON_EXTRAS["filtration"]
+
+# every number a config reads, placed by command, and the code it must give
+NON_FINITE_BY_KEY = {
+    "epsilon": ("mc", {"mc": MC, "noise": {"epsilon": X}}, "bad-epsilon"),
+    "epsilon list entry": (
+        "sweep", {"noise": {"epsilon": [1e-2, X]}}, "bad-epsilon"),
+    "system parameter": (
+        "spectrum", {"system": {"label": "smooth_perturbed", "a": X}},
+        "bad-system"),
+    "constant log_value": (
+        "mc", {"mc": MC, "weight": {"kind": "constant", "log_value": X}},
+        "bad-weight"),
+    "constant log_value of a spectrum": (
+        "spectrum", {"weight": {"kind": "constant", "log_value": X}},
+        "bad-weight"),
+    "taper width": (
+        "spectrum", {"weight": {"kind": "zero", "cutoff": {
+            "boxes": [[[0.0], [1.0]]], "taper_width": X}}}, "bad-weight"),
+    "cutoff box coordinate": (
+        "spectrum", {"weight": {"kind": "zero", "cutoff": {
+            "boxes": [[[0.0], [X]]]}}}, "bad-weight"),
+    "solver tol": ("spectrum", {"solver": {"tol": X}}, "bad-solver"),
+    "resample threshold": (
+        "mc", {"mc": {**MC, "resample_threshold": X}}, "bad-mc"),
+    "start coordinate": ("mc", {"mc": {**MC, "start": [X]}}, "bad-mc"),
+    "region box coordinate": (
+        "spectrum", {"region": {"kind": "boxes", "boxes": [[[X], [0.5]]]}},
+        "bad-region"),
+    "region box coordinate of an mc run": (
+        "mc", {"mc": MC, "region": {"kind": "boxes", "boxes": [[[0.0], [X]]]}},
+        "bad-region"),
+    "stratum box coordinate": (
+        "filtration", {**FILTRATION, "filtration": {
+            **FILTRATION["filtration"], "strata": {"2": [[[0.0], [X]]]}}},
+        "bad-region"),
+    "pressure": (
+        "filtration", {**FILTRATION, "filtration": {
+            **FILTRATION["filtration"], "nodes": [
+                {"id": 1, "pressure": -0.5}, {"id": 2, "pressure": X}]}},
+        "bad-graph"),
+}
+
+
+@pytest.mark.parametrize("token", NON_FINITE, ids=lambda t: t[:8])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_BY_KEY))
+def test_a_number_that_is_not_finite_exits_with_its_code(tmp_path, capsys,
+                                                         case, token):
+    command, extras, code = NON_FINITE_BY_KEY[case]
+    path, _ = write_config(tmp_path, **{"grid": {"resolution": 27}, **extras})
+    text = Path(path).read_text()
+    assert text.count(json.dumps(X)) == 1
+    Path(path).write_text(text.replace(json.dumps(X), token))
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error[{code}]" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command,flag", [
     ("spectrum", "--svg"), ("mc", "--svg"), ("filtration", "--svg"),
     ("sweep", "--export-matrix"), ("mc", "--export-matrix"),

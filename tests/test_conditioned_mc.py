@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -7,8 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from qemlab import conditioned_mc
 from qemlab.conditioned_mc import (LAG, MIN_STEPS, RECORD_EVERY,
-                                   EnsembleExtinctError, _systematic_sources,
-                                   escape_rate_mc, run_conditioned)
+                                   EnsembleExtinctError, EnsembleStats,
+                                   _batch_means, _constant_log_weight, _coords,
+                                   _normalize_observables, _sample_region,
+                                   _systematic_sources, escape_rate_mc,
+                                   run_conditioned)
 from qemlab.dynamics import (Box, Domain, MapSystem, NoiseModel, RegionSpec,
                              WeightField, constant_weight, make_system,
                              step_points, zero_weight)
@@ -300,6 +304,160 @@ class TestAncestry:
                 if s in source_at:
                     ancestor = ancestor[source_at[s]]
             assert np.array_equal(got, stepped[t - LAG][ancestor])
+
+
+def _reference_run(system, noise, weight, region, start, n, n_particles,
+                   observables, resample_threshold=0.5, seed=0):
+    """Reference: the run with one log-mass per slot, -inf where the slot is
+    dead, so every step takes the exp of every slot's mass; systematic
+    resampling by the plain walk over the quantiles."""
+    obs = _normalize_observables(observables)
+    rng = np.random.default_rng([int(seed)])
+    d = system.dimension
+
+    if isinstance(start, RegionSpec):
+        pos = _sample_region(start, n_particles, rng)
+    else:
+        pt = np.atleast_1d(np.asarray(start, dtype=float))
+        pos = np.tile(pt, (n_particles, 1))
+
+    # a slot is alive exactly while its log-mass is finite
+    log_mass = np.where(region.contains(pos), 0.0, -math.inf)
+    if not np.any(log_mass > -math.inf):
+        raise EnsembleExtinctError(0)  # started inside the killing region
+    const_lw = _constant_log_weight(weight)
+    log_n = math.log(n_particles)
+    resample_times: list[int] = []
+    min_ess = 1.0
+
+    series = np.empty(n + 1)
+    series[0] = math.log(np.count_nonzero(log_mass > -math.inf)) - log_n
+
+    first = max(n // 10, LAG)
+    records = np.empty((len(obs), (n - first) // RECORD_EVERY + 1))
+    # the open record's anchor step and positions, and each slot's ancestor
+    # among them (None: the slot itself, before any resampling)
+    anchor_at, anchor, ancestor = first - LAG, None, None
+
+    for t in range(n):
+        if t == anchor_at:
+            anchor, ancestor = _coords(pos, d), None
+        if const_lw is None:
+            log_weight = weight.effective_log_values(pos)  # -inf kills
+            # dead slots stay dead, whatever the weight is where they sit
+            np.add(log_mass, log_weight, out=log_mass, where=log_mass > -math.inf)
+        elif const_lw != 0.0:
+            log_mass += const_lw
+
+        new_pos, moved_alive = step_points(system, noise, pos, rng)
+        if not moved_alive.all():  # keep absorbed slots on domain points
+            np.copyto(new_pos, pos, where=~moved_alive[:, None])
+        pos = new_pos
+        log_mass = np.where(moved_alive & region.contains(pos), log_mass,
+                            -math.inf)
+
+        peak = float(log_mass.max())
+        if peak == -math.inf:
+            raise EnsembleExtinctError(t + 1)
+        w = np.exp(log_mass - peak)
+        total = float(w.sum())
+        series[t + 1] = peak + math.log(total) - log_n
+        ess = total * total / float((w * w).sum()) / n_particles
+        min_ess = min(min_ess, ess)
+
+        if t + 1 == anchor_at + LAG:
+            live = np.flatnonzero(w)
+            at = anchor[live if ancestor is None else ancestor[live]]
+            w_live = w[live]
+            k = (t + 1 - first) // RECORD_EVERY
+            # one sum for numerator and denominator, so h = 1 reads exactly 1
+            for i, h in enumerate(obs.values()):
+                records[i, k] = ((w_live * np.asarray(h(at), dtype=float)).sum()
+                                 / w_live.sum())
+            anchor_at += RECORD_EVERY
+            anchor = None
+
+        if ess < resample_threshold:
+            src = _loop_sources(w, 1.0 - rng.uniform())
+            pos = pos[src]
+            if anchor is not None:
+                ancestor = src if ancestor is None else ancestor[src]
+            log_mass = np.full(n_particles, series[t + 1])
+            resample_times.append(t + 1)
+
+    averages, errors = _batch_means(obs, records)
+    stats = EnsembleStats(
+        averages=averages,
+        standard_errors=errors,
+        survival_fraction=float(np.mean(log_mass > -math.inf)),
+        escape_rate_estimate=math.nan,
+        log_mass_series=series,
+        n_steps=n,
+        n_particles=n_particles,
+        resample_times=resample_times,
+        min_ess_fraction=min_ess,
+        n_records=records.shape[1],
+    )
+    stats.escape_rate_estimate = escape_rate_mc(stats)
+    return stats
+
+
+def _weights(builtin):
+    """Weights of every kind the run tells apart, for ``builtin``'s points;
+    the cutoff leaves out the top 0.1 of the first domain box's first axis."""
+    lo, hi = builtin.system.domain.boxes[0].lo, builtin.system.domain.boxes[0].hi
+    cut = Box(lo, (hi[0] - 0.1, *hi[1:]))
+    return {
+        "zero": zero_weight(),
+        "constant": constant_weight(-0.3),
+        "callable": WeightField(lambda p: 0.8 * np.cos(2 * np.pi * p[:, 0])),
+        # a cutoff tapers the weight to 0 at its edge and is 0 past it
+        "cutoff": WeightField(0.4, support_cutoff=RegionSpec((cut,)),
+                              taper_width=0.05, domain=builtin.system.domain),
+        # e^-800 underflows, so only the log-mass keeps these masses apart
+        "underflow": WeightField(lambda p: -800.0 * p[:, 0]),
+    }
+
+
+REFERENCE_SYSTEMS = {label: make_system(label)
+                     for label in ("ternary_hole", "two_repeller", "open_baker")}
+
+
+class TestAgainstReference:
+    @settings(max_examples=100, deadline=None)
+    @given(label=st.sampled_from(sorted(REFERENCE_SYSTEMS)),
+           kind=st.sampled_from(["zero", "constant", "callable", "cutoff",
+                                 "underflow"]),
+           threshold=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           from_region=st.booleans(), epsilon=st.sampled_from([0.0, 1e-3, 0.05]),
+           n=st.integers(MIN_STEPS, 40), n_particles=st.integers(2, 100),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_same_bits_as_the_reference(self, label, kind, threshold,
+                                        from_region, epsilon, n, n_particles,
+                                        seed):
+        builtin = REFERENCE_SYSTEMS[label]
+        region = builtin.survivor
+        start = region if from_region else np.asarray(
+            [b + 0.1 for b in region.boxes[0].lo])
+        args = (builtin.system, NoiseModel(epsilon), _weights(builtin)[kind],
+                region, start)
+        kw = dict(n=n, n_particles=n_particles, resample_threshold=threshold,
+                  seed=seed, observables={
+                      "x": lambda c: c if c.ndim == 1 else c[:, 0],
+                      "one": lambda c: np.ones(len(c))})
+        try:
+            want = _reference_run(*args, **kw)
+        except EnsembleExtinctError as exc:
+            with pytest.raises(EnsembleExtinctError) as err:
+                run_conditioned(*args, **kw)
+            assert err.value.time == exc.time
+            return
+        got = run_conditioned(*args, **kw)
+        assert (json.dumps(got.scalars(), sort_keys=True)
+                == json.dumps(want.scalars(), sort_keys=True))
+        assert got.diagnostics() == want.diagnostics()
+        assert got.log_mass_series.tobytes() == want.log_mass_series.tobytes()
+        assert got.resample_times == want.resample_times
 
 
 class TestEscapeRate:

@@ -163,19 +163,39 @@ class TestBoundaryKernels:
         a = np.array([-0.0, 0.0, -1e-300, -5e-324, -1.0, -3.0, 1.0 - 2 ** -53])
         assert np.array_equal(_bits(_wrap_mod(a, 1.0)), _bits(np.mod(a, 1.0)))
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(name=st.sampled_from(sorted(BOUNDARY_DOMAINS)), data=st.data())
     def test_apply_boundary_matches_per_box_rule(self, name, data):
         domain = BOUNDARY_DOMAINS[name]
         d = domain.dimension
         n = data.draw(st.integers(1, 40))
-        base = data.draw(arrays(float, (n, d), elements=st.floats(-1.5, 3.5)))
-        delta = data.draw(arrays(float, (n, d), elements=st.floats(-0.6, 0.6)))
+        one_box = data.draw(st.none() | st.sampled_from(domain.boxes))
+        if one_box is None:
+            base = data.draw(arrays(float, (n, d), elements=st.floats(-1.5, 3.5)))
+        else:
+            # every base row in one box, where a box need not mask its rows;
+            # a face at 0 also meets -0.0, and the top face one ulp below
+            base = np.column_stack([data.draw(arrays(float, n, elements=(
+                st.floats(lo, hi, exclude_max=True)
+                | st.sampled_from([lo, np.nextafter(hi, -np.inf)]
+                                  + [-0.0] * (lo == 0.0)))))
+                for lo, hi in zip(one_box.lo, one_box.hi)])
+        delta = data.draw(arrays(float, (n, d), elements=st.floats(-0.6, 0.6)
+                                 | st.sampled_from([-0.0, 0.0])))
         got, alive = domain.apply_boundary(base, base + delta)
         want, want_alive, which = _per_box_boundary(domain, base, base + delta)
         assert np.array_equal(alive, want_alive)
         located = which >= 0  # rows outside every box are unspecified
         assert np.array_equal(_bits(got[located]), _bits(want[located]))
+
+    def test_rows_of_an_earlier_box_are_not_wrapped_by_a_later_one(self):
+        # every base row lies in the second box, but the first one holds
+        # 1.25 and absorbs there, so its moved value 0.75 must not wrap to 2.75
+        domain = BOUNDARY_DOMAINS["overlapping"]
+        base = np.array([[1.25], [2.5]])
+        got, alive = domain.apply_boundary(base, base + np.array([[-0.5], [0.0]]))
+        assert got[:, 0].tolist() == [0.75, 2.5]
+        assert alive.tolist() == [True, True]
 
     @settings(max_examples=100, deadline=None)
     @given(name=st.sampled_from(sorted(BOUNDARY_DOMAINS)), data=st.data())
