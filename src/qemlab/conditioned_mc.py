@@ -232,11 +232,11 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
     for t in range(n):
         if t == anchor_at:
             anchor, ancestor = _coords(pos, d), None
-        if log_mass is not None:
+        if log_mass is None:
+            scale += const_lw
+        else:
             log_mass += weight.effective_log_values(pos)
             live &= log_mass > -math.inf  # a weight of 0 kills
-        elif const_lw != 0.0:
-            scale += const_lw
 
         new_pos, moved_alive = step_points(system, noise, pos, rng)
         if not moved_alive.all():  # keep absorbed slots on domain points
