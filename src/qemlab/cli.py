@@ -142,7 +142,7 @@ class ExperimentConfig:
 
     def dynamics(self) -> tuple[Builtin, RegionSpec, WeightField]:
         """Map, region and weight, all the particle route reads; a failing
-        step gives its code."""
+        step gives its code, and so does an epsilon wider than every box."""
         label = self.system.get("label")
         if label is None:
             raise ConfigError("unknown-system", "config has no system label")
@@ -151,6 +151,10 @@ class ExperimentConfig:
             raise ConfigError("bad-system", "system parameters must be finite "
                                             "numbers")
         builtin = _checked("bad-system", lambda: make_system(label, **params))
+        widest = max(float(box.widths.max()) for box in builtin.system.domain.boxes)
+        if max(self.epsilons(), default=0.0) > widest:
+            raise ConfigError("bad-epsilon", f"epsilon must be at most {widest:g}, "
+                                             f"the widest side of a domain box")
         return (builtin,
                 _checked("bad-region", lambda: self.region_spec(builtin)),
                 _checked("bad-weight", lambda: self.weight_field(builtin)))

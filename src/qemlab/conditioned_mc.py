@@ -46,9 +46,10 @@ included) gives every live slot the same mass, so the run keeps one log
 scale for all of them and each live mass is exactly 1; any other weight
 keeps a log-mass per slot, read only where the slot is alive.  Neither
 evaluates ``exp`` at -inf, which NumPy computes far more slowly than at
-finite inputs.  A step costs the same for every slot, so its cost scales
-with ``n_particles``, not with the survivors: a dead slot comes back only at
-a resampling.  Runs are deterministic given the integer seed.
+finite inputs.  The map, noise and region cost the same for every slot, so
+they scale with ``n_particles``; a resampling reads only the slots of
+positive mass, so it scales with the survivors, and a dead slot comes back
+only there.  Runs are deterministic given the integer seed.
 
 The particle route shares only :mod:`qemlab.dynamics` (map, noise, weight
 and region) with the spectral route: it reads no grid, and the seed is an
@@ -145,22 +146,21 @@ def _constant_log_weight(weight: WeightField) -> float | None:
     return float(weight.log_weight)
 
 
-def _systematic_sources(w: Array, jitter: float) -> Array:
-    """The slot each slot copies under systematic resampling by masses ``w``.
+def _systematic_sources(slots: Array, cum: Array, m: int, jitter: float) -> Array:
+    """The slot each of ``m`` slots copies under systematic resampling.
 
-    Slot j picks the first slot whose normalised cumulative mass reaches the
-    quantile ``(jitter + j) / w.size`` (Douc, Cappe & Moulines, 2005), as
-    ``searchsorted`` on the quantiles would.  With the jitter in [2**-53, 1],
-    as ``1 - U`` is for a uniform draw U in [0, 1), no quantile is 0 and
-    none exceeds 1, so a slot of mass 0 gets no offspring and every pick is
-    a slot.  Each slot counts the quantiles at or below its cumulative mass,
-    and pick j goes to the first slot whose count exceeds j: one
-    ``bincount`` of the counts and its cumulative sum, a fraction of the
-    time of a binary search per quantile.
+    ``slots`` are the slots of positive mass in order, ``cum`` their
+    unnormalised cumulative masses.  Pick j goes to the first slot whose
+    normalised cumulative mass reaches the quantile ``(jitter + j) / m``
+    (Douc, Cappe & Moulines, 2005), as ``searchsorted`` would.  With the
+    jitter in [2**-53, 1], as ``1 - U`` is for a uniform draw U in [0, 1),
+    no quantile is 0 and none exceeds 1, so every pick is one of ``slots``.
+    Each slot counts the quantiles at or below its cumulative mass and takes
+    its count less the previous slot's: the work scales with ``slots.size``.
+    A mass of 0 adds +0.0 to a cumulative sum, so these are the picks of
+    the masses of all ``m`` slots.
     """
-    m = w.size
-    cum = np.cumsum(w)
-    cum /= cum[-1]
+    cum = cum / cum[-1]
     # the floor is exact up to rounding, and one step either way puts it
     # where the quantiles do
     below = cum * m
@@ -177,7 +177,9 @@ def _systematic_sources(w: Array, jitter: float) -> Array:
     quantile /= m
     below -= np.greater(quantile, cum, out=quantile)
     np.clip(below, 0.0, m, out=below)
-    return np.bincount(below.astype(np.intp), minlength=m + 1)[:m].cumsum()
+    quantile[0] = below[0]
+    np.subtract(below[1:], below[:-1], out=quantile[1:])
+    return slots.repeat(quantile.astype(np.intp))
 
 
 def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
@@ -216,6 +218,7 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
     const_lw = _constant_log_weight(weight)
     scale = 0.0
     log_mass = None if const_lw is not None else np.zeros(n_particles)
+    ones_cum = np.arange(1.0, n_particles + 1)  # cumulative masses of ones
     log_n = math.log(n_particles)
     resample_times: list[int] = []
     min_ess = 1.0
@@ -250,7 +253,7 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
             total = sum_sq = float(np.count_nonzero(live))
             if not total:
                 raise EnsembleExtinctError(t + 1)
-            peak, w = scale, live.astype(float)
+            peak = scale
         else:
             peak = float(np.where(live, log_mass, -math.inf).max())
             if peak == -math.inf:
@@ -263,20 +266,26 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
         ess = total * total / sum_sq / n_particles
         min_ess = min(min_ess, ess)
 
-        if t + 1 == anchor_at + LAG:
-            kept = np.flatnonzero(w)
+        recording, resampling = t + 1 == anchor_at + LAG, ess < resample_threshold
+        if recording or resampling:  # the slots of positive mass
+            kept = np.flatnonzero(live if log_mass is None else w)
+            mass = None if log_mass is None else w[kept]  # None: all 1.0
+
+        if recording:
             at = anchor[kept if ancestor is None else ancestor[kept]]
-            w_kept = w[kept]
             k = (t + 1 - first) // RECORD_EVERY
-            # one sum for numerator and denominator, so h = 1 reads exactly 1
+            # one sum for numerator and denominator, so h = 1 reads exactly 1;
+            # masses of 1.0 leave each product and the count as the sum
             for i, h in enumerate(obs.values()):
-                records[i, k] = ((w_kept * np.asarray(h(at), dtype=float)).sum()
-                                 / w_kept.sum())
+                hk = np.broadcast_to(np.asarray(h(at), dtype=float), kept.shape)
+                records[i, k] = (hk.sum() / kept.size if mass is None
+                                 else (mass * hk).sum() / mass.sum())
             anchor_at += RECORD_EVERY
             anchor = None
 
-        if ess < resample_threshold:
-            src = _systematic_sources(w, 1.0 - rng.uniform())
+        if resampling:
+            cum = ones_cum[:kept.size] if mass is None else np.cumsum(mass)
+            src = _systematic_sources(kept, cum, n_particles, 1.0 - rng.uniform())
             pos = pos.take(src, axis=0)
             if anchor is not None:
                 ancestor = src if ancestor is None else ancestor[src]

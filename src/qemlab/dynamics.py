@@ -225,8 +225,8 @@ class NoiseModel:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0 <= 2.0 * self.epsilon < np.inf:
+            raise ValueError("epsilon must be >= 0, with 2 epsilon finite")
 
     def sample(self, rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
         if self.epsilon == 0.0:

@@ -307,6 +307,28 @@ def test_a_number_that_is_not_finite_exits_with_its_code(tmp_path, capsys,
     assert f"error[{code}]" in err and "Traceback" not in err
 
 
+# ternary_hole's domain is [0, 1): a wider epsilon overflowed the noise draw
+# (1e308) or the count of circle copies in the assembly (1e17, 1e20)
+@pytest.mark.parametrize("epsilon", [1e308, 1e20, 1e17, 1.0 + 2.0 ** -52])
+@pytest.mark.parametrize("command", ["mc", "spectrum", "sweep"])
+def test_an_epsilon_wider_than_the_domain_exits_with_bad_epsilon(
+        tmp_path, capsys, command, epsilon):
+    path, _ = write_config(tmp_path, grid={"resolution": 27}, mc=MC, noise={
+        "epsilon": [1e-2, epsilon] if command == "sweep" else epsilon})
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error[bad-epsilon]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["mc", "spectrum", "sweep"])
+def test_an_epsilon_as_wide_as_the_domain_runs(tmp_path, command):
+    path, _ = write_config(tmp_path, grid={"resolution": 27}, mc=MC, noise={
+        "epsilon": [0.5, 1.0] if command == "sweep" else 1.0})
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
 @pytest.mark.parametrize("command,flag", [
     ("spectrum", "--svg"), ("mc", "--svg"), ("filtration", "--svg"),
     ("sweep", "--export-matrix"), ("mc", "--export-matrix"),

@@ -63,6 +63,20 @@ class TestRunConditioned:
         self._assert_constant_observable_is_exact(
             WeightField(lambda p: np.cos(2 * np.pi * p[:, 0])))
 
+    @pytest.mark.parametrize("weight", [
+        zero_weight(), WeightField(lambda p: np.cos(2 * np.pi * p[:, 0]))])
+    def test_an_observable_that_returns_a_scalar_reads_as_its_array(self,
+                                                                    weight):
+        # the CLI's observable "0.1" returns one number for all the points
+        stats = run_conditioned(TERNARY.system, NOISE, weight,
+                                TERNARY.survivor, np.array([0.1]),
+                                n=200, n_particles=500, seed=3, observables={
+                                    "scalar": lambda c: 0.1,
+                                    "array": lambda c: np.full(len(c), 0.1)})
+        assert stats.averages["scalar"] == stats.averages["array"]
+        assert (stats.standard_errors["scalar"]
+                == stats.standard_errors["array"])
+
     def test_extinct_start_in_hole(self):
         with pytest.raises(EnsembleExtinctError) as err:
             run_conditioned(TERNARY.system, NoiseModel(0.0), zero_weight(),
@@ -259,9 +273,32 @@ class TestSystematicResampling:
              "tiny": np.exp(-700.0 * rng.uniform(size=n_particles))}[kind]
         w[rng.uniform(size=n_particles) < dead] = 0.0
         w[rng.integers(n_particles)] = 1.0  # some mass is left
-        src = _systematic_sources(w, jitter)
+        slots = np.flatnonzero(w)
+        src = _systematic_sources(slots, np.cumsum(w[slots]), w.size, jitter)
         assert np.array_equal(src, _loop_sources(w, jitter))
         assert np.all(w[src] > 0.0)
+
+    # 4 of 10 slots live: quantile (0.5 + 2) / 10 is the first live slot's
+    # cumulative fraction 1/4 exactly, and jitter 1 puts quantile 5/10 on 2/4
+    @example(live=[True, False, True, False, False, True, False, True, False,
+                   False], jitter=0.5)
+    @example(live=[False, True, False, False, True, True, False, True, False,
+                   False], jitter=1.0)
+    @settings(max_examples=150, deadline=None)
+    @given(live=st.lists(st.booleans(), min_size=1, max_size=300),
+           jitter=st.sampled_from([2.0 ** -53, 1.0 - 2.0 ** -53, 1.0, 0.5])
+           | st.floats(2.0 ** -53, 1.0))
+    def test_equal_masses_pick_live_slots_in_order(self, live, jitter):
+        # a constant weight passes the live slots and the counts 1..c
+        live = np.asarray(live)
+        live[len(live) // 2] = True  # some slot is live
+        slots = np.flatnonzero(live)
+        cum = np.arange(1.0, slots.size + 1)
+        src = _systematic_sources(slots, cum, live.size, jitter)
+        assert np.array_equal(src, _loop_sources(live.astype(float), jitter))
+        assert src.size == live.size
+        assert np.all(np.diff(src) >= 0)
+        assert np.all(live[src])
 
 
 class TestAncestry:
@@ -279,8 +316,8 @@ class TestAncestry:
             stepped.append(points[:, 0].copy())
             return step_points(system, noise, points, rng)
 
-        def resample(w, jitter):
-            sources.append(_systematic_sources(w, jitter))
+        def resample(slots, cum, m, jitter):
+            sources.append(_systematic_sources(slots, cum, m, jitter))
             return sources[-1]
 
         def h(c):

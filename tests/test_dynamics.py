@@ -503,6 +503,12 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(-0.1)
 
+    @pytest.mark.parametrize("epsilon", [1e308, math.inf, math.nan])
+    def test_epsilon_whose_width_is_not_finite_rejected(self, epsilon):
+        with pytest.raises(ValueError):
+            NoiseModel(epsilon)
+        NoiseModel(8e307).sample(rng(1), (3,))  # 2 eps is finite
+
 
 class TestRegionFraction:
     def setup_method(self):
