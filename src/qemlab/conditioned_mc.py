@@ -176,7 +176,7 @@ def _systematic_sources(slots: Array, cum: Array, m: int, jitter: float) -> Arra
     quantile += jitter
     quantile /= m
     below -= np.greater(quantile, cum, out=quantile)
-    np.clip(below, 0.0, m, out=below)
+    np.minimum(below, m, out=below)  # no count is below 0; the last can be m + 1
     quantile[0] = below[0]
     np.subtract(below[1:], below[:-1], out=quantile[1:])
     return slots.repeat(quantile.astype(np.intp))
@@ -275,7 +275,7 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
             at = anchor[kept if ancestor is None else ancestor[kept]]
             k = (t + 1 - first) // RECORD_EVERY
             # one sum for numerator and denominator, so h = 1 reads exactly 1;
-            # masses of 1.0 leave each product and the count as the sum
+            # masses of 1.0 make each product h itself and the mass sum the count
             for i, h in enumerate(obs.values()):
                 hk = np.broadcast_to(np.asarray(h(at), dtype=float), kept.shape)
                 records[i, k] = (hk.sum() / kept.size if mass is None

@@ -276,6 +276,7 @@ class TestSystematicResampling:
         slots = np.flatnonzero(w)
         src = _systematic_sources(slots, np.cumsum(w[slots]), w.size, jitter)
         assert np.array_equal(src, _loop_sources(w, jitter))
+        assert np.all(np.diff(src) >= 0)
         assert np.all(w[src] > 0.0)
 
     # 4 of 10 slots live: quantile (0.5 + 2) / 10 is the first live slot's
