@@ -218,7 +218,8 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
     const_lw = _constant_log_weight(weight)
     scale = 0.0
     log_mass = None if const_lw is not None else np.zeros(n_particles)
-    ones_cum = np.arange(1.0, n_particles + 1)  # cumulative masses of ones
+    # the cumulative masses of ones, a constant weight's at every resampling
+    ones_cum = np.arange(1.0, n_particles + 1) if log_mass is None else None
     log_n = math.log(n_particles)
     resample_times: list[int] = []
     min_ess = 1.0
@@ -269,22 +270,20 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
         recording, resampling = t + 1 == anchor_at + LAG, ess < resample_threshold
         if recording or resampling:  # the slots of positive mass
             kept = np.flatnonzero(live if log_mass is None else w)
-            mass = None if log_mass is None else w[kept]  # None: all 1.0
 
         if recording:
             at = anchor[kept if ancestor is None else ancestor[kept]]
+            w_kept = np.ones(kept.size) if log_mass is None else w[kept]
             k = (t + 1 - first) // RECORD_EVERY
-            # one sum for numerator and denominator, so h = 1 reads exactly 1;
-            # masses of 1.0 make each product h itself and the mass sum the count
+            # one sum for numerator and denominator, so h = 1 reads exactly 1
             for i, h in enumerate(obs.values()):
-                hk = np.broadcast_to(np.asarray(h(at), dtype=float), kept.shape)
-                records[i, k] = (hk.sum() / kept.size if mass is None
-                                 else (mass * hk).sum() / mass.sum())
+                records[i, k] = ((w_kept * np.asarray(h(at), dtype=float)).sum()
+                                 / w_kept.sum())
             anchor_at += RECORD_EVERY
             anchor = None
 
         if resampling:
-            cum = ones_cum[:kept.size] if mass is None else np.cumsum(mass)
+            cum = ones_cum[:kept.size] if log_mass is None else np.cumsum(w[kept])
             src = _systematic_sources(kept, cum, n_particles, 1.0 - rng.uniform())
             pos = pos.take(src, axis=0)
             if anchor is not None:

@@ -63,20 +63,6 @@ class TestRunConditioned:
         self._assert_constant_observable_is_exact(
             WeightField(lambda p: np.cos(2 * np.pi * p[:, 0])))
 
-    @pytest.mark.parametrize("weight", [
-        zero_weight(), WeightField(lambda p: np.cos(2 * np.pi * p[:, 0]))])
-    def test_an_observable_that_returns_a_scalar_reads_as_its_array(self,
-                                                                    weight):
-        # the CLI's observable "0.1" returns one number for all the points
-        stats = run_conditioned(TERNARY.system, NOISE, weight,
-                                TERNARY.survivor, np.array([0.1]),
-                                n=200, n_particles=500, seed=3, observables={
-                                    "scalar": lambda c: 0.1,
-                                    "array": lambda c: np.full(len(c), 0.1)})
-        assert stats.averages["scalar"] == stats.averages["array"]
-        assert (stats.standard_errors["scalar"]
-                == stats.standard_errors["array"])
-
     def test_extinct_start_in_hole(self):
         with pytest.raises(EnsembleExtinctError) as err:
             run_conditioned(TERNARY.system, NoiseModel(0.0), zero_weight(),
