@@ -11,9 +11,9 @@ consumes these types.
 
 Conventions
 -----------
-* Points are float arrays of shape ``(d,)``; batches have shape ``(n, d)``.
-  All callables stored on :class:`MapSystem` and :class:`WeightField` are
-  vectorised over the leading axis.
+* Points are float arrays of shape ``(n, d)``, one point per row, for every
+  method here and every callable stored on :class:`MapSystem` and
+  :class:`WeightField`; only :func:`eval_weight` takes a single point.
 * Boxes are half open, ``[lo, hi)`` per axis.  On wrapped (torus) axes the
   representative interval is ``[lo, hi)`` and arithmetic is mod the width.
 """
@@ -67,12 +67,11 @@ class Box:
         return float(np.prod(self.widths))
 
     def contains(self, points: Array) -> Array:
-        """Half-open membership test, vectorised over the leading axis."""
-        p = np.atleast_2d(points)
-        ok = (p[:, 0] >= self.lo[0]) & (p[:, 0] < self.hi[0])
+        """Half-open membership of each ``(n, d)`` point."""
+        ok = (points[:, 0] >= self.lo[0]) & (points[:, 0] < self.hi[0])
         for k in range(1, self.dimension):
-            ok &= (p[:, k] >= self.lo[k]) & (p[:, k] < self.hi[k])
-        return ok if np.ndim(points) > 1 else bool(ok[0])
+            ok &= (points[:, k] >= self.lo[k]) & (points[:, k] < self.hi[k])
+        return ok
 
 
 @dataclass(frozen=True)
@@ -92,25 +91,22 @@ class Domain:
 
     def locate(self, points: Array) -> Array:
         """Index of the box containing each point (-1 when outside all)."""
-        p = np.atleast_2d(points)
-        out = np.full(p.shape[0], -1, dtype=np.int64)
+        out = np.full(points.shape[0], -1, dtype=np.int64)
         for b in range(len(self.boxes) - 1, -1, -1):  # the first box wins
-            out = np.where(self.boxes[b].contains(p), b, out)
+            out = np.where(self.boxes[b].contains(points), b, out)
         return out
 
     def apply_boundary(self, base: Array, moved: Array) -> tuple[Array, Array]:
         """Wrap or absorb ``moved`` relative to the box containing ``base``.
 
         ``base`` is the unperturbed image T(x) and ``moved = base + delta``,
-        a float array of shape ``(n, d)`` that is adjusted in place.  Since
+        both ``(n, d)`` float arrays; ``moved`` is adjusted in place.  Since
         the noise amplitude is small compared with box sizes, the box of
         ``base`` decides which torus the offset wraps on; when boxes
         overlap, the first one holding ``base`` decides.  Returns
         ``(moved, alive_mask)``; dead rows hold unspecified values and must
         be masked by the caller.
         """
-        base = np.atleast_2d(base)
-        pts = np.atleast_2d(moved)
         alive = np.zeros(base.shape[0], dtype=bool)
         last = len(self.boxes) - 1
         for b, box in enumerate(self.boxes):
@@ -122,7 +118,7 @@ class Domain:
             everywhere = bool(in_box.all())
             inside = in_box
             for k, (lo, hi, wrap) in enumerate(zip(box.lo, box.hi, box.wrap)):
-                x = pts[:, k]
+                x = moved[:, k]
                 width = hi - lo
                 if wrap:
                     # x - 0.0 is x, and no wrapped value is -0.0, so a box
@@ -137,7 +133,7 @@ class Domain:
                 else:
                     inside = inside & ~((x < lo) | (x >= lo + width))
             alive |= inside
-        return pts, alive
+        return moved, alive
 
 
 def _wrap_mod(a: Array, w) -> Array:
@@ -166,11 +162,10 @@ class RegionSpec:
         return self.boxes[0].dimension
 
     def contains(self, points: Array) -> Array:
-        p = np.atleast_2d(points)
-        inside = self.boxes[0].contains(p)
+        inside = self.boxes[0].contains(points)
         for box in self.boxes[1:]:
-            inside |= box.contains(p)
-        return inside if np.ndim(points) > 1 else bool(inside[0])
+            inside |= box.contains(points)
+        return inside
 
 
 def _pieces(corners: Array, lo: Array, hi: Array
@@ -262,10 +257,9 @@ class WeightField:
     label: str = "phi=0"
 
     def log_values(self, points: Array) -> Array:
-        p = np.atleast_2d(points)
         if callable(self.log_weight):
-            return np.asarray(self.log_weight(p), dtype=float)
-        return np.full(p.shape[0], float(self.log_weight))
+            return np.asarray(self.log_weight(points), dtype=float)
+        return np.full(points.shape[0], float(self.log_weight))
 
     @cached_property
     def _gaps(self) -> list[tuple]:
@@ -292,20 +286,20 @@ class WeightField:
         return out
 
     def _taper(self, points: Array) -> Array:
-        p = np.atleast_2d(points)
         if self.taper_width <= 0:
-            return self.support_cutoff.contains(p).astype(float)
-        dist = np.zeros(p.shape[0])  # 0 when uncovered or outside every box
+            return self.support_cutoff.contains(points).astype(float)
+        dist = np.zeros(points.shape[0])  # 0 when uncovered or outside every box
         for box, lo, hi, cap_lo, cap_hi, cap_width in self._gaps:
             near = 0.0  # per gap, the largest axis distance, clamped at 0
             for k, wrap in enumerate(box.wrap):
-                x = p[:, k]
+                x = points[:, k]
                 d = np.maximum(lo[k] - x, x - hi[k])
                 if wrap:  # or the way round the circle
                     np.minimum(d, cap_width[k] - np.maximum(cap_hi[k] - x,
                                                             x - cap_lo[k]), out=d)
                 near = np.maximum(near, d, out=d)
-            np.copyto(dist, near.min(axis=0, initial=np.inf), where=box.contains(p))
+            np.copyto(dist, near.min(axis=0, initial=np.inf),
+                      where=box.contains(points))
         t = np.clip(np.divide(dist, self.taper_width, out=dist), 0.0, 1.0, out=dist)
         s = -2.0 * t  # the smoothstep 3t^2 - 2t^3, in place
         s += 3.0
@@ -369,11 +363,11 @@ class MapSystem:
 
 def step_points(system: MapSystem, noise: NoiseModel, points: Array,
                 rng: np.random.Generator) -> tuple[Array, Array]:
-    """One random step for a batch of points: T(x) + delta with boundary rule.
+    """One random step of ``(n, d)`` points: T(x) + delta with boundary rule.
 
     Returns ``(new_points, alive)``.  Dead rows hold unspecified values.
     """
-    base = system.forward(np.atleast_2d(points))
+    base = system.forward(points)
     delta = noise.sample(rng, base.shape)
     return system.domain.apply_boundary(base, base + delta)
 

@@ -220,7 +220,7 @@ class TestDictionary:
 
     Every non-constant member has Lipschitz constant at most 1 on the unit
     box, so the dictionary maximum is a weak-* discrepancy surrogate.  The
-    coordinates x_j are those of the points it is evaluated on:
+    coordinates x_j are those of the ``(n, d)`` points it is evaluated on:
     :meth:`members` builds the members for a given dimension.
     """
 
@@ -229,14 +229,14 @@ class TestDictionary:
     k_max: int = 8
 
     def members(self, dimension: int):
-        out = [("one", lambda x: np.ones(np.atleast_2d(x).shape[0]))]
+        out = [("one", lambda x: np.ones(x.shape[0]))]
         for j in range(dimension):
             for k in range(1, self.k_max + 1):
                 c = 2.0 * math.pi * k
                 out.append((f"cos{k}_x{j}",
-                            lambda x, c=c, j=j: np.cos(c * np.atleast_2d(x)[:, j]) / c))
+                            lambda x, c=c, j=j: np.cos(c * x[:, j]) / c))
                 out.append((f"sin{k}_x{j}",
-                            lambda x, c=c, j=j: np.sin(c * np.atleast_2d(x)[:, j]) / c))
+                            lambda x, c=c, j=j: np.sin(c * x[:, j]) / c))
         return out
 
 

@@ -118,19 +118,11 @@ class GridPartition:
         return self._centers
 
 
-def build_grid(boxes, resolution: int) -> GridPartition:
-    """Partition domain boxes (or a Domain) into a uniform grid."""
+def build_grid(boxes: Domain | tuple[Box, ...], resolution: int) -> GridPartition:
+    """Partition a Domain, or a sequence of Box objects, into a uniform grid."""
     if isinstance(boxes, Domain):
         boxes = boxes.boxes
-    norm = []
-    for b in boxes:
-        if isinstance(b, Box):
-            norm.append(b)
-        else:
-            lo, hi = b
-            norm.append(Box(tuple(np.atleast_1d(lo).astype(float)),
-                            tuple(np.atleast_1d(hi).astype(float))))
-    return GridPartition(tuple(norm), int(resolution))
+    return GridPartition(tuple(boxes), int(resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -139,18 +131,17 @@ def build_grid(boxes, resolution: int) -> GridPartition:
 
 @dataclass(eq=False)
 class AnnealedMatrix:
-    """Nonnegative sparse matrix with per-row weights and metadata.
+    """Nonnegative sparse matrix with metadata.
 
     The matrix is one list of ``(rows, indices, data)`` entries, sorted by
-    row and then by column, with no pair repeated.  Immutable after
-    assembly.
+    row and then by column, with no pair repeated.  Row i already carries
+    the weight e^{phi(center_i)} in its entries.  Immutable after assembly.
     """
 
     n_cells: int
     rows: Array
     indices: Array
     data: Array
-    row_weight: Array
     cell_volume: float
     metadata: dict
     diagnostics: dict = field(default_factory=dict)
@@ -179,9 +170,6 @@ class AnnealedMatrix:
         out = np.zeros((self.n_cells, self.n_cells))
         out[self.rows, self.indices] = self.data
         return out
-
-    def row_sums(self) -> Array:
-        return np.bincount(self.rows, weights=self.data, minlength=self.n_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +481,6 @@ def assemble_operator(system: MapSystem, noise: NoiseModel, weight: WeightField,
         "resolution": grid.resolution,
     }
     return AnnealedMatrix(grid.n_cells, rows, indices, data,
-                          row_weight=weights_at_centers,
                           cell_volume=grid.cell_volume, metadata=metadata,
                           diagnostics=job.counters)
 
@@ -501,9 +488,8 @@ def assemble_operator(system: MapSystem, noise: NoiseModel, weight: WeightField,
 def export_matrix(matrix: AnnealedMatrix, path) -> None:
     """Write the operator as a self-describing JSON triplet file.
 
-    The object holds ``n_cells``, ``metadata``, ``cell_volume``,
-    ``row_weight`` and the ``[i, j, value]`` entries; :func:`load_matrix`
-    reads it back.
+    The object holds ``n_cells``, ``metadata``, ``cell_volume`` and the
+    ``[i, j, value]`` entries; :func:`load_matrix` reads it back.
     """
     import json
     from pathlib import Path
@@ -512,7 +498,6 @@ def export_matrix(matrix: AnnealedMatrix, path) -> None:
         "n_cells": matrix.n_cells,
         "metadata": matrix.metadata,
         "cell_volume": matrix.cell_volume,
-        "row_weight": matrix.row_weight.tolist(),
         "entries": [[int(i), int(j), float(v)] for i, j, v in
                     zip(matrix.rows, matrix.indices, matrix.data)],
     }
@@ -523,8 +508,9 @@ def load_matrix(path) -> AnnealedMatrix:
     """Read a matrix written by :func:`export_matrix`.
 
     Raises a ValueError that names the fault when an index is not a cell,
-    a (row, column) pair repeats, a value is negative or not finite, or
-    ``row_weight`` does not have one entry per cell.
+    a (row, column) pair repeats, or a value is negative or not finite.  A
+    ``row_weight`` key, which files written by earlier versions hold, is
+    ignored.
     """
     import json
     from pathlib import Path
@@ -538,14 +524,11 @@ def load_matrix(path) -> AnnealedMatrix:
     i, j = ij.T.astype(np.int64)
     order = np.lexsort((j, i))
     i, j, data = i[order], j[order], entries[order, 2]
-    row_weight = np.asarray(payload["row_weight"], dtype=float)
     if np.any((i[1:] == i[:-1]) & (j[1:] == j[:-1])):
         raise ValueError("an entry (row, column) pair repeats")
     if not np.all(np.isfinite(data) & (data >= 0.0)):
         raise ValueError("an entry value is negative or not finite")
-    if row_weight.shape != (n,):
-        raise ValueError(f"row_weight has {row_weight.size} entries, want {n}")
-    return AnnealedMatrix(n, i, j, data, row_weight=row_weight,
+    return AnnealedMatrix(n, i, j, data,
                           cell_volume=float(payload["cell_volume"]),
                           metadata=payload["metadata"])
 
@@ -572,5 +555,4 @@ def restrict_operator(matrix: AnnealedMatrix, cells) -> AnnealedMatrix:
     meta["restricted_to"] = int(cells.size)
     return AnnealedMatrix(cells.size, remap[matrix.rows[entry]],
                           remap[matrix.indices[entry]], matrix.data[entry],
-                          row_weight=matrix.row_weight[cells],
                           cell_volume=matrix.cell_volume, metadata=meta)

@@ -36,7 +36,6 @@ def matrix_from_dense(A, cell_volume: float = 1.0,
         nz = np.flatnonzero(A[i] != 0.0).astype(np.int64)
         rows.append((nz, A[i, nz]))
     return AnnealedMatrix(A.shape[0], *entries_from_rows(A.shape[0], rows),
-                          row_weight=np.ones(A.shape[0]),
                           cell_volume=cell_volume, metadata=metadata or {})
 
 

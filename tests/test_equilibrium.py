@@ -7,6 +7,7 @@ from qemlab.equilibrium import (MarkovModel, TestDictionary,
                                 equilibrium_cylinder_measure,
                                 full_shift_model, model_for, pressure_sft,
                                 w1_1d, weak_star_discrepancy)
+from qemlab.dynamics import Box
 from qemlab.ulam import build_grid
 
 from oracles import quad_w1_uniform_vs_cantor
@@ -17,7 +18,7 @@ GOLDEN = MarkovModel.from_matrix([[1.0, 1.0], [1.0, 0.0]], digits=(0, 1), base=2
 
 
 def unit_grid(resolution):
-    return build_grid([([0.0], [1.0])], resolution)
+    return build_grid([Box((0.0,), (1.0,))], resolution)
 
 
 class TestPressure:
@@ -135,7 +136,7 @@ class TestDictionaryAndMetrics:
     def test_discrepancy_sees_every_coordinate(self):
         # two measures on a 2-D grid that differ only in y have the
         # discrepancy of their y-marginals
-        grid = build_grid([((0.0, 0.0), (1.0, 1.0))], 8)
+        grid = build_grid([Box((0.0, 0.0), (1.0, 1.0))], 8)
         y = grid.centers()[:, 1]
         mu = np.where(y < 0.5, 2.0, 0.0) / grid.n_cells
         nu = np.where(y >= 0.5, 2.0, 0.0) / grid.n_cells
@@ -179,13 +180,13 @@ class TestDictionaryAndMetrics:
         assert lhs == pytest.approx(rhs, abs=1e-3)
 
     def test_w1_requires_1d(self):
-        grid = build_grid([([0.0, 0.0], [1.0, 1.0])], 4)
+        grid = build_grid([Box((0.0, 0.0), (1.0, 1.0))], 4)
         mu = np.full(16, 1 / 16)
         with pytest.raises(ValueError):
             w1_1d(mu, mu, grid.centers(), grid.cell_volume)
 
     def test_w1_two_box_gap(self):
-        grid = build_grid([([0.0], [1.0]), ([2.0], [3.0])], 2)
+        grid = build_grid([Box((0.0,), (1.0,)), Box((2.0,), (3.0,))], 2)
         mu = np.array([1.0, 0.0, 0.0, 0.0])   # center 0.25
         nu = np.array([0.0, 0.0, 1.0, 0.0])   # center 2.25
         assert w1_1d(mu, nu, grid.centers(), grid.cell_volume) \

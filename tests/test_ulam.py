@@ -24,6 +24,10 @@ def ternary_matrix(resolution, eps=0.0, samples=1, weight=None, region=None):
         region or b.survivor, grid, samples_per_cell=samples), grid
 
 
+UNIT = Box((0.0,), (1.0,))
+SQUARE = Box((0.0, 0.0), (1.0, 1.0))
+
+
 def cell_box(grid, i):
     """Lower and upper corner of grid cell i, row-major within its box."""
     box = grid.boxes[i // grid.cells_per_box]
@@ -38,39 +42,38 @@ def cell_box(grid, i):
 
 class TestBuildGrid:
     def test_interval(self):
-        g = build_grid([([0.0], [1.0])], 3)
+        g = build_grid([UNIT], 3)
         assert g.n_cells == 3
         assert g.cell_volume == pytest.approx(1.0 / 3.0)
         assert np.allclose(g.centers()[:, 0], [1 / 6, 1 / 2, 5 / 6])
 
     def test_square(self):
-        g = build_grid([([0.0, 0.0], [1.0, 1.0])], 3)
+        g = build_grid([SQUARE], 3)
         assert g.n_cells == 9
         assert g.cell_volume == pytest.approx(1.0 / 9.0)
 
     def test_two_boxes(self):
-        g = build_grid([([0.0], [1.0]), ([2.0], [3.0])], 3)
+        g = build_grid([UNIT, Box((2.0,), (3.0,))], 3)
         assert g.n_cells == 6
         assert g.centers()[3, 0] == pytest.approx(2.0 + 1.0 / 6.0)
 
     def test_bad_resolution(self):
         with pytest.raises(ValueError):
-            build_grid([([0.0], [1.0])], 0)
+            build_grid([UNIT], 0)
 
     def test_degenerate_box(self):
         with pytest.raises(ValueError):
-            build_grid([([0.0], [0.0])], 3)
+            build_grid([Box((0.0,), (0.0,))], 3)
 
     def test_index_round_trip(self):
-        g = build_grid([([0.0, 0.0], [1.0, 1.0]), ([2.0, 0.0], [3.0, 1.0])], 4)
+        g = build_grid([SQUARE, Box((2.0, 0.0), (3.0, 1.0))], 4)
         for i in range(g.n_cells):
             lo, hi = cell_box(g, i)
             assert np.array_equal((lo + hi) / 2.0, g.centers()[i])
 
     @pytest.mark.parametrize("boxes,res", [
-        ([([0.0], [1.0])], 2187), ([([0.0], [1.0]), ([2.0], [3.0])], 243),
-        ([([0.0, 0.0], [1.0, 1.0])], 27),
-        ([([0.0, 0.0], [1.0, 2.0]), ([2.0, 0.0], [4.0, 1.0])], 9)])
+        ([UNIT], 2187), ([UNIT, Box((2.0,), (3.0,))], 243), ([SQUARE], 27),
+        ([Box((0.0, 0.0), (1.0, 2.0)), Box((2.0, 0.0), (4.0, 1.0))], 9)])
     def test_cell_boxes_bitwise(self, boxes, res):
         g = build_grid(boxes, res)
         for i in range(g.n_cells):
@@ -83,7 +86,8 @@ class TestRegionFractions:
     def test_boxes_of_different_shapes(self):
         # equal cell volumes, unequal cell widths: the second box's cells
         # are 1 x 0.5, not box 0's 0.5 x 1
-        g = build_grid([([0.0, 0.0], [1.0, 2.0]), ([2.0, 0.0], [4.0, 1.0])], 2)
+        g = build_grid([Box((0.0, 0.0), (1.0, 2.0)),
+                        Box((2.0, 0.0), (4.0, 1.0))], 2)
         region = RegionSpec((Box((2.0, 0.0), (4.0, 1.0)),))
         assert np.array_equal(region_fractions(region, g),
                               [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
@@ -157,8 +161,9 @@ class TestAssembly:
         M, grid = ternary_matrix(81, eps=1e-3, samples=3)
         assert np.all(M.data >= 0.0)
         inside = make_system("ternary_hole").survivor.contains(grid.centers())
-        sums = M.row_sums()
-        assert np.all(sums[inside] <= M.row_weight[inside] + 1e-12)
+        sums = M.apply(np.ones(M.n_cells))
+        bound = zero_weight().values(grid.centers())
+        assert np.all(sums[inside] <= bound[inside] + 1e-12)
         assert np.all(sums[~inside] == 0.0)
 
     def test_region_monotonicity(self):
@@ -248,13 +253,30 @@ class TestExport:
                           (loaded.data, M.data)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    def test_a_stale_row_weight_key_is_ignored(self, tmp_path):
+        # files written before the operator dropped its row weights hold a
+        # row_weight key; they load to the same matrix as files without it
+        import json
+        M, _ = ternary_matrix(27, eps=1e-3, samples=3)
+        path = tmp_path / "operator.json"
+        export_matrix(M, path)
+        payload = json.loads(path.read_text())
+        assert "row_weight" not in payload
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps({**payload, "row_weight": [1.0] * 27}))
+        fresh, old = load_matrix(path), load_matrix(stale)
+        for got, want in ((old.rows, fresh.rows), (old.indices, fresh.indices),
+                          (old.data, fresh.data)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert (old.n_cells, old.cell_volume, old.metadata) \
+            == (fresh.n_cells, fresh.cell_volume, fresh.metadata)
+
     @pytest.mark.parametrize("fault, message", [
         ("row 30 of 27", "not a cell index"),
         ("column -1", "not a cell index"),
         ("repeated pair", "pair repeats"),
         ("negative value", "negative or not finite"),
         ("infinite value", "negative or not finite"),
-        ("short row_weight", "row_weight has 26 entries"),
     ])
     def test_malformed_file_rejected(self, tmp_path, fault, message):
         import json
@@ -271,10 +293,8 @@ class TestExport:
             entries.append(list(entries[0]))
         elif fault == "negative value":
             entries[0][2] = -entries[0][2]
-        elif fault == "infinite value":
-            entries[0][2] = float("inf")
         else:
-            payload["row_weight"].pop()
+            entries[0][2] = float("inf")
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=message):
             load_matrix(path)
