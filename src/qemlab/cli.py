@@ -48,8 +48,8 @@ from .equilibrium import TestDictionary, w1_1d, weak_star_discrepancy
 from .filtration import (ConnectionGraph, CycleError, PressureTieError,
                          filtration_order, stratified_qem_workflow)
 from .spectral import NonConvergenceError, ZeroOperatorError, solve_triple
-from .ulam import (GridPartition, _strata_counts, assemble_operator, build_grid,
-                   export_matrix, region_fractions)
+from .ulam import (DenseOperatorError, GridPartition, _strata_counts,
+                   assemble_operator, build_grid, export_matrix, region_fractions)
 
 SCHEMA_VERSION = 1
 
@@ -329,8 +329,11 @@ def _operator(config: ExperimentConfig, problem: Problem, epsilon: float):
     """The Ulam matrix of the config's problem at one noise level."""
     builtin, region, weight, grid = problem
     noise = NoiseModel(epsilon)
-    return assemble_operator(builtin.system, noise, weight, region, grid,
-                             samples_per_cell=config.samples_per_cell)
+    try:
+        return assemble_operator(builtin.system, noise, weight, region, grid,
+                                 samples_per_cell=config.samples_per_cell)
+    except DenseOperatorError as exc:
+        raise ConfigError("dense-operator", str(exc)) from None
 
 
 def cmd_spectrum(config: ExperimentConfig, out: Path, args) -> int:

@@ -11,10 +11,10 @@ the limit of the conditioned Birkhoff averages
 
 and every term with both i and n - i large reads the same measure.  The run
 estimates it with a fixed-lag smoother on one population (Olsson, Cappe,
-Douc & Moulines, *Bernoulli* 2008).  From step ``max(n // 10, LAG)`` on,
-every ``RECORD_EVERY`` steps t, a record is the mass-weighted mean over the
-current particles of h at their ancestors' positions ``LAG`` steps back:
-the i = t - LAG term of the ratio above with n = t.  At lag 0 a record
+Douc & Moulines, *Bernoulli* 2008).  From step ``max(n // 10, LAG + 1)``
+on, every ``RECORD_EVERY`` steps t, a record is the mass-weighted mean over
+the current particles of h at their ancestors' positions ``LAG`` steps back:
+the i = t - LAG > 0 term of the ratio above with n = t.  At lag 0 a record
 would read the quasi-stationary distribution instead, a different measure;
 the lag lets the conditioning on the future of X_{t-LAG} act.  The estimate
 is the mean of the records.  Its standard error comes from ``BATCHES``
@@ -71,7 +71,7 @@ Array = np.ndarray
 LAG = 10  # steps from a record's anchor to the record
 RECORD_EVERY = 10  # steps between records; at least LAG, so one anchor is open
 BATCHES = 20  # batch means behind a standard error
-MIN_STEPS = LAG  # the shortest horizon with a record
+MIN_STEPS = LAG + 1  # the shortest horizon with a record past the start
 
 
 class EnsembleExtinctError(RuntimeError):
@@ -206,8 +206,7 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
     if isinstance(start, RegionSpec):
         pos = _sample_region(start, n_particles, rng)
     else:
-        pt = np.atleast_1d(np.asarray(start, dtype=float))
-        pos = np.tile(pt, (n_particles, 1))
+        pos = np.tile(np.asarray(start, dtype=float), (n_particles, 1))
 
     live = region.contains(pos)
     count = np.count_nonzero(live)
@@ -227,7 +226,7 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
     series = np.empty(n + 1)
     series[0] = math.log(count) - log_n
 
-    first = max(n // 10, LAG)
+    first = max(n // 10, LAG + 1)
     records = np.empty((len(obs), (n - first) // RECORD_EVERY + 1))
     # the open record's anchor step and positions, and each slot's ancestor
     # among them (None: the slot itself, before any resampling)

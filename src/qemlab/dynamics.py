@@ -224,9 +224,13 @@ class NoiseModel:
             raise ValueError("epsilon must be >= 0, with 2 epsilon finite")
 
     def sample(self, rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
+        """The bits of ``rng.uniform(-eps, eps, shape)`` wherever NumPy rounds
+        its ``-eps + 2 eps u`` twice (no fused multiply-add), scaled in place."""
         if self.epsilon == 0.0:
             return np.zeros(shape)
-        return rng.uniform(-self.epsilon, self.epsilon, size=shape)
+        delta = rng.random(shape)
+        delta *= 2.0 * self.epsilon
+        return np.subtract(delta, self.epsilon, out=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +372,8 @@ def step_points(system: MapSystem, noise: NoiseModel, points: Array,
     Returns ``(new_points, alive)``.  Dead rows hold unspecified values.
     """
     base = system.forward(points)
-    delta = noise.sample(rng, base.shape)
-    return system.domain.apply_boundary(base, base + delta)
+    moved = noise.sample(rng, base.shape)
+    return system.domain.apply_boundary(base, np.add(moved, base, out=moved))
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ class TestConfigValidation:
 # config additions that let each command reach its epsilon check
 SINGLE_EPSILON_EXTRAS = {
     "spectrum": {},
-    "mc": {"mc": {"n": 10, "n_particles": 100, "start": [0.1]}},
+    "mc": {"mc": {"n": 11, "n_particles": 100, "start": [0.1]}},
     "filtration": {"system": {"label": "two_repeller"},
                    "grid": {"resolution": 27},
                    "filtration": {
@@ -185,7 +185,7 @@ def test_malformed_config_exits_with_its_code(tmp_path, capsys, case):
     assert f"error[{code}]" in err and "Traceback" not in err
 
 
-MC = {"n": 10, "n_particles": 100, "start": [0.1]}
+MC = {"n": 11, "n_particles": 100, "start": [0.1]}
 
 # config additions that each make a command other than spectrum fail with a
 # config error: (command, additions, diagnostic code)
@@ -327,6 +327,18 @@ def test_an_epsilon_as_wide_as_the_domain_runs(tmp_path, command):
         "epsilon": [0.5, 1.0] if command == "sweep" else 1.0})
     assert main([command, "--config", path,
                  "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
+# open_baker at 81^2 cells and epsilon 1 estimates about 4.7e8 assembly
+# pairs; sweep takes its widest epsilon first, so neither assembles anything
+@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+def test_a_dense_operator_exits_with_its_code(tmp_path, capsys, command):
+    path, _ = write_config(tmp_path, system={"label": "open_baker"}, noise={
+        "epsilon": [1e-3, 1.0] if command == "sweep" else 1.0})
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error[dense-operator]" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -518,11 +530,11 @@ class TestMcCommand:
 
     def test_horizon_without_a_record_names_the_shortest(self, tmp_path,
                                                           capsys):
-        path, _ = write_config(tmp_path, mc={**MC, "n": 9})
+        path, _ = write_config(tmp_path, mc={**MC, "n": 10})
         assert main(["mc", "--config", path,
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "error[bad-mc]" in err and "n >= 10" in err
+        assert "error[bad-mc]" in err and "n >= 11" in err
 
     def test_builds_no_grid(self, tmp_path, monkeypatch):
         # the particle route reads no grid, so it neither builds one nor

@@ -209,12 +209,28 @@ class TestShortHorizons:
                             TERNARY.survivor, np.array([0.1]), n=n,
                             n_particles=200, observables=X, seed=n)
 
+    def test_the_shortest_horizon_reads_past_the_start(self):
+        # a record anchored at step 0 would read a point start as h(start):
+        # at n = 10 that was the only record, with a NaN standard error
+        def run(n):
+            return run_conditioned(TERNARY.system, NOISE, zero_weight(),
+                                   TERNARY.survivor, np.array([0.1]), n=n,
+                                   n_particles=2000, observables=X, seed=1)
+
+        assert MIN_STEPS == 11
+        with pytest.raises(ValueError, match="n must be >= 11"):
+            run(10)
+        stats = run(11)
+        # the one record reads the positions after the first step, 0.3 + delta
+        assert stats.n_records == 1
+        assert abs(stats.averages["x"] - 0.3) <= NOISE.epsilon
+
     @pytest.mark.parametrize("n", [*range(MIN_STEPS, 31), 199, 200, 201])
     def test_every_horizon_gives_finite_averages(self, n):
         stats = run_conditioned(TERNARY.system, NOISE, zero_weight(),
                                 TERNARY.survivor, np.array([0.1]), n=n,
                                 n_particles=500, observables=X, seed=n)
-        first = max(n // 10, LAG)
+        first = max(n // 10, LAG + 1)
         assert stats.n_records == (n - first) // RECORD_EVERY + 1 >= 1
         assert math.isfinite(stats.averages["x"])
         assert math.isfinite(stats.escape_rate_estimate)
@@ -319,7 +335,7 @@ class TestAncestry:
                                     observables={"h": h},
                                     resample_threshold=threshold, seed=seed)
         source_at = dict(zip(stats.resample_times, sources))
-        first = max(n // 10, LAG)
+        first = max(n // 10, LAG + 1)
         records = range(first, n + 1, RECORD_EVERY)
         assert len(seen) == len(records) == stats.n_records
         for got, t in zip(seen, records):
@@ -357,7 +373,7 @@ def _reference_run(system, noise, weight, region, start, n, n_particles,
     series = np.empty(n + 1)
     series[0] = math.log(np.count_nonzero(log_mass > -math.inf)) - log_n
 
-    first = max(n // 10, LAG)
+    first = max(n // 10, LAG + 1)
     records = np.empty((len(obs), (n - first) // RECORD_EVERY + 1))
     # the open record's anchor step and positions, and each slot's ancestor
     # among them (None: the slot itself, before any resampling)

@@ -499,6 +499,14 @@ class TestNoiseModel:
         assert s.shape == (5000, 2)
         assert np.all(np.abs(s) <= 0.02)
 
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.05, 1.0 / 3.0, 8e307])
+    def test_samples_are_the_bits_of_uniform(self, epsilon):
+        # the draw is scaled in place, rounded as rng.uniform rounds it, so
+        # a particle run writes the same bytes
+        got = NoiseModel(epsilon).sample(rng(4), (1000, 2))
+        want = rng(4).uniform(-epsilon, epsilon, size=(1000, 2))
+        assert np.array_equal(_bits(got), _bits(want))
+
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel(-0.1)

@@ -188,6 +188,26 @@ class TestAssembly:
         assert md["samples_per_cell"] == 3
         assert md["region"] == "survivor:ternary"
 
+    @pytest.mark.parametrize("label, resolution, eps", [
+        ("open_baker", 81, 1.0),  # about 4.7e8 pairs
+        ("ternary_hole", 27, 8e307),  # 2 eps / h overflows
+    ])
+    def test_a_dense_operator_fails_before_any_pass(self, label, resolution,
+                                                    eps):
+        b = make_system(label)
+        grid = build_grid(b.system.domain, resolution)
+        with mock.patch.object(ulam._Assembly, "rows",
+                               side_effect=AssertionError("a pass ran")), \
+                pytest.raises(ulam.DenseOperatorError, match="about") as err:
+            assemble_operator(b.system, NoiseModel(eps), zero_weight(),
+                              b.survivor, grid)
+        assert isinstance(err.value, ValueError)
+
+    def test_a_dense_but_small_operator_assembles(self):
+        # every target cell at epsilon 1: about 2.1M pairs, under the bound
+        M, grid = ternary_matrix(729, eps=1.0, samples=3)
+        assert M.nnz == 486 * 486
+
     def test_baker_assembly_exact_eigenvalue(self):
         from qemlab.spectral import leading_pair
         b = make_system("open_baker")
