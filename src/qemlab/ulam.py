@@ -119,7 +119,7 @@ class GridPartition:
         return self._centers
 
 
-def build_grid(boxes: Domain | tuple[Box, ...], resolution: int) -> GridPartition:
+def build_grid(boxes, resolution: int) -> GridPartition:
     """Partition a Domain, or a sequence of Box objects, into a uniform grid."""
     if isinstance(boxes, Domain):
         boxes = boxes.boxes
@@ -276,9 +276,9 @@ _CHUNK_CELLS = 128
 
 _ETA = 1e-12  # relative corner shrink, keeps evaluations off branch edges
 
-# Most (stratum, target cell) pairs an assembly may take, estimated before any
-# pass: ternary_hole at 729 cells and epsilon 1 takes 2.1M (0.24 s, 95 MB peak
-# on a 2-core Xeon), open_baker at 81^2 cells and epsilon 1 4.7e8.
+# Most entries (stratum, target cell pairs before summing) an assembly may take,
+# estimated before any pass: ternary_hole at 729 cells and epsilon 1 takes 2.1M
+# (0.24 s, 95 MB peak on a 2-core Xeon); open_baker, 81^2 cells, epsilon 1: 4.7e8.
 _MAX_ENTRIES = 10_000_000
 
 
@@ -468,7 +468,7 @@ def assemble_operator(system: MapSystem, noise: NoiseModel, weight: WeightField,
         raise ValueError("empty conditioning region: no grid cell meets it")
     weights_at_centers = weight.values(grid.centers())
     active = np.flatnonzero(~((frac <= 0.0) | (weights_at_centers <= 0.0)))
-    with np.errstate(over="ignore"):  # a stratum meets 2 eps / h + 2 cells per axis
+    with np.errstate(over="ignore"):  # about 2 eps / h + 2 cells per axis
         spread = np.prod(2.0 * noise.epsilon / grid.cell_width[active] + 2.0, axis=1)
     estimate = math.prod(counts) * float(spread.sum())
     if estimate > _MAX_ENTRIES:

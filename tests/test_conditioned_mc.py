@@ -210,8 +210,7 @@ class TestShortHorizons:
                             n_particles=200, observables=X, seed=n)
 
     def test_the_shortest_horizon_reads_past_the_start(self):
-        # a record anchored at step 0 would read a point start as h(start):
-        # at n = 10 that was the only record, with a NaN standard error
+        # a record anchored at step 0 would read a point start as h(start)
         def run(n):
             return run_conditioned(TERNARY.system, NOISE, zero_weight(),
                                    TERNARY.survivor, np.array([0.1]), n=n,
