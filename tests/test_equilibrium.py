@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from qemlab.dynamics import Box
 from qemlab.equilibrium import (MarkovModel, TestDictionary,
                                 equilibrium_cylinder_measure,
                                 full_shift_model, model_for, pressure_sft,
                                 w1_1d, weak_star_discrepancy)
-from qemlab.dynamics import Box
 from qemlab.ulam import build_grid
 
 from oracles import quad_w1_uniform_vs_cantor

@@ -205,7 +205,7 @@ class TestAssembly:
 
     def test_a_dense_but_small_operator_assembles(self):
         # every target cell at epsilon 1: about 2.1M pairs, under the bound
-        M, grid = ternary_matrix(729, eps=1.0, samples=3)
+        M, _ = ternary_matrix(729, eps=1.0, samples=3)
         assert M.nnz == 486 * 486
 
     def test_baker_assembly_exact_eigenvalue(self):
