@@ -16,7 +16,7 @@ from .spectral import (NonConvergenceError, SpectralTriple, SupportReport,
                        support_check)
 from .conditioned_mc import (EnsembleExtinctError, EnsembleStats,
                              escape_rate_mc, run_conditioned)
-from .equilibrium import (MarkovModel, ReferenceMeasure, TestDictionary,
+from .equilibrium import (MarkovModel, ReferenceMeasure,
                           equilibrium_cylinder_measure, full_shift_model,
                           model_for, pressure_sft, w1_1d,
                           weak_star_discrepancy)

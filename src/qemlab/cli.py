@@ -2,7 +2,7 @@
 
     qemlab <spectrum|mc|sweep|filtration> --config cfg.json [--out DIR]
            [--seed N] [--export-matrix (spectrum)] [--svg (sweep)]
-    qemlab compare A/qem.csv B/qem.csv [--dictionary K]
+    qemlab compare A/qem.csv B/qem.csv
 
 Flags follow the command in any order, as ``--flag value`` or
 ``--flag=value``; ``-h`` or ``--help`` prints the lines above and exits 0,
@@ -11,8 +11,9 @@ one after another; ``--export-matrix`` makes ``spectrum`` also write the
 operator as ``operator.json``.  The seed drives the particle ensemble of
 ``mc`` and nothing else: ``spectrum``, ``sweep`` and ``filtration`` write
 the same bytes at every seed.  ``compare`` prints the weak-* discrepancy
-and, in 1d, the 1-Wasserstein distance of two quasi-ergodic vectors, using
-the metrics of :mod:`qemlab.equilibrium`.
+and, in 1d, the 1-Wasserstein distance of two quasi-ergodic vectors, with
+the masses at the cell centers, using the metrics of
+:mod:`qemlab.equilibrium`, as ``sweep`` does.
 
 Configs are JSON with a versioned ``schema`` field; see README for the full
 layout.  Exit codes: 0 success, 2 config or usage error, 3 numerical
@@ -44,7 +45,7 @@ from . import equilibrium
 from .conditioned_mc import MIN_STEPS, EnsembleExtinctError, run_conditioned
 from .dynamics import (Box, Builtin, NoiseModel, RegionSpec, WeightField,
                        builtin_labels, make_system, region_fraction)
-from .equilibrium import TestDictionary, w1_1d, weak_star_discrepancy
+from .equilibrium import w1_1d, weak_star_discrepancy
 from .filtration import (ConnectionGraph, CycleError, PressureTieError,
                          filtration_order, stratified_qem_workflow)
 from .spectral import NonConvergenceError, ZeroOperatorError, solve_triple
@@ -385,19 +386,20 @@ def _mc_arguments(mc: dict, dimension: int, region: RegionSpec) -> dict:
 def _expression_observable(expr: str, dimension: int):
     """Compile a tiny arithmetic observable like 'x', 'x**2', 'cos(2*pi*x)'.
 
-    It is evaluated once, at the origin, so an expression that cannot run is
-    config error ``bad-mc`` before the run starts.
+    The observable reads ``(k, d)`` points, with ``x`` their first coordinate
+    and, in 2d, ``y`` their second.  It is evaluated once, at the origin, so
+    an expression that cannot run is config error ``bad-mc`` before the run
+    starts.
     """
     ns = {"pi": math.pi, "cos": np.cos, "sin": np.sin, "exp": np.exp,
           "abs": np.abs, "__builtins__": {}}
+    axes = "xy"[:dimension]
     try:
         code = compile(expr, "<observable>", "eval")
-        if dimension == 1:
-            observable = lambda c: eval(code, ns, {"x": c})
-        else:
-            observable = lambda c: eval(code, ns, {"x": c[:, 0], "y": c[:, 1]})
-        probe = np.zeros(1) if dimension == 1 else np.zeros((1, dimension))
-        np.broadcast_to(np.asarray(observable(probe), dtype=float), (1,))
+        observable = lambda c: eval(code, ns, {a: c[:, k]
+                                               for k, a in enumerate(axes)})
+        np.broadcast_to(np.asarray(observable(np.zeros((1, dimension))),
+                                   dtype=float), (1,))
     except Exception as exc:  # whatever the user's expression raises
         raise ConfigError("bad-mc", f"observable {expr!r}: {exc!r}") from None
     return observable
@@ -411,7 +413,6 @@ def cmd_sweep(config: ExperimentConfig, out: Path, args) -> int:
     problem = config.problem()
     builtin, grid = problem.builtin, problem.grid
     reference = _reference_vector(config, builtin, grid)
-    dictionary = TestDictionary()
     centers = grid.centers()
 
     rows, runtimes, diagnostics, failures = [], [], {}, []
@@ -425,9 +426,9 @@ def cmd_sweep(config: ExperimentConfig, out: Path, args) -> int:
             continue
         runtimes.append((eps, time.perf_counter() - t0))
         diagnostics[f"{eps:g}"] = matrix.diagnostics
-        disc = (weak_star_discrepancy(triple.qem, reference, dictionary, centers)
+        disc = (weak_star_discrepancy(triple.qem, reference, centers)
                 if reference is not None else math.nan)
-        w1 = (w1_1d(triple.qem, reference, centers, grid.cell_volume)
+        w1 = (w1_1d(triple.qem, reference, centers)
               if reference is not None and grid.dimension == 1 else math.nan)
         rows.append((eps, triple.lam, triple.gap_ratio, disc, w1))
         _vectors_csv(out / f"qem_eps_{eps:g}.csv", grid, triple)
@@ -483,17 +484,18 @@ def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
     except (CycleError, PressureTieError) as exc:
         raise ConfigError("graph-cycle" if isinstance(exc, CycleError)
                           else "pressure-tie", str(exc)) from None
-    write_json(out / "order.json", order.to_dict())
-    (out / "sequence.txt").write_text(
-        ">".join(str(i) for i in order.sequence) + "\n")
-    if strata:
+    if strata:  # every step that can fail runs before the first write
         problem = config.problem()
         matrix = _operator(config, problem, config.single_epsilon("filtration"))
-        write_json(out / "diagnostics.json", matrix.diagnostics)
         strata_cells = _checked("bad-region", lambda: {
             int(k): _cells_in_boxes(problem.grid, v) for k, v in strata.items()})
         report = stratified_qem_workflow(matrix, strata_cells,
                                          **config.solver_kwargs())
+    write_json(out / "order.json", order.to_dict())
+    (out / "sequence.txt").write_text(
+        ">".join(str(i) for i in order.sequence) + "\n")
+    if strata:
+        write_json(out / "diagnostics.json", matrix.diagnostics)
         write_json(out / "strata_report.json", {
             "lambda_global": report.lambda_global,
             "lambda_max_restricted": report.lambda_max_restricted,
@@ -513,25 +515,14 @@ def _cells_in_boxes(grid: GridPartition, boxes_payload) -> np.ndarray:
 
 
 def cmd_compare(args) -> int:
-    """Print the weak-* discrepancy and, in 1d, the W1 of two ``qem.csv``.
-
-    ``qem.csv`` has no cell width, so W1 takes it as the smallest spacing
-    between the file's centers.  That spacing can be a few ulps off
-    ``GridPartition.cell_volume``, so the printed W1 can differ in the last
-    digits from ``w1_1d`` with the grid's cell width, which is how ``sweep``
-    computes its ``w1`` column.
-    """
+    """Print the weak-* discrepancy and, in 1d, the W1 of two ``qem.csv``."""
     centers, mu = _read_qem_csv(args.inputs[0])
     nu_centers, nu = _read_qem_csv(args.inputs[1])
     if centers.shape != nu_centers.shape or not np.allclose(centers, nu_centers):
         raise ConfigError("grid-mismatch", "qem files live on different grids")
-    dictionary = TestDictionary(k_max=args.dictionary)
-    disc = weak_star_discrepancy(mu, nu, dictionary, centers)
-    print(f"weak_star_discrepancy {disc!r}")
+    print(f"weak_star_discrepancy {weak_star_discrepancy(mu, nu, centers)!r}")
     if centers.shape[1] == 1:
-        gaps = np.diff(np.sort(centers[:, 0]))
-        h = float(np.min(gaps)) if gaps.size else 1.0  # cell width
-        print(f"w1 {w1_1d(mu, nu, centers, h)!r}")
+        print(f"w1 {w1_1d(mu, nu, centers)!r}")
     return EXIT_OK
 
 
@@ -554,10 +545,10 @@ _FLAGS = {
     "mc": _RUN_FLAGS,
     "sweep": {**_RUN_FLAGS, "--svg": bool},
     "filtration": _RUN_FLAGS,
-    "compare": {"--dictionary": int},
+    "compare": {},
 }
 _DEFAULTS = {"config": None, "out": "out", "seed": None, "export_matrix": False,
-             "svg": False, "dictionary": 8}
+             "svg": False}
 
 
 def _usage() -> str:

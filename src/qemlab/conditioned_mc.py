@@ -128,18 +128,6 @@ class EnsembleStats:
         }
 
 
-def _normalize_observables(observables) -> dict[str, Callable]:
-    if callable(observables):
-        return {"h": observables}
-    if isinstance(observables, Mapping):
-        return dict(observables)
-    raise TypeError("observables must be a callable or a name->callable mapping")
-
-
-def _coords(positions: Array, dimension: int) -> Array:
-    return positions[:, 0] if dimension == 1 else positions
-
-
 def _constant_log_weight(weight: WeightField) -> float | None:
     if callable(weight.log_weight) or weight.support_cutoff is not None:
         return None
@@ -184,14 +172,18 @@ def _systematic_sources(slots: Array, cum: Array, m: int, jitter: float) -> Arra
 
 def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
                     region: RegionSpec, start, n: int, n_particles: int,
-                    observables, resample_threshold: float = 0.5,
+                    observables: Mapping[str, Callable[[Array], Array]],
+                    resample_threshold: float = 0.5,
                     seed: int = 0) -> EnsembleStats:
     """Run the killed, e^phi-weighted ensemble for n steps.
 
     ``start`` is either a point inside the region or a RegionSpec to sample
-    uniformly from.  Deterministic given the integer ``seed``.  Raises
-    ValueError when n is below ``MIN_STEPS``, the shortest horizon with a
-    record, and EnsembleExtinctError when the ensemble's mass is 0 at some
+    uniformly from.  ``observables`` maps each name to a callable that takes
+    the ancestor points as ``(k, d)`` rows and gives one value per row, or
+    one value for all of them.  Deterministic given the integer ``seed``.
+    Raises ValueError when n is below ``MIN_STEPS``, the shortest horizon
+    with a record, or when an observable's value does not broadcast to one
+    per row, and EnsembleExtinctError when the ensemble's mass is 0 at some
     step <= n.
     """
     if n < MIN_STEPS:
@@ -199,9 +191,8 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
                          f"with a record")
     if n_particles < 2:
         raise ValueError("n_particles must be >= 2")
-    obs = _normalize_observables(observables)
+    obs = dict(observables)
     rng = np.random.default_rng([int(seed)])
-    d = system.dimension
 
     if isinstance(start, RegionSpec):
         pos = _sample_region(start, n_particles, rng)
@@ -234,7 +225,7 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
 
     for t in range(n):
         if t == anchor_at:
-            anchor, ancestor = _coords(pos, d), None
+            anchor, ancestor = pos, None
         if log_mass is None:
             scale += const_lw
         else:
@@ -271,13 +262,18 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
             kept = np.flatnonzero(live if log_mass is None else w)
 
         if recording:
-            at = anchor[kept if ancestor is None else ancestor[kept]]
+            at = anchor.take(kept if ancestor is None else ancestor[kept], axis=0)
             w_kept = np.ones(kept.size) if log_mass is None else w[kept]
             k = (t + 1 - first) // RECORD_EVERY
             # one sum for numerator and denominator, so h = 1 reads exactly 1
-            for i, h in enumerate(obs.values()):
-                records[i, k] = ((w_kept * np.asarray(h(at), dtype=float)).sum()
-                                 / w_kept.sum())
+            for i, (name, h) in enumerate(obs.items()):
+                try:  # a (k, 1) value would broadcast to (k, k)
+                    value = np.broadcast_to(np.asarray(h(at), dtype=float),
+                                            w_kept.shape)
+                except ValueError as exc:
+                    raise ValueError(f"observable {name!r} must give one "
+                                     f"value per point: {exc}") from None
+                records[i, k] = (w_kept * value).sum() / w_kept.sum()
             anchor_at += RECORD_EVERY
             anchor = None
 

@@ -76,7 +76,10 @@ class Box:
 
 @dataclass(frozen=True)
 class Domain:
-    """Disjoint union of boxes serving as the ambient space of a map."""
+    """Disjoint union of boxes serving as the ambient space of a map.
+
+    No two of the half-open boxes overlap; boxes may share a face.
+    """
 
     boxes: tuple[Box, ...]
 
@@ -84,6 +87,12 @@ class Domain:
         dims = {b.dimension for b in self.boxes}
         if len(dims) != 1:
             raise ValueError("all domain boxes must share one dimension")
+        for i, a in enumerate(self.boxes):
+            for b in self.boxes[:i]:
+                if all(max(al, bl) < min(ah, bh) for al, ah, bl, bh
+                       in zip(a.lo, a.hi, b.lo, b.hi)):
+                    raise ValueError(f"domain boxes {b.lo}..{b.hi} and "
+                                     f"{a.lo}..{a.hi} overlap")
 
     @property
     def dimension(self) -> int:
@@ -92,8 +101,8 @@ class Domain:
     def locate(self, points: Array) -> Array:
         """Index of the box containing each point (-1 when outside all)."""
         out = np.full(points.shape[0], -1, dtype=np.int64)
-        for b in range(len(self.boxes) - 1, -1, -1):  # the first box wins
-            out = np.where(self.boxes[b].contains(points), b, out)
+        for b, box in enumerate(self.boxes):
+            out[box.contains(points)] = b
         return out
 
     def apply_boundary(self, base: Array, moved: Array) -> tuple[Array, Array]:
@@ -102,19 +111,13 @@ class Domain:
         ``base`` is the unperturbed image T(x) and ``moved = base + delta``,
         both ``(n, d)`` float arrays; ``moved`` is adjusted in place.  Since
         the noise amplitude is small compared with box sizes, the box of
-        ``base`` decides which torus the offset wraps on; when boxes
-        overlap, the first one holding ``base`` decides.  Returns
+        ``base`` decides which torus the offset wraps on.  Returns
         ``(moved, alive_mask)``; dead rows hold unspecified values and must
         be masked by the caller.
         """
         alive = np.zeros(base.shape[0], dtype=bool)
-        last = len(self.boxes) - 1
-        for b, box in enumerate(self.boxes):
+        for box in self.boxes:
             in_box = box.contains(base)
-            if b:
-                in_box &= ~taken
-            if b < last:  # the rows an earlier box holds
-                taken = in_box if b == 0 else taken | in_box
             everywhere = bool(in_box.all())
             inside = in_box
             for k, (lo, hi, wrap) in enumerate(zip(box.lo, box.hi, box.wrap)):

@@ -14,8 +14,9 @@ data here comes from a dense full-spectrum solve (numpy), deliberately not
 from the power iteration used on the grid side.
 
 The module also provides the measure-comparison metrics used by the
-stability experiments: exact 1-Wasserstein distance in 1d via CDFs, and a
-weak-* discrepancy over a fixed Fourier dictionary of Lipschitz-1 functions.
+stability experiments: the exact 1-Wasserstein distance in 1d between masses
+at the cell centers, and a weak-* discrepancy over fixed Fourier members of
+Lipschitz constant at most 1.
 """
 
 from __future__ import annotations
@@ -214,35 +215,26 @@ def equilibrium_cylinder_measure(model: MarkovModel, depth: int) -> ReferenceMea
 # measure comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TestDictionary:
-    """Fixed dictionary {1} u {cos(2 pi k x_j)/(2 pi k), sin(...)/(2 pi k)}.
+def _members(dimension: int):
+    """The weak-* members {1} u {cos(2 pi k x_j)/(2 pi k), sin(...)/(2 pi k)}
+    for k <= 8 on each coordinate x_j of ``(n, d)`` points.
 
     Every non-constant member has Lipschitz constant at most 1 on the unit
-    box, so the dictionary maximum is a weak-* discrepancy surrogate.  The
-    coordinates x_j are those of the ``(n, d)`` points it is evaluated on:
-    :meth:`members` builds the members for a given dimension.
+    box, so their maximum is a weak-* discrepancy surrogate.
     """
-
-    __test__ = False  # not a pytest class, despite the name
-
-    k_max: int = 8
-
-    def members(self, dimension: int):
-        out = [("one", lambda x: np.ones(x.shape[0]))]
-        for j in range(dimension):
-            for k in range(1, self.k_max + 1):
-                c = 2.0 * math.pi * k
-                out.append((f"cos{k}_x{j}",
-                            lambda x, c=c, j=j: np.cos(c * x[:, j]) / c))
-                out.append((f"sin{k}_x{j}",
-                            lambda x, c=c, j=j: np.sin(c * x[:, j]) / c))
-        return out
+    out = [("one", lambda x: np.ones(x.shape[0]))]
+    for j in range(dimension):
+        for k in range(1, 9):
+            c = 2.0 * math.pi * k
+            out.append((f"cos{k}_x{j}",
+                        lambda x, c=c, j=j: np.cos(c * x[:, j]) / c))
+            out.append((f"sin{k}_x{j}",
+                        lambda x, c=c, j=j: np.sin(c * x[:, j]) / c))
+    return out
 
 
-def weak_star_discrepancy(mu: Array, nu: Array, dictionary: TestDictionary,
-                          centers: Array) -> float:
-    """max over dictionary members f of |sum_i (mu_i - nu_i) f(center_i)|.
+def weak_star_discrepancy(mu: Array, nu: Array, centers: Array) -> float:
+    """max over the members f of |sum_i (mu_i - nu_i) f(center_i)|.
 
     ``centers`` holds one cell center per row, shape ``(n_cells, d)``; the
     members are built for all d coordinates.
@@ -255,15 +247,16 @@ def weak_star_discrepancy(mu: Array, nu: Array, dictionary: TestDictionary,
         raise ValueError("vectors do not match the cell centers")
     diff = mu - nu
     return max(abs(float(np.dot(diff, f(centers))))
-               for _, f in dictionary.members(centers.shape[1]))
+               for _, f in _members(centers.shape[1]))
 
 
-def w1_1d(mu: Array, nu: Array, centers: Array, cell_volume: float) -> float:
-    """Exact 1-Wasserstein distance between two cell vectors (1d).
+def w1_1d(mu: Array, nu: Array, centers: Array) -> float:
+    """Exact 1-Wasserstein distance between the masses at the centers (1d).
 
-    Computed as the integral of |CDF_mu - CDF_nu| with cell masses placed at
-    the ``(n_cells, 1)`` cell centers, each cell ``cell_volume`` wide; gaps
-    between grid boxes contribute their own segments.
+    ``mu`` and ``nu`` place their masses at the ``(n_cells, 1)`` cell
+    centers.  With C the cumulative difference over the sorted centers x,
+    the distance is sum_{i<n} |C_i| (x_{i+1} - x_i), the integral of
+    |CDF_mu - CDF_nu|; a gap between grid boxes is a longer spacing.
     """
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[1] != 1:
@@ -272,14 +265,6 @@ def w1_1d(mu: Array, nu: Array, centers: Array, cell_volume: float) -> float:
     nu = np.asarray(nu, dtype=float)
     if mu.shape != (centers.shape[0],) or nu.shape != (centers.shape[0],):
         raise ValueError("vectors do not match the cell centers")
-    centers = centers[:, 0]
-    order = np.argsort(centers)
-    h = cell_volume
+    order = np.argsort(centers[:, 0])
     cdf_diff = np.cumsum(mu[order] - nu[order])
-    dist = float(np.sum(np.abs(cdf_diff)) * h)
-    x = centers[order]
-    gaps = x[1:] - x[:-1] - h
-    big = gaps > 1e-12
-    if np.any(big):
-        dist += float(np.sum(np.abs(cdf_diff[:-1][big]) * gaps[big]))
-    return dist
+    return float(np.sum(np.abs(cdf_diff[:-1]) * np.diff(centers[order, 0])))

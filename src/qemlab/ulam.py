@@ -178,22 +178,29 @@ class AnnealedMatrix:
 # ---------------------------------------------------------------------------
 
 def _h_antideriv(t: Array, eps: float) -> Array:
-    """Antiderivative of the kernel CDF: 0 | (t+eps)^2/(4 eps) | t."""
+    """Antiderivative of the kernel CDF: 0 | (t+eps)^2/(4 eps) | t.
+
+    ``np.where`` evaluates every branch, and at a subnormal eps the middle
+    one overflows where it is not picked.
+    """
     if eps == 0.0:
         return np.maximum(t, 0.0)
-    return np.where(t <= -eps, 0.0,
-                    np.where(t >= eps, t, (t + eps) ** 2 / (4.0 * eps)))
+    with np.errstate(over="ignore"):
+        middle = (t + eps) ** 2 / (4.0 * eps)
+    return np.where(t <= -eps, 0.0, np.where(t >= eps, t, middle))
 
 
 def _segment_cdf(z: Array, p: Array, q: Array, eps: float) -> Array:
     """CDF of Z = U[p,q] + U[-eps,eps] at the points z, elementwise in p, q.
 
-    Where ``q == p`` the segment is a point mass at p.
+    Where ``q == p`` the segment is a point mass at p.  At a subnormal eps
+    its ratio overflows to +-inf, and the clip gives the limits 0 and 1.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         spread = (_h_antideriv(z - p, eps) - _h_antideriv(z - q, eps)) / (q - p)
     if eps > 0.0:
-        point = np.clip((z - p + eps) / (2.0 * eps), 0.0, 1.0)
+        with np.errstate(over="ignore"):
+            point = np.clip((z - p + eps) / (2.0 * eps), 0.0, 1.0)
     else:
         point = (z > p).astype(float)
     return np.where(q > p, spread, point)

@@ -22,9 +22,9 @@ from qemlab.ulam import assemble_operator, build_grid, restrict_operator
 from oracles import growth_rate_dense, ternary_cylinder_cells
 
 OBSERVABLES = {
-    "x": lambda c: c,
-    "x^2": lambda c: c ** 2,
-    "cos2pix": lambda c: np.cos(2.0 * np.pi * c),
+    "x": lambda c: c[:, 0],
+    "x^2": lambda c: c[:, 0] ** 2,
+    "cos2pix": lambda c: np.cos(2.0 * np.pi * c[:, 0]),
 }
 
 
@@ -65,7 +65,7 @@ def test_criterion_02_conditioned_stability_1d(ternary_fine):
     var = float(qem @ x ** 2 - mean ** 2)
     assert abs(mean - 0.5) <= 0.01
     assert abs(var - 0.125) <= 0.01
-    w1 = {eps: w1_1d(triples[eps].qem, proj, grid.centers(), grid.cell_volume)
+    w1 = {eps: w1_1d(triples[eps].qem, proj, grid.centers())
           for eps in (1e-2, 3e-3, 1e-3)}
     assert w1[1e-2] > w1[3e-3] > w1[1e-3]
     report(2, f"lambda={lam:.6f}, mean={mean:.4f}, var={var:.4f}, "
@@ -120,7 +120,7 @@ def test_criterion_04_quasi_ergodic_theorem_mc(ternary_fine):
                      f"{max(abs(stats.averages[k] - moments[k]) for k in moments):.4f}")
     ones = run_conditioned(b.system, noise, zero_weight(), b.survivor,
                            np.array([0.1]), n=200, n_particles=2000,
-                           observables={"one": lambda c: np.ones_like(c)},
+                           observables={"one": lambda c: np.ones(len(c))},
                            seed=13)
     assert ones.averages["one"] == 1.0
     report(4, "; ".join(lines) + "; h=1 gives exactly 1")
@@ -137,7 +137,7 @@ def test_criterion_05_escape_rate_consistency():
         lam, _, _ = leading_pair(M)
         stats = run_conditioned(b.system, noise, zero_weight(), b.survivor,
                                 np.array([0.1]), n=4000, n_particles=4000,
-                                observables={"x": lambda c: c}, seed=6)
+                                observables={"x": lambda c: c[:, 0]}, seed=6)
         mc_lam = math.exp(-stats.escape_rate_estimate)
         assert abs(mc_lam - lam) <= 0.02, label
         results.append(f"{label}: exp(-rate)={mc_lam:.4f} vs lambda={lam:.4f}")
@@ -181,7 +181,7 @@ def test_criterion_06_weight_correspondence():
     for i in range(len(keys)):
         for j in range(i + 1, len(keys)):
             d = w1_1d(on_nested(qems[keys[i]]), on_nested(qems[keys[j]]),
-                      grid.centers(), grid.cell_volume)
+                      grid.centers())
             worst = max(worst, d)
             assert d <= 2.0 * h, f"{keys[i]} vs {keys[j]}: w1={d}"
     report(6, f"three measures agree on the nested region, "
@@ -351,7 +351,7 @@ def test_criterion_13_weighted_five_hole_three_routes():
     for seed in (101, 102):
         stats = run_conditioned(b.system, noise, weight, b.survivor,
                                 np.array([0.1]), n=2000, n_particles=10_000,
-                                observables={"x": lambda x: x}, seed=seed)
+                                observables={"x": lambda p: p[:, 0]}, seed=seed)
         z = (stats.averages["x"] - mean) / stats.standard_errors["x"]
         mc_lam = math.exp(-stats.escape_rate_estimate)
         assert abs(z) <= 3.0, f"seed {seed}"

@@ -12,7 +12,9 @@ import qemlab
 
 from qemlab.cli import (EXIT_CONFIG, EXIT_EXTINCT, EXIT_NUMERIC, EXIT_OK,
                         ConfigError, load_config, main)
-from qemlab.equilibrium import TestDictionary, w1_1d, weak_star_discrepancy
+from qemlab.dynamics import make_system
+from qemlab.equilibrium import w1_1d, weak_star_discrepancy
+from qemlab.ulam import build_grid
 
 
 def write_config(path, **overrides):
@@ -377,7 +379,7 @@ def test_help_prints_the_usage_and_exits_0(capsys, command, flag):
     ["spectrum", "--config", "{path}", "--export-matrix=yes"],
     ["spectrum", "--config", "{path}", "extra"],
     ["compare", "{path}"],
-    ["compare", "{path}", "{path}", "--dictionary", "4.5"],
+    ["compare", "{path}", "{path}", "--dictionary", "4.5"],  # compare has no flag
 ], ids=lambda argv: " ".join(argv) or "nothing")
 def test_usage_error_exits_2(tmp_path, capsys, argv):
     path, _ = write_config(tmp_path)
@@ -710,6 +712,19 @@ class TestFiltrationCommand:
         assert abs(report["per_stratum"]["2"] - 2 / 3) < 1e-3
         assert abs(report["per_stratum"]["1"] - 3 / 5) < 1e-3
 
+    @pytest.mark.parametrize("extra,code", [
+        # about 1.7e7 pairs estimated: too dense to assemble
+        ({"grid": {"resolution": 1215}, "noise": {"epsilon": 0.3}},
+         "dense-operator"),
+        ({"grid": {"resolution": 0}}, "bad-resolution"),
+    ], ids=["dense", "no-resolution"])
+    def test_failing_strata_write_nothing(self, tmp_path, capsys, extra, code):
+        path, _ = write_config(tmp_path, **{**self.TWO_REPELLER, **extra})
+        out = tmp_path / "out"
+        assert main(["filtration", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert f"error[{code}]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_report_solves_no_left_eigenvector(self, tmp_path, monkeypatch):
         # strata_report.json holds eigenvalues only
         from qemlab import spectral
@@ -748,6 +763,8 @@ class TestCompareCommand:
         assert "w1 0.0" in text
 
     def test_compare_prints_library_metrics(self, tmp_path, capsys):
+        # the W1 that sweep computes: the masses at the grid's centers, with
+        # no cell width read off the file
         files = []
         for eps in (1e-2, 1e-3):
             cfg_dir = tmp_path / f"eps_{eps:g}"
@@ -760,13 +777,12 @@ class TestCompareCommand:
         assert main(["compare", *files]) == EXIT_OK
         printed = capsys.readouterr().out.splitlines()
 
-        mu, nu = (np.loadtxt(f, delimiter=",", skiprows=1) for f in files)
-        centers = mu[:, 1:2]
-        cell_width = float(np.min(np.diff(np.sort(centers[:, 0]))))
-        disc = weak_star_discrepancy(mu[:, -1], nu[:, -1], TestDictionary(),
-                                     centers)
-        w1 = w1_1d(mu[:, -1], nu[:, -1], centers, cell_width)
-        assert w1 > 0.0
+        mu, nu = (np.loadtxt(f, delimiter=",", skiprows=1)[:, -1] for f in files)
+        centers = build_grid(make_system("ternary_hole").system.domain,
+                             243).centers()
+        disc = weak_star_discrepancy(mu, nu, centers)
+        w1 = w1_1d(mu, nu, centers)
+        assert w1 == pytest.approx(0.0013664581174186608, rel=1e-12)
         assert printed == [f"weak_star_discrepancy {disc!r}", f"w1 {w1!r}"]
 
 

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from qemlab import conditioned_mc
 from qemlab.conditioned_mc import (LAG, MIN_STEPS, RECORD_EVERY,
                                    EnsembleExtinctError, EnsembleStats,
-                                   _batch_means, _constant_log_weight, _coords,
-                                   _normalize_observables, _sample_region,
+                                   _batch_means, _constant_log_weight,
+                                   _sample_region,
                                    _systematic_sources, escape_rate_mc,
                                    run_conditioned)
 from qemlab.dynamics import (Box, Domain, MapSystem, NoiseModel, RegionSpec,
@@ -20,7 +20,7 @@ from qemlab.dynamics import (Box, Domain, MapSystem, NoiseModel, RegionSpec,
 TERNARY = make_system("ternary_hole")
 NOISE = NoiseModel(1e-3)
 FULL = RegionSpec((Box((0.0,), (1.0,)),), label="full")
-X = {"x": lambda c: c}
+X = {"x": lambda c: c[:, 0]}
 
 
 class TestRunConditioned:
@@ -48,7 +48,7 @@ class TestRunConditioned:
         stats = run_conditioned(TERNARY.system, NOISE, weight,
                                 TERNARY.survivor, np.array([0.1]),
                                 n=200, n_particles=2000,
-                                observables={"one": lambda c: np.ones_like(c)},
+                                observables={"one": lambda c: np.ones(len(c))},
                                 seed=3)
         # every record is exactly 1, not only their mean
         assert stats.averages["one"] == 1.0
@@ -62,6 +62,19 @@ class TestRunConditioned:
         # dot product can round apart
         self._assert_constant_observable_is_exact(
             WeightField(lambda p: np.cos(2 * np.pi * p[:, 0])))
+
+    def test_observable_of_a_column_of_points_rejected(self):
+        # (k, 1) would broadcast against the k masses to (k, k)
+        with pytest.raises(ValueError, match="'x'"):
+            run_conditioned(TERNARY.system, NOISE, zero_weight(), FULL, FULL,
+                            n=MIN_STEPS, n_particles=50,
+                            observables={"x": lambda p: p}, seed=1)
+
+    def test_observable_of_one_value_runs(self):
+        stats = run_conditioned(TERNARY.system, NOISE, zero_weight(), FULL,
+                                FULL, n=MIN_STEPS, n_particles=50,
+                                observables={"two": lambda p: 2.0}, seed=1)
+        assert stats.averages == {"two": 2.0}
 
     def test_extinct_start_in_hole(self):
         with pytest.raises(EnsembleExtinctError) as err:
@@ -323,8 +336,8 @@ class TestAncestry:
             return sources[-1]
 
         def h(c):
-            seen.append(c.copy())
-            return c
+            seen.append(c[:, 0].copy())
+            return c[:, 0]
 
         weight = WeightField(lambda p: amplitude * np.cos(2 * np.pi * p[:, 0]))
         with mock.patch.object(conditioned_mc, "step_points", step), \
@@ -350,9 +363,8 @@ def _reference_run(system, noise, weight, region, start, n, n_particles,
     """Reference: the run with one log-mass per slot, -inf where the slot is
     dead, so every step takes the exp of every slot's mass; systematic
     resampling by the plain walk over the quantiles."""
-    obs = _normalize_observables(observables)
+    obs = dict(observables)
     rng = np.random.default_rng([int(seed)])
-    d = system.dimension
 
     if isinstance(start, RegionSpec):
         pos = _sample_region(start, n_particles, rng)
@@ -380,7 +392,7 @@ def _reference_run(system, noise, weight, region, start, n, n_particles,
 
     for t in range(n):
         if t == anchor_at:
-            anchor, ancestor = _coords(pos, d), None
+            anchor, ancestor = pos, None
         if const_lw is None:
             log_weight = weight.effective_log_values(pos)  # -inf kills
             # dead slots stay dead, whatever the weight is where they sit
@@ -482,7 +494,7 @@ class TestAgainstReference:
                 region, start)
         kw = dict(n=n, n_particles=n_particles, resample_threshold=threshold,
                   seed=seed, observables={
-                      "x": lambda c: c if c.ndim == 1 else c[:, 0],
+                      "x": lambda c: c[:, 0],
                       "one": lambda c: np.ones(len(c))})
         try:
             want = _reference_run(*args, **kw)

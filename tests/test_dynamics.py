@@ -127,10 +127,9 @@ BOUNDARY_DOMAINS = {
     "ternary_hole": make_system("ternary_hole").system.domain,
     # a wrapped width other than 1 goes through np.mod
     "wide_wrap": Domain((Box((-0.5,), (1.75,), (True,)),)),
-    # on [1, 2) both boxes hold the base point and the first one decides:
-    # it absorbs there, while the second would wrap
-    "overlapping": Domain((Box((0.0,), (2.0,), (False,)),
-                           Box((1.0,), (3.0,), (True,)))),
+    # boxes may share a face: 1.0 lies in the second, wrapped box only
+    "touching": Domain((Box((0.0,), (1.0,), (False,)),
+                        Box((1.0,), (2.0,), (True,)))),
 }
 
 
@@ -188,14 +187,25 @@ class TestBoundaryKernels:
         located = which >= 0  # rows outside every box are unspecified
         assert np.array_equal(_bits(got[located]), _bits(want[located]))
 
-    def test_rows_of_an_earlier_box_are_not_wrapped_by_a_later_one(self):
-        # every base row lies in the second box, but the first one holds
-        # 1.25 and absorbs there, so its moved value 0.75 must not wrap to 2.75
-        domain = BOUNDARY_DOMAINS["overlapping"]
-        base = np.array([[1.25], [2.5]])
-        got, alive = domain.apply_boundary(base, base + np.array([[-0.5], [0.0]]))
-        assert got[:, 0].tolist() == [0.75, 2.5]
-        assert alive.tolist() == [True, True]
+    @pytest.mark.parametrize("boxes", [
+        [Box((0.0,), (2.0,)), Box((1.0,), (3.0,))],
+        [Box((0.0,), (1.0,)), Box((0.5,), (0.75,))],  # one inside the other
+        [Box((2.0,), (3.0,)), Box((0.0,), (1.0,)), Box((0.0,), (1.0,))],
+        [Box((0.0, 0.0), (1.0, 1.0)), Box((0.9, 0.9), (2.0, 2.0))],
+    ])
+    def test_overlapping_domain_boxes_rejected(self, boxes):
+        with pytest.raises(ValueError, match="overlap"):
+            Domain(tuple(boxes))
+
+    @pytest.mark.parametrize("boxes", [
+        [Box((0.0,), (1.0,)), Box((1.0,), (2.0,))],
+        [Box((1.0,), (2.0,)), Box((0.0,), (1.0,))],
+        # they share the face y = 1, where their x ranges overlap
+        [Box((0.0, 0.0), (1.0, 1.0)), Box((0.5, 1.0), (2.0, 2.0))],
+        [Box((0.0, 0.0), (1.0, 1.0)), Box((1.0, 1.0), (2.0, 2.0))],
+    ])
+    def test_boxes_with_touching_faces_accepted(self, boxes):
+        assert Domain(tuple(boxes)).boxes == tuple(boxes)
 
     @settings(max_examples=100, deadline=None)
     @given(name=st.sampled_from(sorted(BOUNDARY_DOMAINS)), data=st.data())

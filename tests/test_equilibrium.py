@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qemlab.dynamics import Box
-from qemlab.equilibrium import (MarkovModel, TestDictionary,
+from qemlab.equilibrium import (MarkovModel, _members,
                                 equilibrium_cylinder_measure,
                                 full_shift_model, model_for, pressure_sft,
                                 w1_1d, weak_star_discrepancy)
@@ -19,6 +21,25 @@ GOLDEN = MarkovModel.from_matrix([[1.0, 1.0], [1.0, 0.0]], digits=(0, 1), base=2
 
 def unit_grid(resolution):
     return build_grid([Box((0.0,), (1.0,))], resolution)
+
+
+def _monotone_w1(mu, nu, x):
+    """Reference: the cost of the monotone coupling of two sets of point
+    masses at the points x, moved left to right one pair at a time."""
+    order = np.argsort(x)
+    mu, nu, x = list(mu[order]), list(nu[order]), x[order]
+    i = j = 0
+    cost = 0.0
+    while i < len(x) and j < len(x):
+        moved = min(mu[i], nu[j])
+        cost += moved * abs(x[i] - x[j])
+        mu[i] -= moved
+        nu[j] -= moved
+        if mu[i] <= 0.0:
+            i += 1
+        if nu[j] <= 0.0:
+            j += 1
+    return cost
 
 
 class TestPressure:
@@ -113,9 +134,8 @@ class TestEquilibriumMeasure:
 
 class TestDictionaryAndMetrics:
     def test_members_are_lipschitz(self):
-        d = TestDictionary(k_max=8)
         xs = np.linspace(0.0, 1.0, 4001)[:, None]
-        for name, f in d.members(1):
+        for name, f in _members(1):
             vals = f(xs)
             slopes = np.abs(np.diff(vals)) / np.diff(xs[:, 0])
             assert slopes.max() <= 1.0 + 1e-6, name
@@ -123,13 +143,13 @@ class TestDictionaryAndMetrics:
     def test_discrepancy_zero_for_equal(self):
         grid = unit_grid(81)
         mu = np.full(81, 1.0 / 81.0)
-        assert weak_star_discrepancy(mu, mu, TestDictionary(), grid.centers()) == 0.0
+        assert weak_star_discrepancy(mu, mu, grid.centers()) == 0.0
 
     def test_discrepancy_separated_point_masses(self):
         grid = unit_grid(2000)
         mu = np.zeros(2000); mu[0] = 1.0
         nu = np.zeros(2000); nu[1000] = 1.0
-        disc = weak_star_discrepancy(mu, nu, TestDictionary(), grid.centers())
+        disc = weak_star_discrepancy(mu, nu, grid.centers())
         assert disc >= 1.0 / math.pi - 1e-2
         assert disc == pytest.approx(1.0 / math.pi, abs=1e-2)
 
@@ -140,12 +160,12 @@ class TestDictionaryAndMetrics:
         y = grid.centers()[:, 1]
         mu = np.where(y < 0.5, 2.0, 0.0) / grid.n_cells
         nu = np.where(y >= 0.5, 2.0, 0.0) / grid.n_cells
-        disc = weak_star_discrepancy(mu, nu, TestDictionary(), grid.centers())
+        disc = weak_star_discrepancy(mu, nu, grid.centers())
         line = unit_grid(8)
         y_line = line.centers()[:, 0]
         marginal = weak_star_discrepancy(np.where(y_line < 0.5, 0.25, 0.0),
                                          np.where(y_line >= 0.5, 0.25, 0.0),
-                                         TestDictionary(), line.centers())
+                                         line.centers())
         assert disc > 0.2
         assert disc == pytest.approx(marginal, rel=1e-12)
 
@@ -155,27 +175,27 @@ class TestDictionaryAndMetrics:
         mu = g.uniform(size=729)
         mu /= mu.sum()
         nu = np.roll(mu, 1)
-        disc = weak_star_discrepancy(mu, nu, TestDictionary(), grid.centers())
+        disc = weak_star_discrepancy(mu, nu, grid.centers())
         assert disc <= 1.0 / 729.0 + 1e-12  # Lipschitz-1 members
 
     def test_w1_identical(self):
         grid = unit_grid(10)
         mu = np.full(10, 0.1)
-        assert w1_1d(mu, mu, grid.centers(), grid.cell_volume) == 0.0
+        assert w1_1d(mu, mu, grid.centers()) == 0.0
 
     def test_w1_end_point_masses(self):
         # half-cell quantization: centers sit 1/(2*100) in from each end
         grid = unit_grid(100)
         mu = np.zeros(100); mu[0] = 1.0
         nu = np.zeros(100); nu[-1] = 1.0
-        assert w1_1d(mu, nu, grid.centers(), grid.cell_volume) \
+        assert w1_1d(mu, nu, grid.centers()) \
             == pytest.approx(0.99, abs=1e-12)
 
     def test_w1_uniform_vs_cantor_quadrature(self):
         grid = unit_grid(2187)
         uniform = np.full(2187, 1.0 / 2187.0)
         proj = equilibrium_cylinder_measure(TERNARY, 7).grid_projection(grid)
-        lhs = w1_1d(uniform, proj, grid.centers(), grid.cell_volume)
+        lhs = w1_1d(uniform, proj, grid.centers())
         rhs = quad_w1_uniform_vs_cantor(100_001)
         assert lhs == pytest.approx(rhs, abs=1e-3)
 
@@ -183,23 +203,42 @@ class TestDictionaryAndMetrics:
         grid = build_grid([Box((0.0, 0.0), (1.0, 1.0))], 4)
         mu = np.full(16, 1 / 16)
         with pytest.raises(ValueError):
-            w1_1d(mu, mu, grid.centers(), grid.cell_volume)
+            w1_1d(mu, mu, grid.centers())
 
     def test_w1_two_box_gap(self):
         grid = build_grid([Box((0.0,), (1.0,)), Box((2.0,), (3.0,))], 2)
         mu = np.array([1.0, 0.0, 0.0, 0.0])   # center 0.25
         nu = np.array([0.0, 0.0, 1.0, 0.0])   # center 2.25
-        assert w1_1d(mu, nu, grid.centers(), grid.cell_volume) \
+        assert w1_1d(mu, nu, grid.centers()) \
             == pytest.approx(2.0, abs=0.5 / 2.0 + 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(boxes=st.sampled_from([
+        [Box((0.0,), (1.0,))],
+        [Box((0.0,), (1.0,)), Box((2.0,), (3.0,))],
+        [Box((2.0,), (3.0,)), Box((0.0,), (1.0,))],  # centers out of order
+        [Box((-1.0,), (0.0,)), Box((0.0,), (1.0,))]]),
+        resolution=st.integers(1, 12), data=st.data())
+    def test_w1_is_the_monotone_coupling_cost(self, boxes, resolution, data):
+        # W1 of masses at the centers: the cost of moving one to the other
+        # along the line, whatever the gaps between the boxes
+        grid = build_grid(boxes, resolution)
+        masses = arrays(float, grid.n_cells, elements=st.floats(0.0, 1.0)
+                        | st.just(0.0)).filter(lambda m: m.sum() > 0.0)
+        mu, nu = data.draw(masses), data.draw(masses)
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        x = grid.centers()[:, 0]
+        want = _monotone_w1(mu, nu, x)
+        assert w1_1d(mu, nu, grid.centers()) == pytest.approx(want, abs=1e-12)
+        assert w1_1d(nu, mu, grid.centers()) == w1_1d(mu, nu, grid.centers())
 
     def test_metric_grid_mismatch(self):
         grid = unit_grid(10)
         with pytest.raises(ValueError):
-            w1_1d(np.ones(9) / 9, np.ones(10) / 10, grid.centers(),
-                  grid.cell_volume)
+            w1_1d(np.ones(9) / 9, np.ones(10) / 10, grid.centers())
         with pytest.raises(ValueError):
             weak_star_discrepancy(np.ones(9) / 9, np.ones(10) / 10,
-                                  TestDictionary(), grid.centers())
+                                  grid.centers())
 
 
 class TestGeometry:

@@ -516,4 +516,4 @@ class TestBoundaryWeightSensitivity:
                                     grid, 3)
         qa = solve_triple(plain, with_gap=False).qem
         qb = solve_triple(tapered, with_gap=False).qem
-        assert w1_1d(qa, qb, grid.centers(), grid.cell_volume) > 2.0 / res
+        assert w1_1d(qa, qb, grid.centers()) > 2.0 / res

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import product
 from unittest import mock
 
@@ -9,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from qemlab import ulam
 from qemlab.dynamics import (Box, NoiseModel, RegionSpec, WeightField,
                              constant_weight, make_system, zero_weight)
-from qemlab.ulam import (_h_antideriv, _strata_counts, assemble_operator,
-                         build_grid, export_matrix, load_matrix,
-                         region_fractions, restrict_operator)
+from qemlab.ulam import (_h_antideriv, _segment_cdf, _strata_counts,
+                         assemble_operator, build_grid, export_matrix,
+                         load_matrix, region_fractions, restrict_operator)
 
 from oracles import entries_from_rows, matrix_from_dense
 
@@ -347,6 +348,20 @@ class TestApply:
             M.apply(np.ones(4))
 
 
+class TestSegmentCdf:
+    @pytest.mark.parametrize("eps", [5e-324, 1e-320])
+    def test_subnormal_epsilon_gives_the_limits_without_warnings(self, eps):
+        # a point mass at 0.5, then the segment [0.25, 0.75]: the CDFs of
+        # eps = 0, with 1/2 at the point mass itself
+        z = np.array([0.25, 0.5, 0.75, 0.0, 0.25, 0.5, 0.75, 1.0])
+        p = np.array([0.5] * 3 + [0.25] * 5)
+        q = np.array([0.5] * 3 + [0.75] * 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _segment_cdf(z, p, q, eps)
+        assert got.tolist() == [0.0, 0.5, 1.0, 0.0, 0.0, 0.5, 1.0, 1.0]
+
+
 # ---------------------------------------------------------------------------
 # reference: the per-cell, per-stratum, per-axis assembly loop
 # ---------------------------------------------------------------------------
@@ -355,7 +370,8 @@ def _segment_cdf_scalar(z, p, q, eps):
     if q > p:
         return (_h_antideriv(z - p, eps) - _h_antideriv(z - q, eps)) / (q - p)
     if eps > 0.0:
-        return np.clip((z - p + eps) / (2.0 * eps), 0.0, 1.0)
+        with np.errstate(over="ignore"):  # a subnormal eps overflows to +-inf
+            return np.clip((z - p + eps) / (2.0 * eps), 0.0, 1.0)
     return (z > p).astype(float)
 
 
