@@ -267,9 +267,9 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
             k = (t + 1 - first) // RECORD_EVERY
             # one sum for numerator and denominator, so h = 1 reads exactly 1
             for i, (name, h) in enumerate(obs.items()):
+                value = np.asarray(h(at), dtype=float)
                 try:  # a (k, 1) value would broadcast to (k, k)
-                    value = np.broadcast_to(np.asarray(h(at), dtype=float),
-                                            w_kept.shape)
+                    value = np.broadcast_to(value, w_kept.shape)
                 except ValueError as exc:
                     raise ValueError(f"observable {name!r} must give one "
                                      f"value per point: {exc}") from None
