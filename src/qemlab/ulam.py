@@ -178,14 +178,10 @@ class AnnealedMatrix:
 # ---------------------------------------------------------------------------
 
 def _h_antideriv(t: Array, eps: float) -> Array:
-    """Antiderivative of the kernel CDF: 0 | (t+eps)^2/(4 eps) | t.
-
-    ``np.where`` evaluates every branch, and at a subnormal eps the middle
-    one overflows where it is not picked.
-    """
+    """Antiderivative of the kernel CDF: 0 | (t+eps)^2/(4 eps) | t."""
     if eps == 0.0:
         return np.maximum(t, 0.0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a subnormal eps, where it is not picked
         middle = (t + eps) ** 2 / (4.0 * eps)
     return np.where(t <= -eps, 0.0, np.where(t >= eps, t, middle))
 
@@ -193,13 +189,12 @@ def _h_antideriv(t: Array, eps: float) -> Array:
 def _segment_cdf(z: Array, p: Array, q: Array, eps: float) -> Array:
     """CDF of Z = U[p,q] + U[-eps,eps] at the points z, elementwise in p, q.
 
-    Where ``q == p`` the segment is a point mass at p.  At a subnormal eps
-    its ratio overflows to +-inf, and the clip gives the limits 0 and 1.
+    Where ``q == p`` the segment is a point mass at p.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         spread = (_h_antideriv(z - p, eps) - _h_antideriv(z - q, eps)) / (q - p)
     if eps > 0.0:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # a subnormal eps: +-inf, clipped
             point = np.clip((z - p + eps) / (2.0 * eps), 0.0, 1.0)
     else:
         point = (z > p).astype(float)
