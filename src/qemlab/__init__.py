@@ -6,11 +6,10 @@ oracles, plus the filtration ordering of interacting repellers.
 """
 
 from .dynamics import (Box, Builtin, Domain, MapSystem, NoiseModel, RegionSpec,
-                       WeightField, builtin_labels, constant_weight,
-                       eval_weight, make_system, region_fraction,
-                       zero_weight)
+                       WeightField, builtin_labels, make_system,
+                       region_fraction)
 from .ulam import (AnnealedMatrix, GridPartition, assemble_operator,
-                   build_grid, export_matrix, load_matrix, restrict_operator)
+                   export_matrix, load_matrix, restrict_operator)
 from .spectral import (NonConvergenceError, SpectralTriple, SupportReport,
                        assemble_qem, leading_left, leading_pair, solve_triple,
                        support_check)

@@ -50,7 +50,7 @@ from .filtration import (ConnectionGraph, CycleError, PressureTieError,
                          filtration_order, stratified_qem_workflow)
 from .spectral import NonConvergenceError, ZeroOperatorError, solve_triple
 from .ulam import (DenseOperatorError, GridPartition, _strata_counts,
-                   assemble_operator, build_grid, export_matrix, region_fractions)
+                   assemble_operator, export_matrix, region_fractions)
 
 SCHEMA_VERSION = 1
 
@@ -174,7 +174,7 @@ class ExperimentConfig:
         if not _is_int(resolution, 1):
             raise ConfigError("bad-resolution", "resolution must be an integer >= 1")
         problem = Problem(builtin, region, weight,
-                          build_grid(builtin.system.domain, resolution))
+                          GridPartition(builtin.system.domain, resolution))
         if not np.any(region_fractions(problem.region, problem.grid) > 0):
             raise ConfigError("empty-region", "the region covers no grid cell")
         return problem
@@ -185,23 +185,19 @@ class ExperimentConfig:
             return builtin.survivor
         if kind not in ("boxes", "custom"):  # two names for one kind
             raise ConfigError("bad-region", f"unknown region kind {kind!r}")
-        return RegionSpec(_parse_boxes(self.region["boxes"], builtin.system.dimension),
-                          label=self.region.get("label", "region:custom"))
+        return _parse_region(self.region["boxes"], builtin.system.dimension,
+                             self.region.get("label", "region:custom"))
 
     def weight_field(self, builtin: Builtin) -> WeightField:
         kind = self.weight.get("kind", "zero")
         log_value = 0.0 if kind == "zero" else _number(self.weight["log_value"])
         cutoff = self.weight.get("cutoff")
         if cutoff is None:
-            return WeightField(log_value, label=f"phi={log_value:g}")
-        boxes = _parse_boxes(cutoff["boxes"], builtin.system.dimension)
-        return WeightField(
-            log_value,
-            support_cutoff=RegionSpec(boxes, label="cutoff"),
+            return WeightField(log_value)
+        return WeightField(log_value, support_cutoff=_parse_region(
+            cutoff["boxes"], builtin.system.dimension, "cutoff"),
             taper_width=_number(cutoff.get("taper_width", 0.0)),
-            domain=builtin.system.domain,
-            label=f"phi={log_value:g},tapered",
-        )
+            domain=builtin.system.domain)
 
     def epsilons(self) -> list[float]:
         eps = self.noise.get("epsilon", 0.0)
@@ -252,12 +248,13 @@ def _numbers(value) -> tuple[float, ...]:
     return tuple(_number(v) for v in (value if isinstance(value, list) else [value]))
 
 
-def _parse_boxes(payload, dimension: int) -> tuple[Box, ...]:
-    """The boxes ``[lo, hi]`` of a config list, at least one, all ``dimension``-d."""
-    boxes = tuple(Box(_numbers(lo), _numbers(hi)) for lo, hi in payload)
-    if not boxes or any(b.dimension != dimension for b in boxes):
-        raise ValueError(f"want a nonempty list of {dimension}-d boxes")
-    return boxes
+def _parse_region(payload, dimension: int, label: str = "region") -> RegionSpec:
+    """The region of the boxes ``[lo, hi]`` of a config list, all ``dimension``-d."""
+    region = RegionSpec(tuple(Box(_numbers(lo), _numbers(hi)) for lo, hi in payload),
+                        label)
+    if region.dimension != dimension:
+        raise ValueError(f"want {dimension}-d boxes")
+    return region
 
 
 def load_config(path: str, seed: int | None = None) -> ExperimentConfig:
@@ -487,8 +484,10 @@ def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
     if strata:  # every step that can fail runs before the first write
         problem = config.problem()
         matrix = _operator(config, problem, config.single_epsilon("filtration"))
+        grid = problem.grid  # each stratum holds the cells its boxes center
         strata_cells = _checked("bad-region", lambda: {
-            int(k): _cells_in_boxes(problem.grid, v) for k, v in strata.items()})
+            int(k): np.flatnonzero(_parse_region(v, grid.dimension).contains(
+                grid.centers())) for k, v in strata.items()})
         report = stratified_qem_workflow(matrix, strata_cells,
                                          **config.solver_kwargs())
     write_json(out / "order.json", order.to_dict())
@@ -507,11 +506,6 @@ def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
             },
         })
     return EXIT_OK
-
-
-def _cells_in_boxes(grid: GridPartition, boxes_payload) -> np.ndarray:
-    region = RegionSpec(_parse_boxes(boxes_payload, grid.dimension))
-    return np.flatnonzero(region.contains(grid.centers()))
 
 
 def cmd_compare(args) -> int:

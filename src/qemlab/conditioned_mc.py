@@ -177,10 +177,10 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
                     seed: int = 0) -> EnsembleStats:
     """Run the killed, e^phi-weighted ensemble for n steps.
 
-    ``start`` is either a point inside the region or a RegionSpec to sample
-    uniformly from.  ``observables`` maps each name to a callable that takes
-    the ancestor points as ``(k, d)`` rows and gives one value per row, or
-    one value for all of them.  Deterministic given the integer ``seed``.
+    ``start`` is a point inside the region or a RegionSpec, to start uniformly
+    on the union of its boxes.  ``observables`` maps each name to a callable
+    that takes the ancestor points as ``(k, d)`` rows and gives one value per
+    row, or one value for all of them.  Deterministic given the integer ``seed``.
     Raises ValueError when n is below ``MIN_STEPS``, the shortest horizon
     with a record, or when an observable's value does not broadcast to one
     per row, and EnsembleExtinctError when the ensemble's mass is 0 at some
@@ -308,14 +308,24 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
 
 
 def _sample_region(region: RegionSpec, n: int, rng) -> Array:
-    vols = np.asarray([b.volume for b in region.boxes])
-    picks = rng.choice(len(region.boxes), size=n, p=vols / vols.sum())
-    pos = np.empty((n, region.dimension))
-    for b, box in enumerate(region.boxes):
-        sel = picks == b
-        k = int(np.sum(sel))
-        if k:
-            pos[sel] = np.asarray(box.lo) + rng.uniform(size=(k, region.dimension)) * box.widths
+    """``n`` points uniform on the union of the region's boxes: a box drawn by
+    volume and a point uniform in it, kept when that box is the first one
+    holding the point, else drawn again.  Disjoint boxes keep every draw."""
+    boxes, d = region.boxes, region.dimension
+    vols = np.asarray([b.volume for b in boxes])
+    pos = np.empty((n, d))
+    todo = np.arange(n)
+    while todo.size:
+        picks = rng.choice(len(boxes), size=todo.size, p=vols / vols.sum())
+        for b, box in enumerate(boxes):
+            sel = todo[picks == b]
+            if sel.size:
+                pos[sel] = np.asarray(box.lo) + rng.uniform(
+                    size=(sel.size, d)) * box.widths
+        first = np.full(todo.size, -1)
+        for b in range(len(boxes) - 1, -1, -1):
+            first[boxes[b].contains(pos[todo])] = b
+        todo = todo[first != picks]
     return pos
 
 

@@ -13,7 +13,7 @@ Conventions
 -----------
 * Points are float arrays of shape ``(n, d)``, one point per row, for every
   method here and every callable stored on :class:`MapSystem` and
-  :class:`WeightField`; only :func:`eval_weight` takes a single point.
+  :class:`WeightField`.
 * Boxes are half open, ``[lo, hi)`` per axis.  On wrapped (torus) axes the
   representative interval is ``[lo, hi)`` and arithmetic is mod the width.
 """
@@ -155,10 +155,15 @@ def _wrap_mod(a: Array, w) -> Array:
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """Union of axis-aligned boxes with exact membership on box interiors."""
+    """Union of one or more axis-aligned boxes of one dimension, which may
+    overlap, with exact membership on box interiors."""
 
     boxes: tuple[Box, ...]
     label: str = "region"
+
+    def __post_init__(self):
+        if len({b.dimension for b in self.boxes}) != 1:
+            raise ValueError("a region needs one or more boxes of one dimension")
 
     @property
     def dimension(self) -> int:
@@ -196,17 +201,15 @@ def _pieces(corners: Array, lo: Array, hi: Array
 def region_fraction(region: RegionSpec, cell_lo, cell_hi) -> float:
     """Fraction of the cell ``[cell_lo, cell_hi)`` covered by ``region``: the
     volume of its covered :func:`_pieces`, exact for any union of boxes.  A
-    cell inside one region box gives exactly 1, one that meets none 0."""
+    cell inside one region box gives exactly 1; one of volume 0 raises."""
     lo = np.asarray(cell_lo, dtype=float)
     hi = np.asarray(cell_hi, dtype=float)
-    if np.any(hi <= lo):
+    if np.any(hi <= lo) or np.prod(hi - lo) == 0.0:
         raise ValueError("degenerate cell")
     corners = np.array([(b.lo, b.hi) for b in region.boxes], dtype=float)
     if np.any(np.all((lo >= corners[:, 0]) & (hi <= corners[:, 1]), axis=1)):
         return 1.0
     piece_lo, piece_hi, covered = _pieces(corners, lo, hi)
-    if not covered.any():  # 0 also where the cell volume underflows
-        return 0.0
     sizes = (piece_hi - piece_lo)[covered]
     return float(np.sum(np.prod(sizes, axis=1)) / np.prod(hi - lo))
 
@@ -250,18 +253,27 @@ class WeightField:
         e^{phi(x)} * s(dist(x) / taper_width)
 
     where s is a smoothstep and dist(x) the sup-norm distance from x to
-    the nearest point of its own domain box that the cutoff does not cover:
-    wrapped axes are circles, and past an absorbing face is uncovered
-    (``domain=None`` takes the cutoff's bounding box, absorbing).  The weight
-    is 0 outside the cutoff and on its boundary, and e^{phi} at depth >=
-    taper_width, or everywhere when the cutoff covers a whole wrapped box.
+    the nearest point of its own box of ``domain`` that the cutoff does not
+    cover: wrapped axes are circles, and past an absorbing face is
+    uncovered.  The weight is 0 outside the cutoff and on its boundary, and
+    e^{phi} at depth >= taper_width, or everywhere when the cutoff covers a
+    whole wrapped box.  A taper without ``domain`` raises ValueError.
     """
 
     log_weight: float | Callable[[Array], Array] = 0.0
     support_cutoff: RegionSpec | None = None
     taper_width: float = 0.0
     domain: Domain | None = None
-    label: str = "phi=0"
+
+    def __post_init__(self):
+        if self.taper_width > 0 and self.domain is None:
+            raise ValueError("a tapered cutoff needs the domain it tapers on")
+
+    @property
+    def label(self) -> str:
+        """``phi=<value>`` or ``phi=callable``, then ``,tapered`` with a cutoff."""
+        phi = "callable" if callable(self.log_weight) else f"{self.log_weight:g}"
+        return f"phi={phi}" + (",tapered" if self.support_cutoff is not None else "")
 
     def log_values(self, points: Array) -> Array:
         if callable(self.log_weight):
@@ -276,10 +288,8 @@ class WeightField:
         wrapped axis is ``cap_width - max(cap_hi - x, x - cap_lo)``; for a gap
         on the seam, width 0 and the opposite face make it exact."""
         corners = np.array([(b.lo, b.hi) for b in self.support_cutoff.boxes], float)
-        domain = self.domain.boxes if self.domain is not None else (
-            Box(tuple(corners[:, 0].min(axis=0)), tuple(corners[:, 1].max(axis=0))),)
         out = []
-        for box in domain:
+        for box in self.domain.boxes:
             box_lo, box_hi = np.asarray(box.lo), np.asarray(box.hi)
             pad = np.where(box.wrap, 0.0, box_hi - box_lo)
             lo, hi, covered = _pieces(np.clip(corners, box_lo, box_hi),
@@ -329,19 +339,6 @@ class WeightField:
             with np.errstate(divide="ignore"):
                 log_w = log_w + np.log(self._taper(points))
         return log_w
-
-
-def eval_weight(weight: WeightField, x) -> float:
-    """Effective weight e^{phi(x)} at a single point."""
-    return float(weight.values(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-
-def zero_weight() -> WeightField:
-    return WeightField(0.0, label="phi=0")
-
-
-def constant_weight(log_value: float) -> WeightField:
-    return WeightField(float(log_value), label=f"phi={log_value:g}")
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ from itertools import product
 
 import numpy as np
 
-from .dynamics import (Box, Domain, MapSystem, NoiseModel, RegionSpec,
+from .dynamics import (Domain, MapSystem, NoiseModel, RegionSpec,
                        WeightField, region_fraction)
 
 Array = np.ndarray
@@ -73,17 +73,17 @@ Array = np.ndarray
 
 @dataclass(eq=False)
 class GridPartition:
-    """Uniform partition of each domain box into ``resolution^d`` cells.
+    """Uniform partition of each box of ``domain`` into ``resolution^d`` cells.
 
-    Cells are half open and indexed row-major within each box; boxes are
-    concatenated, so ``n_cells = n_boxes * resolution^dimension``.  With
-    ``h = box width / resolution`` and a cell's row-major digits in its box,
+    Cells are half open and indexed row-major within each box; the domain's
+    boxes are concatenated, so ``n_cells = n_boxes * resolution^dimension``.
+    With ``h = box width / resolution`` and a cell's row-major digits in its box,
     ``cell_lo = box lo + digits * h``, ``cell_width = (cell_lo + h) - cell_lo``
     and the center is ``box lo + (digits + 0.5) * h``: every reader of a
     cell's box takes it from here.  Immutable after construction.
     """
 
-    boxes: tuple[Box, ...]
+    domain: Domain
     resolution: int
     dimension: int = field(init=False)
     n_cells: int = field(init=False)
@@ -95,18 +95,18 @@ class GridPartition:
     def __post_init__(self):
         if self.resolution < 1:
             raise ValueError("resolution must be >= 1")
-        d = self.dimension = self.boxes[0].dimension
+        d = self.dimension = self.domain.dimension
         per_box = self.resolution ** d
-        self.n_cells = len(self.boxes) * per_box
-        vols = {round(b.volume / per_box, 15) for b in self.boxes}
+        self.n_cells = len(self.domain.boxes) * per_box
+        vols = {round(b.volume / per_box, 15) for b in self.domain.boxes}
         if len(vols) != 1:
             raise ValueError("boxes must produce equal cell volumes")
-        self.cell_volume = self.boxes[0].volume / per_box
+        self.cell_volume = self.domain.boxes[0].volume / per_box
         box, rem = np.divmod(np.arange(self.n_cells), per_box)
         place = self.resolution ** np.arange(d - 1, -1, -1)
         digits = rem[:, None] // place % self.resolution
-        lo = np.array([b.lo for b in self.boxes], dtype=float)[box]
-        h = np.array([b.widths for b in self.boxes])[box] / self.resolution
+        lo = np.array([b.lo for b in self.domain.boxes], dtype=float)[box]
+        h = np.array([b.widths for b in self.domain.boxes])[box] / self.resolution
         self.cell_lo = lo + digits * h
         self.cell_width = (self.cell_lo + h) - self.cell_lo
         self._centers = lo + (digits + 0.5) * h
@@ -117,13 +117,6 @@ class GridPartition:
 
     def centers(self) -> Array:
         return self._centers
-
-
-def build_grid(boxes, resolution: int) -> GridPartition:
-    """Partition a Domain, or a sequence of Box objects, into a uniform grid."""
-    if isinstance(boxes, Domain):
-        boxes = boxes.boxes
-    return GridPartition(tuple(boxes), int(resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +454,12 @@ def assemble_operator(system: MapSystem, noise: NoiseModel, weight: WeightField,
     is probed at its exact midpoint, so the matrix is a function of the
     inputs alone and does not depend on evaluation order.  The matrix's
     ``diagnostics`` count the strata that fell back to a point mass and
-    those absorbed off the domain.  Raises :class:`DenseOperatorError`
-    before any pass when the estimated entries exceed ``_MAX_ENTRIES``.
+    those absorbed off the domain.  Raises ValueError unless ``grid``
+    partitions ``system.domain``, and :class:`DenseOperatorError` before any
+    pass when the estimated entries exceed ``_MAX_ENTRIES``.
     """
+    if grid.domain != system.domain:
+        raise ValueError("the grid must partition the system's domain")
     counts = _strata_counts(samples_per_cell, grid.dimension)
     frac = region_fractions(region, grid)
     if not np.any(frac > 0):

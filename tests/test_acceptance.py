@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from qemlab.conditioned_mc import run_conditioned
-from qemlab.dynamics import (Box, NoiseModel, RegionSpec, WeightField,
-                             constant_weight, make_system, zero_weight)
+from qemlab.dynamics import Box, NoiseModel, RegionSpec, WeightField, make_system
 from qemlab.equilibrium import (MarkovModel, equilibrium_cylinder_measure,
                                 pressure_sft, w1_1d)
 from qemlab.filtration import (ConnectionGraph, CycleError, Node,
                                filtration_order, stratified_qem_workflow)
 from qemlab.spectral import leading_pair, solve_triple, support_check
-from qemlab.ulam import assemble_operator, build_grid, restrict_operator
+from qemlab.ulam import GridPartition, assemble_operator, restrict_operator
 
 from oracles import growth_rate_dense, ternary_cylinder_cells
 
@@ -34,9 +33,9 @@ def report(criterion, message):
 
 def ternary_operator(resolution, eps, weight=None, region=None, samples=3):
     b = make_system("ternary_hole")
-    grid = build_grid(b.system.domain, resolution)
+    grid = GridPartition(b.system.domain, resolution)
     M = assemble_operator(b.system, NoiseModel(eps),
-                          weight or zero_weight(), region or b.survivor,
+                          weight or WeightField(), region or b.survivor,
                           grid, samples)
     return M, grid
 
@@ -74,8 +73,8 @@ def test_criterion_02_conditioned_stability_1d(ternary_fine):
 
 def test_criterion_03_hyperbolic_baker():
     b = make_system("open_baker")
-    grid = build_grid(b.system.domain, 81)
-    M = assemble_operator(b.system, NoiseModel(1e-3), zero_weight(),
+    grid = GridPartition(b.system.domain, 81)
+    M = assemble_operator(b.system, NoiseModel(1e-3), WeightField(),
                           b.survivor, grid, samples_per_cell=(3, 1))
     triple = solve_triple(M, with_gap=False)
     assert abs(triple.lam - 2.0 / 3.0) <= 0.02 * (2.0 / 3.0)
@@ -108,7 +107,7 @@ def test_criterion_04_quasi_ergodic_theorem_mc(ternary_fine):
     noise = NoiseModel(1e-3)
     lines = []
     for seed, start in ((11, 0.1), (12, 0.9)):
-        stats = run_conditioned(b.system, noise, zero_weight(), b.survivor,
+        stats = run_conditioned(b.system, noise, WeightField(), b.survivor,
                                 np.array([start]), n=10_000,
                                 n_particles=10_000,
                                 observables=OBSERVABLES, seed=seed)
@@ -118,7 +117,7 @@ def test_criterion_04_quasi_ergodic_theorem_mc(ternary_fine):
                 f"start {start}, observable {name}"
         lines.append(f"start {start}: max dev "
                      f"{max(abs(stats.averages[k] - moments[k]) for k in moments):.4f}")
-    ones = run_conditioned(b.system, noise, zero_weight(), b.survivor,
+    ones = run_conditioned(b.system, noise, WeightField(), b.survivor,
                            np.array([0.1]), n=200, n_particles=2000,
                            observables={"one": lambda c: np.ones(len(c))},
                            seed=13)
@@ -131,11 +130,11 @@ def test_criterion_05_escape_rate_consistency():
     results = []
     for label, resolution in (("ternary_hole", 729), ("five_hole", 625)):
         b = make_system(label)
-        grid = build_grid(b.system.domain, resolution)
-        M = assemble_operator(b.system, noise, zero_weight(), b.survivor,
+        grid = GridPartition(b.system.domain, resolution)
+        M = assemble_operator(b.system, noise, WeightField(), b.survivor,
                               grid, 15)
         lam, _, _ = leading_pair(M)
-        stats = run_conditioned(b.system, noise, zero_weight(), b.survivor,
+        stats = run_conditioned(b.system, noise, WeightField(), b.survivor,
                                 np.array([0.1]), n=4000, n_particles=4000,
                                 observables={"x": lambda c: c[:, 0]}, seed=6)
         mc_lam = math.exp(-stats.escape_rate_estimate)
@@ -154,7 +153,7 @@ def test_criterion_06_weight_correspondence():
     res = 729
     h = 1.0 / res
     b = make_system("ternary_hole")
-    grid = build_grid(b.system.domain, res)
+    grid = GridPartition(b.system.domain, res)
     noise = NoiseModel(1e-3)
     V = b.survivor
     nested = RegionSpec((Box((0.0,), (1.0 / 9.0,)),
@@ -162,11 +161,11 @@ def test_criterion_06_weight_correspondence():
                          Box((2.0 / 3.0,), (7.0 / 9.0,)),
                          Box((8.0 / 9.0,), (1.0,))), label="depth2")
     tapered = WeightField(0.0, support_cutoff=V, taper_width=h / 8.0,
-                          domain=b.system.domain, label="tapered")
+                          domain=b.system.domain)
     qems = {}
     for key, weight, region in (("tapered_V", tapered, V),
-                                ("plain_V", zero_weight(), V),
-                                ("plain_nested", zero_weight(), nested)):
+                                ("plain_V", WeightField(), V),
+                                ("plain_nested", WeightField(), nested)):
         M = assemble_operator(b.system, noise, weight, region, grid, 3)
         qems[key] = solve_triple(M, with_gap=False).qem
     cells = np.flatnonzero(nested.contains(grid.centers()))
@@ -191,7 +190,7 @@ def test_criterion_06_weight_correspondence():
 def test_criterion_07_weight_rescaling():
     M0, _ = ternary_operator(243, eps=1e-3)
     M2, _ = ternary_operator(243, eps=1e-3,
-                             weight=constant_weight(math.log(2.0)))
+                             weight=WeightField(math.log(2.0)))
     t0, t2 = solve_triple(M0, with_gap=False), solve_triple(M2, with_gap=False)
     assert abs(t2.lam - 2.0 * t0.lam) <= 1e-10
     sup = float(np.max(np.abs(t2.qem - t0.qem)))
@@ -242,8 +241,8 @@ def test_criterion_09_filtration_ordering():
 def test_criterion_10_two_repeller_global():
     b = make_system("two_repeller")
     noise = NoiseModel(1e-3)
-    grid = build_grid(b.system.domain, 405)
-    M = assemble_operator(b.system, noise, zero_weight(), b.survivor,
+    grid = GridPartition(b.system.domain, 405)
+    M = assemble_operator(b.system, noise, WeightField(), b.survivor,
                           grid, 15)
     order = filtration_order(ConnectionGraph(
         (Node(1, math.log(3.0 / 5.0)), Node(2, math.log(2.0 / 3.0))), ()))
@@ -261,7 +260,7 @@ def test_criterion_10_two_repeller_global():
         local = {"x": float(res.triple.qem @ cen),
                  "x^2": float(res.triple.qem @ cen ** 2),
                  "cos2pix": float(res.triple.qem @ np.cos(2 * np.pi * cen))}
-        stats = run_conditioned(b.system, noise, zero_weight(), b.survivor,
+        stats = run_conditioned(b.system, noise, WeightField(), b.survivor,
                                 np.array([start]), n=6000, n_particles=6000,
                                 observables=OBSERVABLES, seed=seed)
         for name, target in local.items():
@@ -290,14 +289,14 @@ def test_criterion_12_brute_force_equivalence():
     b = make_system("ternary_hole")
     matrices = []
     for res, eps, k in ((3, 0.0, 1), (6, 0.0, 2), (6, 0.01, 3), (3, 1e-3, 3)):
-        grid = build_grid(b.system.domain, res)
+        grid = GridPartition(b.system.domain, res)
         matrices.append(assemble_operator(
-            b.system, NoiseModel(eps), zero_weight(), b.survivor, grid,
+            b.system, NoiseModel(eps), WeightField(), b.survivor, grid,
             k))
     baker = make_system("open_baker")
     matrices.append(assemble_operator(
-        baker.system, NoiseModel(0.01), zero_weight(), baker.survivor,
-        build_grid(baker.system.domain, 2), samples_per_cell=(2, 2)))
+        baker.system, NoiseModel(0.01), WeightField(), baker.survivor,
+        GridPartition(baker.system.domain, 2), samples_per_cell=(2, 2)))
     matrices.append(restrict_operator(matrices[0], [0, 2]))
     worst = 0.0
     for M in matrices:
@@ -338,8 +337,8 @@ def test_criterion_13_weighted_five_hole_three_routes():
 
     b = make_system("five_hole")
     noise = NoiseModel(1e-3)
-    weight = WeightField(phi, label="c_a on digit a")
-    grid = build_grid(b.system.domain, 625)
+    weight = WeightField(phi)
+    grid = GridPartition(b.system.domain, 625)
     triple = solve_triple(assemble_operator(b.system, noise, weight,
                                             b.survivor, grid, 3))
     spectral_mean = float(triple.qem @ grid.centers()[:, 0])

@@ -14,7 +14,7 @@ from qemlab.cli import (EXIT_CONFIG, EXIT_EXTINCT, EXIT_NUMERIC, EXIT_OK,
                         ConfigError, load_config, main)
 from qemlab.dynamics import make_system
 from qemlab.equilibrium import w1_1d, weak_star_discrepancy
-from qemlab.ulam import build_grid
+from qemlab.ulam import GridPartition
 
 
 def write_config(path, **overrides):
@@ -546,7 +546,7 @@ class TestMcCommand:
         def no_grid(*args, **kwargs):
             raise AssertionError("mc builds no grid")
 
-        monkeypatch.setattr(cli, "build_grid", no_grid)
+        monkeypatch.setattr(cli, "GridPartition", no_grid)
         path, _ = write_config(tmp_path, samples_per_cell=0, mc=MC)
         out = tmp_path / "out"
         assert main(["mc", "--config", path, "--out", str(out)]) == EXIT_OK
@@ -778,8 +778,8 @@ class TestCompareCommand:
         printed = capsys.readouterr().out.splitlines()
 
         mu, nu = (np.loadtxt(f, delimiter=",", skiprows=1)[:, -1] for f in files)
-        centers = build_grid(make_system("ternary_hole").system.domain,
-                             243).centers()
+        centers = GridPartition(make_system("ternary_hole").system.domain,
+                                243).centers()
         disc = weak_star_discrepancy(mu, nu, centers)
         w1 = w1_1d(mu, nu, centers)
         assert w1 == pytest.approx(0.0013664581174186608, rel=1e-12)

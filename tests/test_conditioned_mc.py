@@ -14,8 +14,7 @@ from qemlab.conditioned_mc import (LAG, MIN_STEPS, RECORD_EVERY,
                                    _systematic_sources, escape_rate_mc,
                                    run_conditioned)
 from qemlab.dynamics import (Box, Domain, MapSystem, NoiseModel, RegionSpec,
-                             WeightField, constant_weight, make_system,
-                             step_points, zero_weight)
+                             WeightField, make_system, step_points)
 
 TERNARY = make_system("ternary_hole")
 NOISE = NoiseModel(1e-3)
@@ -25,7 +24,7 @@ X = {"x": lambda c: c[:, 0]}
 
 class TestRunConditioned:
     def test_no_killing_is_plain_monte_carlo(self):
-        stats = run_conditioned(TERNARY.system, NOISE, zero_weight(), FULL,
+        stats = run_conditioned(TERNARY.system, NOISE, WeightField(), FULL,
                                 FULL, n=4000, n_particles=4000,
                                 observables=X, seed=1)
         assert stats.survival_fraction == 1.0
@@ -33,7 +32,7 @@ class TestRunConditioned:
         assert abs(stats.averages["x"] - 0.5) <= 3 * stats.standard_errors["x"]
 
     def test_symmetric_hole_mean(self):
-        stats = run_conditioned(TERNARY.system, NOISE, zero_weight(),
+        stats = run_conditioned(TERNARY.system, NOISE, WeightField(),
                                 TERNARY.survivor, np.array([0.1]),
                                 n=3000, n_particles=3000,
                                 observables=X, seed=2)
@@ -55,7 +54,7 @@ class TestRunConditioned:
         assert stats.standard_errors["one"] == 0.0
 
     def test_constant_observable_is_exact(self):
-        self._assert_constant_observable_is_exact(zero_weight())
+        self._assert_constant_observable_is_exact(WeightField())
 
     def test_constant_observable_is_exact_under_varying_weight(self):
         # a weight that varies makes the masses unequal, where a sum and a
@@ -66,38 +65,38 @@ class TestRunConditioned:
     def test_observable_of_a_column_of_points_rejected(self):
         # (k, 1) would broadcast against the k masses to (k, k)
         with pytest.raises(ValueError, match="'x'"):
-            run_conditioned(TERNARY.system, NOISE, zero_weight(), FULL, FULL,
+            run_conditioned(TERNARY.system, NOISE, WeightField(), FULL, FULL,
                             n=MIN_STEPS, n_particles=50,
                             observables={"x": lambda p: p}, seed=1)
 
     def test_observable_of_one_value_runs(self):
-        stats = run_conditioned(TERNARY.system, NOISE, zero_weight(), FULL,
+        stats = run_conditioned(TERNARY.system, NOISE, WeightField(), FULL,
                                 FULL, n=MIN_STEPS, n_particles=50,
                                 observables={"two": lambda p: 2.0}, seed=1)
         assert stats.averages == {"two": 2.0}
 
     def test_extinct_start_in_hole(self):
         with pytest.raises(EnsembleExtinctError) as err:
-            run_conditioned(TERNARY.system, NoiseModel(0.0), zero_weight(),
+            run_conditioned(TERNARY.system, NoiseModel(0.0), WeightField(),
                             TERNARY.survivor, np.array([0.5]),
                             n=100, n_particles=50, observables=X, seed=4)
         assert err.value.time == 0
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
-            run_conditioned(TERNARY.system, NOISE, zero_weight(),
+            run_conditioned(TERNARY.system, NOISE, WeightField(),
                             TERNARY.survivor, np.array([0.1]), n=0,
                             n_particles=10, observables=X)
         with pytest.raises(ValueError):
-            run_conditioned(TERNARY.system, NOISE, zero_weight(),
+            run_conditioned(TERNARY.system, NOISE, WeightField(),
                             TERNARY.survivor, np.array([0.1]), n=10,
                             n_particles=1, observables=X)
 
     def test_deterministic_given_seed(self):
         kw = dict(n=150, n_particles=1000, observables=X, seed=9)
-        a = run_conditioned(TERNARY.system, NOISE, zero_weight(),
+        a = run_conditioned(TERNARY.system, NOISE, WeightField(),
                             TERNARY.survivor, np.array([0.1]), **kw)
-        b = run_conditioned(TERNARY.system, NOISE, zero_weight(),
+        b = run_conditioned(TERNARY.system, NOISE, WeightField(),
                             TERNARY.survivor, np.array([0.1]), **kw)
         assert a.averages == b.averages
         assert np.array_equal(a.log_mass_series, b.log_mass_series)
@@ -109,7 +108,7 @@ class TestRunConditioned:
         kw = dict(n=12, n_particles=20_000, observables=X)
         means = {}
         for threshold, seeds in ((0.0, range(7, 15)), (0.5, range(15, 23))):
-            runs = [run_conditioned(TERNARY.system, NOISE, zero_weight(),
+            runs = [run_conditioned(TERNARY.system, NOISE, WeightField(),
                                     TERNARY.survivor, TERNARY.survivor,
                                     resample_threshold=threshold, seed=seed,
                                     **kw) for seed in seeds]
@@ -123,10 +122,10 @@ class TestRunConditioned:
 
     def test_weight_shift_leaves_averages_and_scales_mass(self):
         kw = dict(n=400, n_particles=2000, observables=X, seed=12)
-        s0 = run_conditioned(TERNARY.system, NOISE, zero_weight(),
+        s0 = run_conditioned(TERNARY.system, NOISE, WeightField(),
                              TERNARY.survivor, np.array([0.1]), **kw)
         s2 = run_conditioned(TERNARY.system, NOISE,
-                             constant_weight(math.log(2.0)),
+                             WeightField(math.log(2.0)),
                              TERNARY.survivor, np.array([0.1]), **kw)
         assert abs(s0.averages["x"] - s2.averages["x"]) <= 1e-12
         ratio = math.exp(-s2.escape_rate_estimate) \
@@ -156,7 +155,7 @@ class TestRunConditioned:
         kw = dict(n=200, n_particles=2000, observables=X, seed=5)
         nan_off = run_conditioned(TERNARY.system, NOISE, WeightField(phi),
                                   survivor, np.array([0.1]), **kw)
-        plain = run_conditioned(TERNARY.system, NOISE, zero_weight(),
+        plain = run_conditioned(TERNARY.system, NOISE, WeightField(),
                                 survivor, np.array([0.1]), **kw)
         assert np.all(np.isfinite(nan_off.log_mass_series))
         assert np.array_equal(nan_off.log_mass_series, plain.log_mass_series)
@@ -185,7 +184,7 @@ class TestRunConditioned:
         t = TERNARY.system
         system = MapSystem(forward, t.jacobian_det,
                            Domain((Box((0.0,), (1.0,), (False,)),)), "absorbing")
-        stats = run_conditioned(system, NoiseModel(0.05), zero_weight(),
+        stats = run_conditioned(system, NoiseModel(0.05), WeightField(),
                                 FULL, FULL, n=50, n_particles=500,
                                 observables=X, seed=3)
         assert stats.log_mass_series[-1] < stats.log_mass_series[0]
@@ -193,7 +192,7 @@ class TestRunConditioned:
 
 class TestPopulationDiagnostics:
     def test_counts(self):
-        stats = run_conditioned(TERNARY.system, NOISE, zero_weight(),
+        stats = run_conditioned(TERNARY.system, NOISE, WeightField(),
                                 TERNARY.survivor, np.array([0.1]), n=300,
                                 n_particles=3003, observables=X, seed=14)
         diag = stats.diagnostics()
@@ -206,7 +205,7 @@ class TestPopulationDiagnostics:
         assert 0.0 < diag["min_ess_fraction"] < 0.5
 
     def test_zero_threshold_never_resamples(self):
-        stats = run_conditioned(TERNARY.system, NOISE, zero_weight(),
+        stats = run_conditioned(TERNARY.system, NOISE, WeightField(),
                                 TERNARY.survivor, np.array([0.1]), n=12,
                                 n_particles=2000, observables=X,
                                 resample_threshold=0.0, seed=7)
@@ -218,14 +217,14 @@ class TestShortHorizons:
     @pytest.mark.parametrize("n", range(1, MIN_STEPS))
     def test_below_the_shortest_horizon_fails_fast(self, n):
         with pytest.raises(ValueError, match=f"n must be >= {MIN_STEPS}"):
-            run_conditioned(TERNARY.system, NOISE, zero_weight(),
+            run_conditioned(TERNARY.system, NOISE, WeightField(),
                             TERNARY.survivor, np.array([0.1]), n=n,
                             n_particles=200, observables=X, seed=n)
 
     def test_the_shortest_horizon_reads_past_the_start(self):
         # a record anchored at step 0 would read a point start as h(start)
         def run(n):
-            return run_conditioned(TERNARY.system, NOISE, zero_weight(),
+            return run_conditioned(TERNARY.system, NOISE, WeightField(),
                                    TERNARY.survivor, np.array([0.1]), n=n,
                                    n_particles=2000, observables=X, seed=1)
 
@@ -239,7 +238,7 @@ class TestShortHorizons:
 
     @pytest.mark.parametrize("n", [*range(MIN_STEPS, 31), 199, 200, 201])
     def test_every_horizon_gives_finite_averages(self, n):
-        stats = run_conditioned(TERNARY.system, NOISE, zero_weight(),
+        stats = run_conditioned(TERNARY.system, NOISE, WeightField(),
                                 TERNARY.survivor, np.array([0.1]), n=n,
                                 n_particles=500, observables=X, seed=n)
         first = max(n // 10, LAG + 1)
@@ -459,8 +458,8 @@ def _weights(builtin):
     lo, hi = builtin.system.domain.boxes[0].lo, builtin.system.domain.boxes[0].hi
     cut = Box(lo, (hi[0] - 0.1, *hi[1:]))
     return {
-        "zero": zero_weight(),
-        "constant": constant_weight(-0.3),
+        "zero": WeightField(),
+        "constant": WeightField(-0.3),
         "callable": WeightField(lambda p: 0.8 * np.cos(2 * np.pi * p[:, 0])),
         # a cutoff tapers the weight to 0 at its edge and is 0 past it
         "cutoff": WeightField(0.4, support_cutoff=RegionSpec((cut,)),
@@ -511,15 +510,49 @@ class TestAgainstReference:
         assert got.resample_times == want.resample_times
 
 
+def _reference_sample_region(region, n, rng):
+    """Reference: a box picked by its volume, then a point uniform in it,
+    with no redraw, so an overlap is drawn once per box that holds it."""
+    vols = np.asarray([b.volume for b in region.boxes])
+    picks = rng.choice(len(region.boxes), size=n, p=vols / vols.sum())
+    pos = np.empty((n, region.dimension))
+    for b, box in enumerate(region.boxes):
+        sel = picks == b
+        k = int(np.sum(sel))
+        if k:
+            pos[sel] = np.asarray(box.lo) + rng.uniform(
+                size=(k, region.dimension)) * box.widths
+    return pos
+
+
+class TestRegionStart:
+    def test_overlap_is_drawn_as_often_as_its_volume(self):
+        # [0.25, 0.5) is 1/3 of the union [0, 0.75), not 1/2
+        region = RegionSpec((Box((0.0,), (0.5,)), Box((0.25,), (0.75,))))
+        n = 400_000
+        x = _sample_region(region, n, np.random.default_rng(11))[:, 0]
+        assert np.all((x >= 0.0) & (x < 0.75))
+        share = np.count_nonzero((x >= 0.25) & (x < 0.5)) / n
+        assert abs(share - 1 / 3) <= 4 * math.sqrt(1 / 3 * 2 / 3 / n)
+
+    @pytest.mark.parametrize("label", ["ternary_hole", "two_repeller",
+                                       "open_baker"])
+    def test_disjoint_boxes_draw_the_reference_bits(self, label):
+        region = make_system(label).survivor
+        got = _sample_region(region, 5000, np.random.default_rng(3))
+        want = _reference_sample_region(region, 5000, np.random.default_rng(3))
+        assert got.tobytes() == want.tobytes()
+
+
 class TestEscapeRate:
     def test_no_killing_rate_zero(self):
-        stats = run_conditioned(TERNARY.system, NOISE, zero_weight(), FULL,
+        stats = run_conditioned(TERNARY.system, NOISE, WeightField(), FULL,
                                 FULL, n=500, n_particles=200,
                                 observables=X, seed=5)
         assert abs(stats.escape_rate_estimate) <= 1e-12
 
     def test_ternary_rate_matches_eigenvalue(self):
-        stats = run_conditioned(TERNARY.system, NOISE, zero_weight(),
+        stats = run_conditioned(TERNARY.system, NOISE, WeightField(),
                                 TERNARY.survivor, np.array([0.1]),
                                 n=3000, n_particles=3000,
                                 observables=X, seed=6)
@@ -528,7 +561,7 @@ class TestEscapeRate:
 
     def test_five_hole_rate(self):
         b = make_system("five_hole")
-        stats = run_conditioned(b.system, NOISE, zero_weight(), b.survivor,
+        stats = run_conditioned(b.system, NOISE, WeightField(), b.survivor,
                                 np.array([0.1]), n=3000, n_particles=3000,
                                 observables=X, seed=7)
         assert math.exp(-stats.escape_rate_estimate) \
@@ -536,7 +569,7 @@ class TestEscapeRate:
 
     def test_baker_rate(self):
         b = make_system("open_baker")
-        stats = run_conditioned(b.system, NoiseModel(1e-3), zero_weight(),
+        stats = run_conditioned(b.system, NoiseModel(1e-3), WeightField(),
                                 b.survivor, np.array([0.1, 0.4]),
                                 n=2000, n_particles=2000,
                                 observables={"x": lambda c: c[:, 0]}, seed=8)
@@ -544,7 +577,7 @@ class TestEscapeRate:
             == pytest.approx(2.0 / 3.0, abs=0.02)
 
     def test_too_short_series(self):
-        stats = run_conditioned(TERNARY.system, NOISE, zero_weight(), FULL,
+        stats = run_conditioned(TERNARY.system, NOISE, WeightField(), FULL,
                                 FULL, n=MIN_STEPS, n_particles=50,
                                 observables=X, seed=9)
         stats.log_mass_series = stats.log_mass_series[:3]

@@ -6,13 +6,17 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qemlab.dynamics import (Box, Domain, NoiseModel, RegionSpec, WeightField,
-                             _wrap_mod, builtin_labels, constant_weight,
-                             eval_weight, make_system, region_fraction,
-                             step_points, zero_weight)
+                             _wrap_mod, builtin_labels, make_system,
+                             region_fraction, step_points)
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def weight_at(weight, x):
+    """The effective weight at a single point."""
+    return float(weight.values(np.array([x], dtype=float))[0])
 
 
 def step_one(system, noise, x, generator):
@@ -255,30 +259,47 @@ class TestJacobians:
 
 class TestWeights:
     def test_constant_weights(self):
-        assert eval_weight(zero_weight(), [0.77]) == 1.0
-        assert eval_weight(constant_weight(math.log(2.0)), [0.2]) \
+        assert weight_at(WeightField(), [0.77]) == 1.0
+        assert weight_at(WeightField(math.log(2.0)), [0.2]) \
             == pytest.approx(2.0)
+
+    def test_label_is_derived_from_the_weight(self):
+        cutoff = make_system("ternary_hole").survivor
+        assert WeightField().label == "phi=0"
+        assert WeightField(-0.3).label == "phi=-0.3"
+        assert WeightField(np.cos).label == "phi=callable"
+        assert WeightField(0.2, support_cutoff=cutoff).label == "phi=0.2,tapered"
+        assert WeightField(lambda p: p[:, 0], support_cutoff=cutoff).label \
+            == "phi=callable,tapered"
+
+    def test_tapered_cutoff_without_a_domain_rejected(self):
+        cutoff = make_system("ternary_hole").survivor
+        with pytest.raises(ValueError, match="domain"):
+            WeightField(0.0, support_cutoff=cutoff, taper_width=0.01)
+        # a cutoff without a taper reads only its membership
+        w = WeightField(0.0, support_cutoff=cutoff)
+        assert weight_at(w, [0.1]) == 1.0 and weight_at(w, [0.5]) == 0.0
 
     def test_taper_vanishes_on_cutoff_boundary(self):
         b = make_system("ternary_hole")
         w = WeightField(0.0, support_cutoff=b.survivor, taper_width=0.01,
                         domain=b.system.domain)
-        assert eval_weight(w, [1.0 / 3.0]) == 0.0
-        assert eval_weight(w, [2.0 / 3.0]) == 0.0
+        assert weight_at(w, [1.0 / 3.0]) == 0.0
+        assert weight_at(w, [2.0 / 3.0]) == 0.0
         # deep interior unaffected; wrap seam at 0/1 is not a boundary
-        assert eval_weight(w, [0.1]) == pytest.approx(1.0)
-        assert eval_weight(w, [0.0001]) == pytest.approx(1.0)
-        assert eval_weight(w, [0.9999]) == pytest.approx(1.0)
+        assert weight_at(w, [0.1]) == pytest.approx(1.0)
+        assert weight_at(w, [0.0001]) == pytest.approx(1.0)
+        assert weight_at(w, [0.9999]) == pytest.approx(1.0)
         # strictly positive just inside, increasing with depth
-        near = eval_weight(w, [1.0 / 3.0 - 1e-3])
-        deeper = eval_weight(w, [1.0 / 3.0 - 5e-3])
+        near = weight_at(w, [1.0 / 3.0 - 1e-3])
+        deeper = weight_at(w, [1.0 / 3.0 - 5e-3])
         assert 0.0 < near < deeper <= 1.0
 
     def test_weight_zero_outside_cutoff(self):
         b = make_system("ternary_hole")
         w = WeightField(0.0, support_cutoff=b.survivor, taper_width=0.01,
                         domain=b.system.domain)
-        assert eval_weight(w, [0.5]) == 0.0
+        assert weight_at(w, [0.5]) == 0.0
 
     def test_taper_on_two_box_domain_keeps_boxes_separate(self):
         # boundary points of one box must not bleed into the other box's
@@ -286,11 +307,11 @@ class TestWeights:
         b = make_system("two_repeller")
         w = WeightField(0.0, support_cutoff=b.survivor, taper_width=0.05,
                         domain=b.system.domain)
-        assert eval_weight(w, [0.01]) == pytest.approx(1.0)   # far from 1/3, 2/3
-        assert eval_weight(w, [0.99]) == pytest.approx(1.0)
-        assert eval_weight(w, [2.0]) == 0.0                   # genuine boundary
-        assert eval_weight(w, [2.6 - 1e-9]) == pytest.approx(0.0, abs=1e-6)
-        assert eval_weight(w, [2.3]) == pytest.approx(1.0)
+        assert weight_at(w, [0.01]) == pytest.approx(1.0)   # far from 1/3, 2/3
+        assert weight_at(w, [0.99]) == pytest.approx(1.0)
+        assert weight_at(w, [2.0]) == 0.0                   # genuine boundary
+        assert weight_at(w, [2.6 - 1e-9]) == pytest.approx(0.0, abs=1e-6)
+        assert weight_at(w, [2.3]) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +332,8 @@ def _reference_boundary_points_1d(weight):
         else:
             merged.append([lo, hi])
     pts = [p for m in merged for p in m]
-    boxes = (weight.domain.boxes if weight.domain is not None
-             else (Box((min(pts),), (max(pts) + 1.0,)),))
     out = []
-    for box in boxes:
+    for box in weight.domain.boxes:
         blo, bhi = box.lo[0], box.hi[0]
         local = [p for p in pts if blo - 1e-12 <= p <= bhi + 1e-12]
         if box.wrap[0]:
@@ -377,7 +396,7 @@ TAPER_DOMAINS = [((0.0, 1.0),), ((0.0, 1.0), (2.0, 3.0)), ((-0.5, 1.75),)]
 @st.composite
 def cutoffs_1d(draw):
     """A 1-D cutoff of 1-4 intervals with ends on an eighth of a domain box,
-    so that intervals overlap or meet, its domain (or None) and a taper."""
+    so that intervals overlap or meet, its domain and a taper."""
     spans = draw(st.sampled_from(TAPER_DOMAINS))
     wraps = draw(st.lists(st.booleans(), min_size=len(spans),
                           max_size=len(spans)))
@@ -387,9 +406,8 @@ def cutoffs_1d(draw):
         a, b = sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2,
                                     unique=True)))
         boxes.append(Box((lo + a * (hi - lo) / 8,), (lo + b * (hi - lo) / 8,)))
-    domain = (Domain(tuple(Box((lo,), (hi,), (w,))
-                           for (lo, hi), w in zip(spans, wraps)))
-              if draw(st.booleans()) else None)
+    domain = Domain(tuple(Box((lo,), (hi,), (w,))
+                          for (lo, hi), w in zip(spans, wraps)))
     weight = WeightField(draw(st.floats(-2.0, 2.0)),
                          support_cutoff=RegionSpec(tuple(boxes)),
                          taper_width=draw(st.sampled_from([0.01, 0.05, 0.3, 2.0])),
@@ -401,8 +419,6 @@ def cutoffs_1d(draw):
 
 
 def _covers_a_wrapped_box(weight):
-    if weight.domain is None:
-        return False
     return any(box.wrap[0] and weight.support_cutoff.contains(
         np.linspace(box.lo[0], box.hi[0], 4097)[:-1, None]).all()
         for box in weight.domain.boxes)
@@ -439,6 +455,7 @@ class TestSharedCompression:
     @given(case=unions())
     def test_region_fraction_matches_the_face_compression(self, case):
         region, (lo, hi) = case
+        assume(np.prod(np.subtract(hi, lo)) > 0.0)  # else a degenerate cell
         got = region_fraction(region, lo, hi)
         assert _bits(got) == _bits(_reference_region_fraction(region, lo, hi))
 
@@ -459,7 +476,7 @@ class TestSharedCompression:
         pts = np.array([[0.1, 0.001], [0.001, 0.5], [0.999, 0.5]])
         assert np.array_equal(w.values(pts), np.ones(3))
         # the faces at x = 1/3 and 2/3 are boundary
-        assert eval_weight(w, [1.0 / 3.0 - 0.01, 0.5]) \
+        assert weight_at(w, [1.0 / 3.0 - 0.01, 0.5]) \
             == pytest.approx(0.2 ** 2 * (3.0 - 0.4))
 
     @settings(max_examples=100, deadline=None)
@@ -491,15 +508,6 @@ class TestSharedCompression:
         moved = np.mod(pts + [sx / 8, sy / 8], 1.0)
         assert np.array_equal(weight(boxes).values(pts),
                               weight(moved_boxes).values(moved))
-
-    def test_domain_none_measures_in_the_bounding_box(self):
-        # two boxes meeting at x = 0.5 merge; the bounding box's faces absorb
-        cutoff = RegionSpec((Box((0.0, 0.0), (0.5, 1.0)), Box((0.5, 0.0), (1.0, 1.0))))
-        w = WeightField(0.0, support_cutoff=cutoff, taper_width=0.25)
-        pts = np.array([[0.49, 0.5], [0.5, 0.5], [0.1, 0.5], [0.5, 0.9]])
-        t = np.array([0.49, 0.5, 0.1, 0.1]) / 0.25
-        t = np.minimum(t, 1.0)
-        assert np.allclose(w.values(pts), t * t * (3.0 - 2.0 * t), rtol=1e-12)
 
 
 class TestNoiseModel:
@@ -555,6 +563,20 @@ class TestRegionFraction:
     def test_degenerate_cell_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             region_fraction(self.region, [0.2], [0.2])
+
+    def test_cell_whose_volume_underflows_rejected(self):
+        # covered volume 0 over cell volume 0 read NaN
+        region = RegionSpec((Box((0.0, 0.0), (1 / 16, 1 / 16)),))
+        with pytest.raises(ValueError, match="degenerate"):
+            region_fraction(region, (0.0, 0.0), (0.125, 5e-324))
+
+
+class TestRegionSpec:
+    @pytest.mark.parametrize("boxes", [
+        (), (Box((0.0,), (1.0,)), Box((0.0, 0.0), (1.0, 1.0)))])
+    def test_empty_or_mixed_dimension_rejected(self, boxes):
+        with pytest.raises(ValueError, match="one dimension"):
+            RegionSpec(boxes)
 
 
 class TestBuiltins:

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qemlab.dynamics import Box
+from qemlab.dynamics import Box, Domain
 from qemlab.equilibrium import (MarkovModel, _members,
                                 equilibrium_cylinder_measure,
                                 full_shift_model, model_for, pressure_sft,
                                 w1_1d, weak_star_discrepancy)
-from qemlab.ulam import build_grid
+from qemlab.ulam import GridPartition
 
 from oracles import quad_w1_uniform_vs_cantor
 
@@ -20,7 +20,7 @@ GOLDEN = MarkovModel.from_matrix([[1.0, 1.0], [1.0, 0.0]], digits=(0, 1), base=2
 
 
 def unit_grid(resolution):
-    return build_grid([Box((0.0,), (1.0,))], resolution)
+    return GridPartition(Domain((Box((0.0,), (1.0,)),)), resolution)
 
 
 def _monotone_w1(mu, nu, x):
@@ -156,7 +156,7 @@ class TestDictionaryAndMetrics:
     def test_discrepancy_sees_every_coordinate(self):
         # two measures on a 2-D grid that differ only in y have the
         # discrepancy of their y-marginals
-        grid = build_grid([Box((0.0, 0.0), (1.0, 1.0))], 8)
+        grid = GridPartition(Domain((Box((0.0, 0.0), (1.0, 1.0)),)), 8)
         y = grid.centers()[:, 1]
         mu = np.where(y < 0.5, 2.0, 0.0) / grid.n_cells
         nu = np.where(y >= 0.5, 2.0, 0.0) / grid.n_cells
@@ -200,13 +200,13 @@ class TestDictionaryAndMetrics:
         assert lhs == pytest.approx(rhs, abs=1e-3)
 
     def test_w1_requires_1d(self):
-        grid = build_grid([Box((0.0, 0.0), (1.0, 1.0))], 4)
+        grid = GridPartition(Domain((Box((0.0, 0.0), (1.0, 1.0)),)), 4)
         mu = np.full(16, 1 / 16)
         with pytest.raises(ValueError):
             w1_1d(mu, mu, grid.centers())
 
     def test_w1_two_box_gap(self):
-        grid = build_grid([Box((0.0,), (1.0,)), Box((2.0,), (3.0,))], 2)
+        grid = GridPartition(Domain((Box((0.0,), (1.0,)), Box((2.0,), (3.0,)))), 2)
         mu = np.array([1.0, 0.0, 0.0, 0.0])   # center 0.25
         nu = np.array([0.0, 0.0, 1.0, 0.0])   # center 2.25
         assert w1_1d(mu, nu, grid.centers()) \
@@ -222,7 +222,7 @@ class TestDictionaryAndMetrics:
     def test_w1_is_the_monotone_coupling_cost(self, boxes, resolution, data):
         # W1 of masses at the centers: the cost of moving one to the other
         # along the line, whatever the gaps between the boxes
-        grid = build_grid(boxes, resolution)
+        grid = GridPartition(Domain(tuple(boxes)), resolution)
         masses = arrays(float, grid.n_cells, elements=st.floats(0.0, 1.0)
                         | st.just(0.0)).filter(lambda m: m.sum() > 0.0)
         mu, nu = data.draw(masses), data.draw(masses)

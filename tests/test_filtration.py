@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qemlab.dynamics import NoiseModel, make_system, zero_weight
+from qemlab.dynamics import NoiseModel, WeightField, make_system
 from qemlab.filtration import (ConnectionGraph, CycleError, Node,
                                PressureTieError, assign_basin, detect_cycles,
                                filtration_order, stratified_qem_workflow)
-from qemlab.ulam import assemble_operator, build_grid
+from qemlab.ulam import GridPartition, assemble_operator
 
 
 def graph(pressures, edges):
@@ -173,9 +173,9 @@ class TestAssignBasin:
 class TestStratifiedWorkflow:
     def setup_method(self):
         self.builtin = make_system("two_repeller")
-        self.grid = build_grid(self.builtin.system.domain, 135)
+        self.grid = GridPartition(self.builtin.system.domain, 135)
         self.matrix = assemble_operator(
-            self.builtin.system, NoiseModel(1e-3), zero_weight(),
+            self.builtin.system, NoiseModel(1e-3), WeightField(),
             self.builtin.survivor, self.grid, 15)
         self.order = filtration_order(graph(
             {1: math.log(3.0 / 5.0), 2: math.log(2.0 / 3.0)}, []))

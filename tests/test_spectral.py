@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qemlab import spectral
-from qemlab.dynamics import NoiseModel, WeightField, \
-    constant_weight, make_system, zero_weight
+from qemlab.dynamics import NoiseModel, WeightField, make_system
 from qemlab.spectral import (NonConvergenceError, ZeroOperatorError,
                              assemble_qem, leading_left, leading_pair,
                              solve_triple, support_check)
-from qemlab.ulam import assemble_operator, build_grid, restrict_operator
+from qemlab.ulam import GridPartition, assemble_operator, restrict_operator
 from qemlab.equilibrium import w1_1d
 
 from oracles import growth_rate_dense, matrix_from_dense
@@ -160,8 +159,8 @@ class TestInPlaceIteration:
         # two_repeller at 405 cells per box takes more power steps than
         # STALL_WINDOW, so a residual that stopped falling would show here
         b = make_system("two_repeller")
-        grid = build_grid(b.system.domain, 405)
-        M = assemble_operator(b.system, NoiseModel(1e-3), zero_weight(),
+        grid = GridPartition(b.system.domain, 405)
+        M = assemble_operator(b.system, NoiseModel(1e-3), WeightField(),
                               b.survivor, grid, 15)
         matvecs = []
         apply = M.apply
@@ -185,8 +184,8 @@ class TestLeadingLeft:
 
     def test_left_right_eigenvalue_consistency(self):
         b = make_system("ternary_hole")
-        grid = build_grid(b.system.domain, 81)
-        M = assemble_operator(b.system, NoiseModel(1e-3), zero_weight(),
+        grid = GridPartition(b.system.domain, 81)
+        M = assemble_operator(b.system, NoiseModel(1e-3), WeightField(),
                               b.survivor, grid, 3)
         lam_r, _, _ = leading_pair(M, tol=1e-10)
         lam_l, _, _ = leading_left(M, tol=1e-10)
@@ -235,9 +234,9 @@ class TestGapEstimate:
 
 def _builtin_operator(label, resolution, epsilon, samples):
     b = make_system(label)
-    grid = build_grid(b.system.domain, resolution)
+    grid = GridPartition(b.system.domain, resolution)
     M = assemble_operator(b.system, NoiseModel(epsilon),
-                          zero_weight(), b.survivor, grid, samples)
+                          WeightField(), b.survivor, grid, samples)
     return M, grid
 
 
@@ -376,8 +375,8 @@ class TestSupportCheck:
 
     def test_hole_cell_violation(self):
         b = make_system("ternary_hole")
-        grid = build_grid(b.system.domain, 3)
-        M = assemble_operator(b.system, NoiseModel(0.0), zero_weight(),
+        grid = GridPartition(b.system.domain, 3)
+        M = assemble_operator(b.system, NoiseModel(0.0), WeightField(),
                               b.survivor, grid, 1)
         t = solve_triple(M)
         report = support_check(t, [1], floor=0.1)
@@ -392,8 +391,8 @@ class TestSupportCheck:
 class TestTripleInvariants:
     def test_qem_probability_vector(self):
         b = make_system("ternary_hole")
-        grid = build_grid(b.system.domain, 243)
-        M = assemble_operator(b.system, NoiseModel(1e-3), zero_weight(),
+        grid = GridPartition(b.system.domain, 243)
+        M = assemble_operator(b.system, NoiseModel(1e-3), WeightField(),
                               b.survivor, grid, 3)
         t = solve_triple(M)
         assert np.all(t.qem >= 0.0)
@@ -406,8 +405,8 @@ class TestTripleInvariants:
 
     def test_left_fixed_point_l1_residual(self):
         b = make_system("ternary_hole")
-        grid = build_grid(b.system.domain, 81)
-        M = assemble_operator(b.system, NoiseModel(1e-3), zero_weight(),
+        grid = GridPartition(b.system.domain, 81)
+        M = assemble_operator(b.system, NoiseModel(1e-3), WeightField(),
                               b.survivor, grid, 3)
         tol = 1e-10
         lam, m, _ = leading_left(M, tol=tol)
@@ -416,11 +415,11 @@ class TestTripleInvariants:
 
     def test_weight_rescaling_invariance(self):
         b = make_system("ternary_hole")
-        grid = build_grid(b.system.domain, 27)
+        grid = GridPartition(b.system.domain, 27)
         kw = dict(region=b.survivor, grid=grid, samples_per_cell=3)
-        M0 = assemble_operator(b.system, NoiseModel(1e-3), zero_weight(), **kw)
+        M0 = assemble_operator(b.system, NoiseModel(1e-3), WeightField(), **kw)
         M2 = assemble_operator(b.system, NoiseModel(1e-3),
-                               constant_weight(math.log(2.0)), **kw)
+                               WeightField(math.log(2.0)), **kw)
         t0, t2 = solve_triple(M0), solve_triple(M2)
         assert abs(t2.lam - 2.0 * t0.lam) <= 1e-10
         assert np.max(np.abs(t2.qem - t0.qem)) <= 1e-10
@@ -429,9 +428,9 @@ class TestTripleInvariants:
         b = make_system("ternary_hole")
         small = []
         for res, eps, k in [(3, 0.0, 1), (6, 0.0, 2), (6, 0.01, 3)]:
-            grid = build_grid(b.system.domain, res)
+            grid = GridPartition(b.system.domain, res)
             small.append(assemble_operator(
-                b.system, NoiseModel(eps), zero_weight(), b.survivor,
+                b.system, NoiseModel(eps), WeightField(), b.survivor,
                 grid, k))
         small.append(restrict_operator(small[0], [0, 2]))
         for M in small:
@@ -506,9 +505,9 @@ class TestBoundaryWeightSensitivity:
         piecewise-constant weight projection."""
         b = make_system("ternary_hole")
         res = 243
-        grid = build_grid(b.system.domain, res)
+        grid = GridPartition(b.system.domain, res)
         noise = NoiseModel(1e-3)
-        plain = assemble_operator(b.system, noise, zero_weight(), b.survivor,
+        plain = assemble_operator(b.system, noise, WeightField(), b.survivor,
                                   grid, 3)
         tapered_w = WeightField(0.0, support_cutoff=b.survivor,
                                 taper_width=3.0 / res, domain=b.system.domain)

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qemlab import ulam
-from qemlab.dynamics import (Box, NoiseModel, RegionSpec, WeightField,
-                             constant_weight, make_system, zero_weight)
+from qemlab.dynamics import (Box, Domain, NoiseModel, RegionSpec, WeightField,
+                             make_system)
 from qemlab.ulam import (_h_antideriv, _segment_cdf, _strata_counts,
-                         assemble_operator, build_grid, export_matrix,
+                         GridPartition, assemble_operator, export_matrix,
                          load_matrix, region_fractions, restrict_operator)
 
 from oracles import entries_from_rows, matrix_from_dense
@@ -19,9 +19,9 @@ from oracles import entries_from_rows, matrix_from_dense
 
 def ternary_matrix(resolution, eps=0.0, samples=1, weight=None, region=None):
     b = make_system("ternary_hole")
-    grid = build_grid(b.system.domain, resolution)
+    grid = GridPartition(b.system.domain, resolution)
     return assemble_operator(
-        b.system, NoiseModel(eps), weight or zero_weight(),
+        b.system, NoiseModel(eps), weight or WeightField(),
         region or b.survivor, grid, samples_per_cell=samples), grid
 
 
@@ -31,7 +31,7 @@ SQUARE = Box((0.0, 0.0), (1.0, 1.0))
 
 def cell_box(grid, i):
     """Lower and upper corner of grid cell i, row-major within its box."""
-    box = grid.boxes[i // grid.cells_per_box]
+    box = grid.domain.boxes[i // grid.cells_per_box]
     rem, coords = i % grid.cells_per_box, []
     for _ in range(grid.dimension):
         coords.append(rem % grid.resolution)
@@ -43,31 +43,31 @@ def cell_box(grid, i):
 
 class TestBuildGrid:
     def test_interval(self):
-        g = build_grid([UNIT], 3)
+        g = GridPartition(Domain((UNIT,)), 3)
         assert g.n_cells == 3
         assert g.cell_volume == pytest.approx(1.0 / 3.0)
         assert np.allclose(g.centers()[:, 0], [1 / 6, 1 / 2, 5 / 6])
 
     def test_square(self):
-        g = build_grid([SQUARE], 3)
+        g = GridPartition(Domain((SQUARE,)), 3)
         assert g.n_cells == 9
         assert g.cell_volume == pytest.approx(1.0 / 9.0)
 
     def test_two_boxes(self):
-        g = build_grid([UNIT, Box((2.0,), (3.0,))], 3)
+        g = GridPartition(Domain((UNIT, Box((2.0,), (3.0,)))), 3)
         assert g.n_cells == 6
         assert g.centers()[3, 0] == pytest.approx(2.0 + 1.0 / 6.0)
 
     def test_bad_resolution(self):
         with pytest.raises(ValueError):
-            build_grid([UNIT], 0)
+            GridPartition(Domain((UNIT,)), 0)
 
     def test_degenerate_box(self):
         with pytest.raises(ValueError):
-            build_grid([Box((0.0,), (0.0,))], 3)
+            GridPartition(Domain((Box((0.0,), (0.0,)),)), 3)
 
     def test_index_round_trip(self):
-        g = build_grid([SQUARE, Box((2.0, 0.0), (3.0, 1.0))], 4)
+        g = GridPartition(Domain((SQUARE, Box((2.0, 0.0), (3.0, 1.0)))), 4)
         for i in range(g.n_cells):
             lo, hi = cell_box(g, i)
             assert np.array_equal((lo + hi) / 2.0, g.centers()[i])
@@ -76,7 +76,7 @@ class TestBuildGrid:
         ([UNIT], 2187), ([UNIT, Box((2.0,), (3.0,))], 243), ([SQUARE], 27),
         ([Box((0.0, 0.0), (1.0, 2.0)), Box((2.0, 0.0), (4.0, 1.0))], 9)])
     def test_cell_boxes_bitwise(self, boxes, res):
-        g = build_grid(boxes, res)
+        g = GridPartition(Domain(tuple(boxes)), res)
         for i in range(g.n_cells):
             lo, hi = cell_box(g, i)
             assert np.array_equal(g.cell_lo[i], lo)
@@ -87,8 +87,8 @@ class TestRegionFractions:
     def test_boxes_of_different_shapes(self):
         # equal cell volumes, unequal cell widths: the second box's cells
         # are 1 x 0.5, not box 0's 0.5 x 1
-        g = build_grid([Box((0.0, 0.0), (1.0, 2.0)),
-                        Box((2.0, 0.0), (4.0, 1.0))], 2)
+        g = GridPartition(Domain((Box((0.0, 0.0), (1.0, 2.0)),
+                                  Box((2.0, 0.0), (4.0, 1.0)))), 2)
         region = RegionSpec((Box((2.0, 0.0), (4.0, 1.0)),))
         assert np.array_equal(region_fractions(region, g),
                               [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
@@ -131,7 +131,7 @@ class TestAssembly:
     def test_weight_scales_matrix(self):
         M0, _ = ternary_matrix(27, eps=1e-3, samples=3)
         M2, _ = ternary_matrix(27, eps=1e-3, samples=3,
-                               weight=constant_weight(math.log(2.0)))
+                               weight=WeightField(math.log(2.0)))
         assert np.array_equal(M0.indices, M2.indices)
         assert np.allclose(2.0 * M0.data, M2.data, rtol=1e-14)
 
@@ -145,8 +145,8 @@ class TestAssembly:
     def test_markov_exactness_five(self):
         from qemlab.spectral import leading_pair
         b = make_system("five_hole")
-        grid = build_grid(b.system.domain, 25)
-        M = assemble_operator(b.system, NoiseModel(0.0), zero_weight(),
+        grid = GridPartition(b.system.domain, 25)
+        M = assemble_operator(b.system, NoiseModel(0.0), WeightField(),
                               b.survivor, grid, samples_per_cell=1)
         lam, _, _ = leading_pair(M)
         assert abs(lam - 3.0 / 5.0) < 1e-12
@@ -163,7 +163,7 @@ class TestAssembly:
         assert np.all(M.data >= 0.0)
         inside = make_system("ternary_hole").survivor.contains(grid.centers())
         sums = M.apply(np.ones(M.n_cells))
-        bound = zero_weight().values(grid.centers())
+        bound = WeightField().values(grid.centers())
         assert np.all(sums[inside] <= bound[inside] + 1e-12)
         assert np.all(sums[~inside] == 0.0)
 
@@ -181,6 +181,22 @@ class TestAssembly:
         with pytest.raises(ValueError, match="empty conditioning region"):
             ternary_matrix(9, region=off)
 
+    @pytest.mark.parametrize("boxes", [slice(None, None, -1), slice(0, 1)])
+    def test_grid_of_another_domain_rejected(self, boxes):
+        # the grid's boxes number the columns, the system's locate images:
+        # in reverse order the grid read lambda 0.6393 for 2/3, and the first
+        # box alone assembled 27 cells
+        b = make_system("two_repeller")
+        grid = GridPartition(Domain(b.system.domain.boxes[boxes]), 27)
+        with pytest.raises(ValueError, match="domain"):
+            assemble_operator(b.system, NoiseModel(1e-3), WeightField(),
+                              b.survivor, grid)
+
+    def test_metadata_names_a_callable_weight(self):
+        M, _ = ternary_matrix(9, weight=WeightField(
+            lambda p: np.cos(2 * np.pi * p[:, 0])))
+        assert M.metadata["weight"] == "phi=callable"
+
     def test_metadata_recorded(self):
         M, _ = ternary_matrix(9, eps=1e-3, samples=3)
         md = M.metadata
@@ -196,11 +212,11 @@ class TestAssembly:
     def test_a_dense_operator_fails_before_any_pass(self, label, resolution,
                                                     eps):
         b = make_system(label)
-        grid = build_grid(b.system.domain, resolution)
+        grid = GridPartition(b.system.domain, resolution)
         with mock.patch.object(ulam._Assembly, "rows",
                                side_effect=AssertionError("a pass ran")), \
                 pytest.raises(ulam.DenseOperatorError, match="about") as err:
-            assemble_operator(b.system, NoiseModel(eps), zero_weight(),
+            assemble_operator(b.system, NoiseModel(eps), WeightField(),
                               b.survivor, grid)
         assert isinstance(err.value, ValueError)
 
@@ -212,8 +228,8 @@ class TestAssembly:
     def test_baker_assembly_exact_eigenvalue(self):
         from qemlab.spectral import leading_pair
         b = make_system("open_baker")
-        grid = build_grid(b.system.domain, 9)
-        M = assemble_operator(b.system, NoiseModel(0.0), zero_weight(),
+        grid = GridPartition(b.system.domain, 9)
+        M = assemble_operator(b.system, NoiseModel(0.0), WeightField(),
                               b.survivor, grid, samples_per_cell=(3, 1))
         lam, _, _ = leading_pair(M)
         assert abs(lam - 2.0 / 3.0) < 1e-12
@@ -523,9 +539,9 @@ def assembly_cases(draw):
     eps = draw(st.sampled_from([0.0, 1e-3]) | st.floats(0.0, 1.5))
     kind = draw(st.sampled_from(["zero", "constant", "callable", "tapered"]))
     if kind == "zero":
-        weight = zero_weight()
+        weight = WeightField()
     elif kind == "constant":
-        weight = constant_weight(draw(st.floats(-3.0, 3.0)))
+        weight = WeightField(draw(st.floats(-3.0, 3.0)))
     elif kind == "callable":
         # weight 0 (phi = -inf) on a band of cells, smooth elsewhere
         cut = draw(st.floats(0.0, 1.0))
@@ -546,7 +562,7 @@ def assembly_cases(draw):
             boxes.append(Box(tuple(lo[k] + a[k] + w[k] / 2 for k in range(d)),
                              tuple(lo[k] + a[k] + 2 * w[k] for k in range(d))))
         region = RegionSpec(tuple(boxes), label="custom")
-    grid = build_grid(b.system.domain, res)
+    grid = GridPartition(b.system.domain, res)
     return (b.system, NoiseModel(eps), weight, region, grid, strata)
 
 
@@ -572,8 +588,8 @@ class TestWholeArrayAssembly:
         ("open_baker", 27, 1e-3, (3, 1)), ("smooth_perturbed", 243, 1e-2, 4)])
     def test_builtin_sizes_bitwise(self, label, res, eps, strata):
         b = make_system(label)
-        case = (b.system, NoiseModel(eps), zero_weight(),
-                b.survivor, build_grid(b.system.domain, res), strata)
+        case = (b.system, NoiseModel(eps), WeightField(),
+                b.survivor, GridPartition(b.system.domain, res), strata)
         _assert_same_entries(assemble_operator(*case), reference_assemble(*case))
 
     def test_pass_with_every_stratum_killed(self):
@@ -581,8 +597,8 @@ class TestWholeArrayAssembly:
         # not, so its pass of one cell sums no entry
         b = make_system("ternary_hole")
         region = RegionSpec((Box((0.0,), (0.05,)), Box((0.5,), (1.0,))))
-        case = (b.system, NoiseModel(1e-3), zero_weight(), region,
-                build_grid(b.system.domain, 9), 1)
+        case = (b.system, NoiseModel(1e-3), WeightField(), region,
+                GridPartition(b.system.domain, 9), 1)
         with mock.patch.object(ulam, "_CHUNK_CELLS", 1):
             M = assemble_operator(*case)
         assert region_fractions(region, case[4])[0] > 0 and 0 not in M.rows
@@ -599,8 +615,8 @@ class TestWholeArrayAssembly:
         # column of its box, so its band spans the whole box; with 10**9
         # bins per entry every pass sums in bands, 2-D ones included
         b = make_system(label)
-        grid = build_grid(b.system.domain, res)
-        case = (b.system, NoiseModel(eps), zero_weight(),
+        grid = GridPartition(b.system.domain, res)
+        case = (b.system, NoiseModel(eps), WeightField(),
                 b.survivor, grid, strata)
         with mock.patch.object(ulam, "_BINS_PER_ENTRY", bins_per_entry):
             M = assemble_operator(*case)
@@ -624,8 +640,8 @@ class TestWholeArrayAssembly:
         system = MapSystem(lambda p: 3.0 * p, t.jacobian_det,
                            Domain((Box((0.0,), (1.0,), (False,)),)), "open")
         full = RegionSpec((Box((0.0,), (1.0,)),), label="full")
-        M = assemble_operator(system, NoiseModel(0.0), zero_weight(), full,
-                              build_grid(system.domain, 9), 1)
+        M = assemble_operator(system, NoiseModel(0.0), WeightField(), full,
+                              GridPartition(system.domain, 9), 1)
         assert M.diagnostics == {"point_mass_strata": 0, "absorbed_strata": 6}
         assert np.array_equal(np.bincount(M.rows, minlength=9) > 0,
                               np.arange(9) < 3)
@@ -642,8 +658,8 @@ class TestWholeArrayAssembly:
                                            point_masses):
         b = make_system(label)
         M = assemble_operator(b.system, NoiseModel(1e-3),
-                              zero_weight(), b.survivor,
-                              build_grid(b.system.domain, res), strata)
+                              WeightField(), b.survivor,
+                              GridPartition(b.system.domain, res), strata)
         assert M.diagnostics == {"point_mass_strata": point_masses,
                                  "absorbed_strata": 0}
 
