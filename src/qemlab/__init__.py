@@ -19,9 +19,8 @@ from .equilibrium import (MarkovModel, ReferenceMeasure,
                           equilibrium_cylinder_measure, full_shift_model,
                           model_for, pressure_sft, w1_1d,
                           weak_star_discrepancy)
-from .filtration import (ConnectionGraph, CycleError, FiltrationOrder, Node,
-                         PressureTieError, StratifiedReport, assign_basin,
-                         detect_cycles, filtration_order,
+from .filtration import (CycleError, FiltrationOrder, PressureTieError,
+                         StratifiedReport, assign_basin, filtration_order,
                          stratified_qem_workflow)
 
 __version__ = "0.1.0"

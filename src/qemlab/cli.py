@@ -46,8 +46,8 @@ from .conditioned_mc import MIN_STEPS, EnsembleExtinctError, run_conditioned
 from .dynamics import (Box, Builtin, NoiseModel, RegionSpec, WeightField,
                        builtin_labels, make_system, region_fraction)
 from .equilibrium import w1_1d, weak_star_discrepancy
-from .filtration import (ConnectionGraph, CycleError, PressureTieError,
-                         filtration_order, stratified_qem_workflow)
+from .filtration import (CycleError, PressureTieError, filtration_order,
+                         stratified_qem_workflow)
 from .spectral import NonConvergenceError, ZeroOperatorError, solve_triple
 from .ulam import (DenseOperatorError, GridPartition, _strata_counts,
                    assemble_operator, export_matrix, region_fractions)
@@ -243,6 +243,14 @@ def _number(value) -> float:
     return float(value)
 
 
+def _integer(value) -> int:
+    """``value`` when it is a JSON integer, neither a bool nor a float, else
+    a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"want an integer, got {value!r}")
+    return value
+
+
 def _numbers(value) -> tuple[float, ...]:
     """A number or a list of numbers as floats, else a TypeError."""
     return tuple(_number(v) for v in (value if isinstance(value, list) else [value]))
@@ -406,6 +414,10 @@ def cmd_sweep(config: ExperimentConfig, out: Path, args) -> int:
     epsilons = config.epsilons()
     if len(epsilons) < 2:
         raise ConfigError("epsilon-list", "sweep needs at least two epsilons")
+    if len({f"{eps:g}" for eps in epsilons}) < len(epsilons):
+        raise ConfigError("epsilon-list", "sweep epsilons must differ in their "
+                                          "label, the 6 significant digits that "
+                                          "name their files")
     epsilons = sorted(epsilons, reverse=True)
     problem = config.problem()
     builtin, grid = problem.builtin, problem.grid
@@ -470,17 +482,16 @@ def _reference_vector(config: ExperimentConfig, builtin: Builtin,
 def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
     if config.filtration is None:
         raise ConfigError("missing-graph", "filtration command needs a graph")
-    graph = _checked("bad-graph", lambda: ConnectionGraph.from_dict(config.filtration))
-    if not all(_is_number(node.pressure) for node in graph.nodes):
-        raise ConfigError("bad-graph", "pressures must be finite numbers")
+    pressures, edges = _checked("bad-graph", lambda: _graph(config.filtration))
     strata = config.filtration.get("strata")
     if strata and not isinstance(strata, dict):
         raise ConfigError("bad-region", "filtration strata must map ids to boxes")
     try:
-        order = filtration_order(graph)
-    except (CycleError, PressureTieError) as exc:
-        raise ConfigError("graph-cycle" if isinstance(exc, CycleError)
-                          else "pressure-tie", str(exc)) from None
+        order = filtration_order(pressures, edges)
+    except ValueError as exc:  # a bad edge, a cycle or a pressure tie
+        raise ConfigError("graph-cycle" if isinstance(exc, CycleError) else
+                          "pressure-tie" if isinstance(exc, PressureTieError)
+                          else "bad-graph", str(exc)) from None
     if strata:  # every step that can fail runs before the first write
         problem = config.problem()
         matrix = _operator(config, problem, config.single_epsilon("filtration"))
@@ -501,11 +512,25 @@ def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
             "argmax_key": report.argmax_key,
             "deviation": report.deviation,
             "per_stratum": {
-                str(r.key): (None if r.triple is None else r.triple.lam)
-                for r in report.strata
+                str(key): (None if triple is None else triple.lam)
+                for key, triple in report.per_stratum.items()
             },
         })
     return EXIT_OK
+
+
+def _graph(section: dict) -> tuple[dict[int, float], list[tuple[int, int]]]:
+    """The pressures by node id and the edges of a ``filtration`` section:
+    each id given once, each id and edge end a JSON integer and each
+    pressure a finite number, else a TypeError or ValueError."""
+    pressures = {}
+    for node in section["nodes"]:
+        node_id = _integer(node["id"])
+        if node_id in pressures:
+            raise ValueError(f"node id {node_id} given twice")
+        pressures[node_id] = _number(node["pressure"])
+    return pressures, [(_integer(a), _integer(b))
+                       for a, b in section.get("edges", ())]
 
 
 def cmd_compare(args) -> int:

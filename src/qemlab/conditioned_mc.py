@@ -64,7 +64,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dynamics import MapSystem, NoiseModel, RegionSpec, WeightField, step_points
+from .dynamics import (Domain, MapSystem, NoiseModel, RegionSpec, WeightField,
+                       region_fraction, step_points)
 
 Array = np.ndarray
 
@@ -178,13 +179,14 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
     """Run the killed, e^phi-weighted ensemble for n steps.
 
     ``start`` is a point inside the region or a RegionSpec, to start uniformly
-    on the union of its boxes.  ``observables`` maps each name to a callable
-    that takes the ancestor points as ``(k, d)`` rows and gives one value per
-    row, or one value for all of them.  Deterministic given the integer ``seed``.
-    Raises ValueError when n is below ``MIN_STEPS``, the shortest horizon
-    with a record, or when an observable's value does not broadcast to one
-    per row, and EnsembleExtinctError when the ensemble's mass is 0 at some
-    step <= n.
+    on the union of its boxes within the domain.  ``observables`` maps each
+    name to a callable that takes the ancestor points as ``(k, d)`` rows and
+    gives one value per row, or one value for all of them.  Deterministic
+    given the integer ``seed``.  Raises ValueError when n is below
+    ``MIN_STEPS``, the shortest horizon with a record, when a start region
+    has no volume on the domain, or when an observable's value does not
+    broadcast to one per row, and EnsembleExtinctError when the ensemble's
+    mass is 0 at some step <= n.
     """
     if n < MIN_STEPS:
         raise ValueError(f"n must be >= {MIN_STEPS}, the shortest horizon "
@@ -195,7 +197,10 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
     rng = np.random.default_rng([int(seed)])
 
     if isinstance(start, RegionSpec):
-        pos = _sample_region(start, n_particles, rng)
+        if not any(region_fraction(start, box.lo, box.hi) > 0
+                   for box in system.domain.boxes):
+            raise ValueError("the start region has no volume on the domain")
+        pos = _sample_region(start, system.domain, n_particles, rng)
     else:
         pos = np.tile(np.asarray(start, dtype=float), (n_particles, 1))
 
@@ -307,10 +312,11 @@ def run_conditioned(system: MapSystem, noise: NoiseModel, weight: WeightField,
     return stats
 
 
-def _sample_region(region: RegionSpec, n: int, rng) -> Array:
-    """``n`` points uniform on the union of the region's boxes: a box drawn by
-    volume and a point uniform in it, kept when that box is the first one
-    holding the point, else drawn again.  Disjoint boxes keep every draw."""
+def _sample_region(region: RegionSpec, domain: Domain, n: int, rng) -> Array:
+    """``n`` points uniform on the union of the region's boxes within
+    ``domain``: a box drawn by volume and a point uniform in it, kept when
+    that box is the first one holding the point and the domain holds it, else
+    drawn again.  Disjoint boxes inside the domain keep every draw."""
     boxes, d = region.boxes, region.dimension
     vols = np.asarray([b.volume for b in boxes])
     pos = np.empty((n, d))
@@ -325,7 +331,7 @@ def _sample_region(region: RegionSpec, n: int, rng) -> Array:
         first = np.full(todo.size, -1)
         for b in range(len(boxes) - 1, -1, -1):
             first[boxes[b].contains(pos[todo])] = b
-        todo = todo[first != picks]
+        todo = todo[(first != picks) | (domain.locate(pos[todo]) < 0)]
     return pos
 
 

@@ -2,8 +2,9 @@
 
 A directed edge i -> j between repellers declares a heteroclinic connection
 (mass can travel from the neighbourhood of i to that of j), and each node
-carries a topological pressure.  From this the filtration ordering builds a
-total order compatible with the connections:
+carries a topological pressure.  From the pressures by node id and the
+edges, :func:`filtration_order` builds a total order compatible with the
+connections:
 
 1. pick the remaining node of maximal pressure;
 2. group it with every node that can reach it (transitively);
@@ -14,7 +15,12 @@ total order compatible with the connections:
 Relabelling the sequence with descending ranks n..1 yields the indices
 i_0 > i_1 > ... > i_t (the rank of each group's selected node, which is
 always last in its group).  Rank j then belongs to stratum k via
-i_k <= j < i_{k-1}, which is what :func:`assign_basin` computes.
+i_k <= j < i_{k-1}, which is what :func:`assign_basin` computes.  A cycle
+of connections has no compatible order: its nodes reach one another, so
+they fall in one group, and step 3 rejects that group.
+
+:func:`stratified_qem_workflow` solves the restricted spectral problem of
+each stratum and reports each stratum's triple by its key.
 
 Edges are supplied by the user; certifying actual stable/unstable-set
 intersections numerically is out of scope.
@@ -23,9 +29,8 @@ intersections numerically is out of scope.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,67 +50,6 @@ class CycleError(ValueError):
 
 class PressureTieError(ValueError):
     """Two nodes have numerically equal pressures (config error, not a choice)."""
-
-
-@dataclass(frozen=True)
-class Node:
-    id: int
-    pressure: float
-
-
-@dataclass(frozen=True)
-class ConnectionGraph:
-    """Nodes with pressures plus directed connection edges (no self-loops)."""
-
-    nodes: tuple[Node, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate node ids")
-        known = set(ids)
-        for a, b in self.edges:
-            if a == b:
-                raise ValueError(f"self-edge on node {a}")
-            if a not in known or b not in known:
-                raise ValueError(f"edge ({a}, {b}) references unknown node")
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(n.id for n in self.nodes)
-
-    def successors(self) -> dict[int, set[int]]:
-        out: dict[int, set[int]] = {n.id: set() for n in self.nodes}
-        for a, b in self.edges:
-            out[a].add(b)
-        return out
-
-    @staticmethod
-    def from_dict(payload: Mapping) -> "ConnectionGraph":
-        nodes = tuple(Node(int(n["id"]), float(n["pressure"]))
-                      for n in payload["nodes"])
-        edges = tuple((int(a), int(b)) for a, b in payload.get("edges", ()))
-        return ConnectionGraph(nodes, edges)
-
-
-def detect_cycles(graph: ConnectionGraph) -> list[int] | None:
-    """None when the connection relation is acyclic, else a cycle witness.
-
-    Each node a topological sort cannot place has a predecessor among the
-    others it cannot place, so walking predecessors from one closes a cycle.
-    """
-    succ = graph.successors()
-    members = set(graph.ids)
-    placed = _priority_toposort(members, succ, dict.fromkeys(members, 0.0))
-    stuck = members - set(placed)
-    if not stuck:
-        return None
-    pred = {b: a for a in sorted(stuck) for b in succ[a] if b in stuck}
-    walk = [min(stuck)]
-    while pred[walk[-1]] not in walk:
-        walk.append(pred[walk[-1]])
-    return walk[walk.index(pred[walk[-1]]):][::-1]
 
 
 @dataclass(frozen=True)
@@ -168,24 +112,25 @@ def _priority_toposort(members: set[int], succ: dict[int, set[int]],
     return out
 
 
-def filtration_order(graph: ConnectionGraph) -> FiltrationOrder:
-    """Build the total order; rejects cycles and pressure ties.
+def filtration_order(pressures: Mapping[int, float],
+                     edges: Iterable[tuple[int, int]]) -> FiltrationOrder:
+    """Build the total order of the nodes ``pressures`` maps to their
+    pressure, under the connections ``edges``.
 
-    Errors carry the cycle witness (CycleError) or the offending pair
-    (PressureTieError, tolerance 1e-12 absolute).
+    Raises ValueError on a self-edge or an edge to an unknown node, then
+    CycleError with a cycle witness, then PressureTieError naming two
+    pressures within 1e-12 absolute.  Each node that the sort of a cyclic
+    group cannot place has a predecessor among the others it cannot place,
+    so walking predecessors from one closes a cycle.
     """
-    witness = detect_cycles(graph)
-    if witness is not None:
-        raise CycleError(witness)
-    pressures = {n.id: n.pressure for n in graph.nodes}
-    ordered = sorted(pressures.items(), key=lambda kv: kv[1])
-    for (id_a, p_a), (id_b, p_b) in zip(ordered, ordered[1:]):
-        if abs(p_a - p_b) <= PRESSURE_TIE_TOL:
-            raise PressureTieError(
-                f"pressure tie between nodes {id_a} and {id_b}: "
-                f"{p_a!r} vs {p_b!r}")
-    succ = graph.successors()
-    remaining = set(graph.ids)
+    succ: dict[int, set[int]] = {i: set() for i in pressures}
+    for a, b in edges:
+        if a == b:
+            raise ValueError(f"self-edge on node {a}")
+        if a not in succ or b not in succ:
+            raise ValueError(f"edge ({a}, {b}) references unknown node")
+        succ[a].add(b)
+    remaining = set(pressures)
     sequence: list[int] = []
     subgraphs: list[tuple[int, ...]] = []
     selected: list[int] = []
@@ -193,10 +138,23 @@ def filtration_order(graph: ConnectionGraph) -> FiltrationOrder:
         top = max(remaining, key=lambda i: pressures[i])
         members = _reaching_set(top, remaining, succ)
         block = _priority_toposort(members, succ, pressures)
+        if len(block) < len(members):
+            stuck = members - set(block)
+            pred = {b: a for a in sorted(stuck) for b in succ[a] if b in stuck}
+            walk = [min(stuck)]
+            while pred[walk[-1]] not in walk:
+                walk.append(pred[walk[-1]])
+            raise CycleError(walk[walk.index(pred[walk[-1]]):][::-1])
         sequence.extend(block)
         subgraphs.append(tuple(block))
         selected.append(top)
         remaining -= members
+    ordered = sorted(pressures.items(), key=lambda kv: kv[1])
+    for (id_a, p_a), (id_b, p_b) in zip(ordered, ordered[1:]):
+        if abs(p_a - p_b) <= PRESSURE_TIE_TOL:
+            raise PressureTieError(
+                f"pressure tie between nodes {id_a} and {id_b}: "
+                f"{p_a!r} vs {p_b!r}")
     n = len(sequence)
     relabel = {node: n - pos for pos, node in enumerate(sequence)}
     indices = tuple(relabel[s] for s in selected)
@@ -221,21 +179,25 @@ def assign_basin(order: FiltrationOrder, j: int) -> int:
 
 
 @dataclass(eq=False)
-class StratumResult:
-    key: int
-    cells: np.ndarray
-    triple: SpectralTriple | None  # None when the restricted block is zero
-
-
-@dataclass(eq=False)
 class StratifiedReport:
-    """Restricted spectral problems per stratum plus the global consistency gap."""
+    """Restricted spectral problems per stratum plus the global consistency gap.
+
+    ``per_stratum`` maps each stratum key, in descending order, to its
+    triple, or to None when the restricted block is zero; ``argmax_key`` is
+    the first key of the largest restricted eigenvalue in that order.
+    """
 
     global_triple: SpectralTriple
-    strata: list[StratumResult]
-    lambda_global: float
-    lambda_max_restricted: float
+    per_stratum: dict[int, SpectralTriple | None]
     argmax_key: int
+
+    @property
+    def lambda_global(self) -> float:
+        return self.global_triple.lam
+
+    @property
+    def lambda_max_restricted(self) -> float:
+        return self.per_stratum[self.argmax_key].lam
 
     @property
     def deviation(self) -> float:
@@ -251,31 +213,28 @@ def stratified_qem_workflow(matrix: AnnealedMatrix,
     ``strata`` maps a rank (or any stable key) to the grid cells of that
     stratum.  The strata are solved in descending key order, which is the
     filtration order when the keys are the ranks of a
-    :class:`FiltrationOrder`.  The report records that the global leading
-    eigenvalue equals the largest restricted one.  No spectral gap is solved
-    (``gap_ratio`` is NaN), and each triple solves its left side only when
-    it is read (see :class:`qemlab.spectral.SpectralTriple`).  So a stratum
-    is recorded as absent only when its right solve raises a ValueError, as
-    on a zero principal submatrix; a left solve that fails, or a degenerate
-    pairing, raises where ``left`` or ``qem`` is first read.
+    :class:`FiltrationOrder`.  The report maps each key to its triple and
+    records that the global leading eigenvalue equals the largest restricted
+    one.  No spectral gap is solved (``gap_ratio`` is NaN), and each triple
+    solves its left side only when it is read (see
+    :class:`qemlab.spectral.SpectralTriple`).  So a stratum maps to None
+    only when its right solve raises a ValueError, as on a zero principal
+    submatrix; a left solve that fails, or a degenerate pairing, raises
+    where ``left`` or ``qem`` is first read.  Raises ValueError when every
+    stratum maps to None.
     """
     solver = {"tol": tol, "max_iters": max_iters, "with_gap": False}
     global_triple = solve_triple(matrix, **solver)
-    results: list[StratumResult] = []
-    best = -math.inf
-    best_key = None
+    per_stratum: dict[int, SpectralTriple | None] = {}
     for key in sorted(strata, reverse=True):
         cells = np.asarray(list(strata[key]), dtype=np.int64)
         sub = restrict_operator(matrix, cells)
         try:
-            triple = solve_triple(sub, **solver)
+            per_stratum[key] = solve_triple(sub, **solver)
         except ValueError:
-            results.append(StratumResult(key, cells, None))
-            continue
-        results.append(StratumResult(key, cells, triple))
-        if triple.lam > best:
-            best, best_key = triple.lam, key
-    if best_key is None:
+            per_stratum[key] = None
+    lams = {key: triple.lam for key, triple in per_stratum.items()
+            if triple is not None}
+    if not lams:
         raise ValueError("every stratum produced a zero operator")
-    return StratifiedReport(global_triple, results, global_triple.lam,
-                            best, best_key)
+    return StratifiedReport(global_triple, per_stratum, max(lams, key=lams.get))

@@ -234,7 +234,6 @@ class SpectralTriple:
     @cached_property
     def _left_side(self) -> tuple[Array, float, float, Array]:
         _, left, residual = leading_left(self._matrix, *self._solver)
-        left = np.maximum(left, 0.0)
         vol = self._matrix.cell_volume
         pairing = float(np.sum(self.right * left * vol))
         side = left, residual, pairing, assemble_qem(self.right, left, vol)
@@ -273,16 +272,13 @@ def solve_triple(matrix: AnnealedMatrix, tol: float = 1e-10,
     """Dominant eigendata of one assembled matrix: the right side now, the
     left side on first read (see :class:`SpectralTriple`).
 
-    Tiny negative eigenvector entries from roundoff are clamped to zero
-    before the quasi-ergodic vector is formed.  With ``with_gap`` the left
-    side is solved first, then the gap, with the tolerance
-    ``max(tol, 1e-8)`` and at most ``min(max_iters, 10_000)`` matvecs from a
-    fixed start vector, so the triple is a function of the matrix alone;
-    with ``with_gap=False`` the gap is NaN and not converged.
+    With ``with_gap`` the left side is solved first, then the gap, with the
+    tolerance ``max(tol, 1e-8)`` and at most ``min(max_iters, 10_000)``
+    matvecs from a fixed start vector, so the triple is a function of the
+    matrix alone; with ``with_gap=False`` the gap is NaN and not converged.
     """
     lam, right, residual = leading_pair(matrix, tol, max_iters)
-    triple = SpectralTriple(lam, np.maximum(right, 0.0), residual, matrix,
-                            (tol, max_iters))
+    triple = SpectralTriple(lam, right, residual, matrix, (tol, max_iters))
     if with_gap:
         triple.qem  # the gap projects the left side out, so solve it first
         triple.gap_ratio, triple.gap_converged = _deflated_ratio(

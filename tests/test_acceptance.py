@@ -13,8 +13,8 @@ from qemlab.conditioned_mc import run_conditioned
 from qemlab.dynamics import Box, NoiseModel, RegionSpec, WeightField, make_system
 from qemlab.equilibrium import (MarkovModel, equilibrium_cylinder_measure,
                                 pressure_sft, w1_1d)
-from qemlab.filtration import (ConnectionGraph, CycleError, Node,
-                               filtration_order, stratified_qem_workflow)
+from qemlab.filtration import (CycleError, filtration_order,
+                               stratified_qem_workflow)
 from qemlab.spectral import leading_pair, solve_triple, support_check
 from qemlab.ulam import GridPartition, assemble_operator, restrict_operator
 
@@ -223,16 +223,14 @@ def test_criterion_08_spectral_stability():
 
 
 def test_criterion_09_filtration_ordering():
-    nodes = tuple(Node(i, 0.1 * i) for i in range(1, 8))
-    order = filtration_order(ConnectionGraph(
-        nodes, ((1, 4), (4, 2), (2, 7), (5, 6))))
+    order = filtration_order({i: 0.1 * i for i in range(1, 8)},
+                             [(1, 4), (4, 2), (2, 7), (5, 6)])
     assert order.sequence == (1, 4, 2, 7, 5, 6, 3)
     assert order.subgraphs == ((1, 4, 2, 7), (5, 6), (3,))
     assert order.t == 2
     with pytest.raises(CycleError) as err:
-        filtration_order(ConnectionGraph(
-            tuple(Node(i, 0.1 * i) for i in (1, 2, 3)),
-            ((1, 2), (2, 3), (3, 1))))
+        filtration_order({i: 0.1 * i for i in (1, 2, 3)},
+                         [(1, 2), (2, 3), (3, 1)])
     assert len(err.value.witness) == 3
     report(9, "sequence 1>4>2>7>5>6>3 with subgraphs "
               "{1,4,2,7},{5,6},{3}; cycles rejected with witness")
@@ -244,8 +242,6 @@ def test_criterion_10_two_repeller_global():
     grid = GridPartition(b.system.domain, 405)
     M = assemble_operator(b.system, noise, WeightField(), b.survivor,
                           grid, 15)
-    order = filtration_order(ConnectionGraph(
-        (Node(1, math.log(3.0 / 5.0)), Node(2, math.log(2.0 / 3.0))), ()))
     centers = grid.centers()[:, 0]
     strata = {2: np.flatnonzero(centers < 1.5),
               1: np.flatnonzero(centers > 1.5)}
@@ -255,11 +251,9 @@ def test_criterion_10_two_repeller_global():
     assert sub_mass <= 1e-3
     checks = 0
     for key, start, seed in ((2, 0.1, 42), (1, 2.1, 41)):
-        res = next(r for r in rep.strata if r.key == key)
-        cen = centers[res.cells]
-        local = {"x": float(res.triple.qem @ cen),
-                 "x^2": float(res.triple.qem @ cen ** 2),
-                 "cos2pix": float(res.triple.qem @ np.cos(2 * np.pi * cen))}
+        qem, cen = rep.per_stratum[key].qem, centers[strata[key]]
+        local = {"x": float(qem @ cen), "x^2": float(qem @ cen ** 2),
+                 "cos2pix": float(qem @ np.cos(2 * np.pi * cen))}
         stats = run_conditioned(b.system, noise, WeightField(), b.survivor,
                                 np.array([start]), n=6000, n_particles=6000,
                                 observables=OBSERVABLES, seed=seed)

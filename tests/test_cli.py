@@ -189,6 +189,17 @@ def test_malformed_config_exits_with_its_code(tmp_path, capsys, case):
 
 MC = {"n": 11, "n_particles": 100, "start": [0.1]}
 
+
+def graph_extras(edges=(), **second_node):
+    """The filtration config with ``second_node`` updating node 2 and with
+    ``edges``."""
+    extras = SINGLE_EPSILON_EXTRAS["filtration"]
+    first, second = extras["filtration"]["nodes"]
+    return {**extras, "filtration": {
+        **extras["filtration"], "nodes": [first, {**second, **second_node}],
+        "edges": list(edges)}}
+
+
 # config additions that each make a command other than spectrum fail with a
 # config error: (command, additions, diagnostic code)
 MALFORMED_BY_COMMAND = {
@@ -208,6 +219,13 @@ MALFORMED_BY_COMMAND = {
         "empty-region"),
     "sweep epsilon list entry a boolean": (
         "sweep", {"noise": {"epsilon": [1e-2, True]}}, "bad-epsilon"),
+    # files and diagnostics keys are named by f"{eps:g}", so a shared label
+    # would let one solve overwrite another's
+    "sweep epsilons sharing a label": (
+        "sweep", {"noise": {"epsilon": [0.01, 0.001, 0.0010000001]}},
+        "epsilon-list"),
+    "sweep epsilon repeated": (
+        "sweep", {"noise": {"epsilon": [0.01, 0.001, 0.001]}}, "epsilon-list"),
     "sweep reference of depth 0": (
         "sweep", {"noise": {"epsilon": [1e-2, 1e-3]},
                   "reference": {"kind": "equilibrium", "depth": 0}},
@@ -229,6 +247,20 @@ MALFORMED_BY_COMMAND = {
         "filtration", {**SINGLE_EPSILON_EXTRAS["filtration"], "filtration": {
             **SINGLE_EPSILON_EXTRAS["filtration"]["filtration"],
             "strata": {"2": [[[0.0, 0.0], [1.0, 1.0]]]}}}, "bad-region"),
+    "filtration pressure a numeric string": (
+        "filtration", graph_extras(pressure="0.5"), "bad-graph"),
+    "filtration pressure a boolean": (
+        "filtration", graph_extras(pressure=True), "bad-graph"),
+    "filtration id with a fraction": (
+        "filtration", graph_extras(id=2.7), "bad-graph"),
+    "filtration id a boolean": (
+        "filtration", graph_extras(id=False), "bad-graph"),
+    "filtration id repeated": (
+        "filtration", graph_extras(id=1), "bad-graph"),
+    "filtration edge to an unknown node": (
+        "filtration", graph_extras(edges=[[1, 3]]), "bad-graph"),
+    "filtration edge end a float": (
+        "filtration", graph_extras(edges=[[1, 2.0]]), "bad-graph"),
     "filtration strata not an object": (
         "filtration", {**SINGLE_EPSILON_EXTRAS["filtration"], "filtration": {
             **SINGLE_EPSILON_EXTRAS["filtration"]["filtration"],

@@ -366,7 +366,7 @@ def _reference_run(system, noise, weight, region, start, n, n_particles,
     rng = np.random.default_rng([int(seed)])
 
     if isinstance(start, RegionSpec):
-        pos = _sample_region(start, n_particles, rng)
+        pos = _sample_region(start, system.domain, n_particles, rng)
     else:
         pt = np.atleast_1d(np.asarray(start, dtype=float))
         pos = np.tile(pt, (n_particles, 1))
@@ -530,7 +530,8 @@ class TestRegionStart:
         # [0.25, 0.5) is 1/3 of the union [0, 0.75), not 1/2
         region = RegionSpec((Box((0.0,), (0.5,)), Box((0.25,), (0.75,))))
         n = 400_000
-        x = _sample_region(region, n, np.random.default_rng(11))[:, 0]
+        x = _sample_region(region, TERNARY.system.domain, n,
+                           np.random.default_rng(11))[:, 0]
         assert np.all((x >= 0.0) & (x < 0.75))
         share = np.count_nonzero((x >= 0.25) & (x < 0.5)) / n
         assert abs(share - 1 / 3) <= 4 * math.sqrt(1 / 3 * 2 / 3 / n)
@@ -538,10 +539,27 @@ class TestRegionStart:
     @pytest.mark.parametrize("label", ["ternary_hole", "two_repeller",
                                        "open_baker"])
     def test_disjoint_boxes_draw_the_reference_bits(self, label):
-        region = make_system(label).survivor
-        got = _sample_region(region, 5000, np.random.default_rng(3))
+        builtin = make_system(label)
+        region = builtin.survivor
+        got = _sample_region(region, builtin.system.domain, 5000,
+                             np.random.default_rng(3))
         want = _reference_sample_region(region, 5000, np.random.default_rng(3))
         assert got.tobytes() == want.tobytes()
+
+    def test_draws_only_on_the_domain(self):
+        # [0.5, 1.5) leaves ternary_hole's domain [0, 1): about half the
+        # draws land off it and are drawn again
+        region = RegionSpec((Box((0.5,), (1.5,)),))
+        x = _sample_region(region, TERNARY.system.domain, 1000,
+                           np.random.default_rng(1))[:, 0]
+        assert np.all((x >= 0.5) & (x < 1.0))
+
+    def test_a_region_with_no_volume_on_the_domain_is_rejected(self):
+        # [1, 2) meets [0, 1) in no volume, so no draw could be kept
+        region = RegionSpec((Box((1.0,), (2.0,)),))
+        with pytest.raises(ValueError, match="no volume on the domain"):
+            run_conditioned(TERNARY.system, NOISE, WeightField(), FULL, region,
+                            n=MIN_STEPS, n_particles=10, observables=X)
 
 
 class TestEscapeRate:

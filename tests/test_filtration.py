@@ -5,52 +5,53 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qemlab.dynamics import NoiseModel, WeightField, make_system
-from qemlab.filtration import (ConnectionGraph, CycleError, Node,
-                               PressureTieError, assign_basin, detect_cycles,
+from qemlab.filtration import (CycleError, PressureTieError, assign_basin,
                                filtration_order, stratified_qem_workflow)
 from qemlab.ulam import GridPartition, assemble_operator
 
-
-def graph(pressures, edges):
-    return ConnectionGraph(tuple(Node(i, p) for i, p in pressures.items()),
-                           tuple(edges))
+SEVEN = ({i: 0.1 * i for i in range(1, 8)}, [(1, 4), (4, 2), (2, 7), (5, 6)])
 
 
-SEVEN = graph({i: 0.1 * i for i in range(1, 8)},
-              [(1, 4), (4, 2), (2, 7), (5, 6)])
+def witness(pressures, edges):
+    """The cycle witness of the ordering, or None when it finds no cycle."""
+    try:
+        filtration_order(pressures, edges)
+    except CycleError as exc:
+        return exc.witness
+    return None
 
 
 class TestGraphValidation:
-    def test_duplicate_ids(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            ConnectionGraph((Node(1, 0.1), Node(1, 0.2)), ())
-
     def test_self_edge(self):
         with pytest.raises(ValueError, match="self-edge"):
-            graph({1: 0.1}, [(1, 1)])
+            filtration_order({1: 0.1}, [(1, 1)])
 
     def test_unknown_edge_endpoint(self):
         with pytest.raises(ValueError, match="unknown node"):
-            graph({1: 0.1, 2: 0.2}, [(1, 3)])
+            filtration_order({1: 0.1, 2: 0.2}, [(1, 3)])
+
+    def test_bad_edge_before_cycle_before_tie(self):
+        tied_cycle = [(1, 2), (2, 1)]
+        with pytest.raises(ValueError, match="self-edge"):
+            filtration_order({1: 0.5, 2: 0.5}, tied_cycle + [(2, 2)])
+        with pytest.raises(CycleError):
+            filtration_order({1: 0.5, 2: 0.5}, tied_cycle)
 
 
 class TestDetectCycles:
     def test_dag_ok(self):
-        assert detect_cycles(graph({1: 0.1, 2: 0.2, 3: 0.3},
-                                   [(1, 2), (2, 3)])) is None
+        assert witness({1: 0.1, 2: 0.2, 3: 0.3}, [(1, 2), (2, 3)]) is None
 
     def test_two_cycle(self):
-        w = detect_cycles(graph({1: 0.1, 2: 0.2}, [(1, 2), (2, 1)]))
+        w = witness({1: 0.1, 2: 0.2}, [(1, 2), (2, 1)])
         assert sorted(w) == [1, 2]
 
     def test_three_cycle(self):
-        w = detect_cycles(graph({1: 0.1, 2: 0.2, 3: 0.3},
-                                [(1, 2), (2, 3), (3, 1)]))
+        w = witness({1: 0.1, 2: 0.2, 3: 0.3}, [(1, 2), (2, 3), (3, 1)])
         assert sorted(w) == [1, 2, 3]
 
     def test_cycle_off_the_main_component(self):
-        w = detect_cycles(graph({1: 0.1, 2: 0.2, 3: 0.3, 4: 0.4},
-                                [(1, 2), (3, 4), (4, 3)]))
+        w = witness({1: 0.1, 2: 0.2, 3: 0.3, 4: 0.4}, [(1, 2), (3, 4), (4, 3)])
         assert sorted(w) == [3, 4]
 
 
@@ -74,7 +75,7 @@ class TestCycleWitnessContract:
         pairs = [(a, b) for a in ids for b in ids if a != b]
         edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)
                           if pairs else st.just([]))
-        w = detect_cycles(graph({i: 0.1 * i for i in ids}, edges))
+        w = witness({i: 0.1 * i for i in ids}, edges)
         assert (w is not None) == _has_cycle(ids, edges)
         if w is not None:
             assert len(set(w)) == len(w)
@@ -83,7 +84,7 @@ class TestCycleWitnessContract:
 
 class TestFiltrationOrder:
     def test_seven_node_example(self):
-        order = filtration_order(SEVEN)
+        order = filtration_order(*SEVEN)
         assert order.sequence == (1, 4, 2, 7, 5, 6, 3)
         assert order.subgraphs == ((1, 4, 2, 7), (5, 6), (3,))
         assert order.indices == (4, 2, 1)
@@ -91,25 +92,25 @@ class TestFiltrationOrder:
         assert order.relabel == {1: 7, 4: 6, 2: 5, 7: 4, 5: 3, 6: 2, 3: 1}
 
     def test_single_node(self):
-        order = filtration_order(graph({9: 1.0}, []))
+        order = filtration_order({9: 1.0}, [])
         assert order.sequence == (9,)
         assert order.indices == (1,)
         assert order.t == 0
 
     def test_two_disconnected_nodes(self):
-        order = filtration_order(graph({1: 1.0, 2: 2.0}, []))
+        order = filtration_order({1: 1.0, 2: 2.0}, [])
         assert order.sequence == (2, 1)
         assert order.subgraphs == ((2,), (1,))
 
     def test_cycle_rejected_with_witness(self):
         with pytest.raises(CycleError) as err:
-            filtration_order(graph({1: 0.1, 2: 0.2, 3: 0.3},
-                                   [(1, 2), (2, 3), (3, 1)]))
+            filtration_order({1: 0.1, 2: 0.2, 3: 0.3},
+                             [(1, 2), (2, 3), (3, 1)])
         assert sorted(err.value.witness) == [1, 2, 3]
 
     def test_pressure_tie_rejected(self):
         with pytest.raises(PressureTieError):
-            filtration_order(graph({1: 0.5, 2: 0.5 + 1e-13}, []))
+            filtration_order({1: 0.5, 2: 0.5 + 1e-13}, [])
 
     def test_linear_extension_property(self):
         g = np.random.default_rng(3)
@@ -123,7 +124,7 @@ class TestFiltrationOrder:
                 for j in range(i + 1, n):
                     if g.uniform() < 0.3:
                         edges.append((topo[i], topo[j]))
-            order = filtration_order(graph(pressures, edges))
+            order = filtration_order(pressures, edges)
             pos = {node: k for k, node in enumerate(order.sequence)}
             for a, b in edges:
                 assert pos[a] < pos[b]
@@ -133,26 +134,27 @@ class TestFiltrationOrder:
             assert list(order.indices) == sorted(order.indices, reverse=True)
 
     def test_input_order_irrelevant(self):
-        base = filtration_order(SEVEN)
+        pressures, edges = SEVEN
+        base = filtration_order(pressures, edges)
         g = np.random.default_rng(0)
         for _ in range(5):
-            perm = g.permutation(len(SEVEN.nodes))
-            shuffled = ConnectionGraph(
-                tuple(SEVEN.nodes[k] for k in perm),
-                tuple(reversed(SEVEN.edges)))
-            assert filtration_order(shuffled).sequence == base.sequence
+            ids = [int(i) for i in g.permutation(list(pressures))]
+            shuffled = {i: pressures[i] for i in ids}
+            order = filtration_order(shuffled, edges[::-1])
+            assert order.sequence == base.sequence
 
     def test_consistent_edge_added_keeps_sequence(self):
-        base = filtration_order(SEVEN)
+        pressures, edges = SEVEN
+        base = filtration_order(pressures, edges)
         pos = {node: k for k, node in enumerate(base.sequence)}
-        extra = ConnectionGraph(SEVEN.nodes, SEVEN.edges + ((1, 2),))
         assert pos[1] < pos[2]
-        assert filtration_order(extra).sequence == base.sequence
+        extra = filtration_order(pressures, edges + [(1, 2)])
+        assert extra.sequence == base.sequence
 
 
 class TestAssignBasin:
     def setup_method(self):
-        self.order = filtration_order(SEVEN)
+        self.order = filtration_order(*SEVEN)
 
     @pytest.mark.parametrize("rank,k", [(7, 0), (5, 0), (4, 0),
                                         (3, 1), (2, 1), (1, 2)])
@@ -177,15 +179,13 @@ class TestStratifiedWorkflow:
         self.matrix = assemble_operator(
             self.builtin.system, NoiseModel(1e-3), WeightField(),
             self.builtin.survivor, self.grid, 15)
-        self.order = filtration_order(graph(
-            {1: math.log(3.0 / 5.0), 2: math.log(2.0 / 3.0)}, []))
         centers = self.grid.centers()[:, 0]
         self.strata = {2: np.flatnonzero(centers < 1.5),
                        1: np.flatnonzero(centers > 1.5)}
 
     def test_two_repeller_lambdas(self):
         report = stratified_qem_workflow(self.matrix, self.strata)
-        lams = {r.key: r.triple.lam for r in report.strata}
+        lams = {key: triple.lam for key, triple in report.per_stratum.items()}
         assert lams[2] == pytest.approx(2.0 / 3.0, abs=1e-3)
         assert lams[1] == pytest.approx(3.0 / 5.0, abs=1e-3)
         assert report.lambda_global == pytest.approx(2.0 / 3.0, abs=1e-3)
@@ -195,9 +195,9 @@ class TestStratifiedWorkflow:
     def test_single_stratum_equals_global(self):
         report = stratified_qem_workflow(
             self.matrix, {2: np.arange(self.matrix.n_cells)})
-        r = report.strata[0]
-        assert r.triple.lam == pytest.approx(report.lambda_global, abs=1e-12)
-        assert np.allclose(r.triple.qem, report.global_triple.qem, atol=1e-9)
+        triple = report.per_stratum[2]
+        assert triple.lam == pytest.approx(report.lambda_global, abs=1e-12)
+        assert np.allclose(triple.qem, report.global_triple.qem, atol=1e-9)
 
     def test_solves_no_spectral_gap(self, monkeypatch):
         from qemlab import spectral
@@ -208,7 +208,8 @@ class TestStratifiedWorkflow:
         monkeypatch.setattr(spectral, "_deflated_ratio", no_gap)
         report = stratified_qem_workflow(self.matrix, self.strata)
         assert math.isnan(report.global_triple.gap_ratio)
-        assert all(math.isnan(r.triple.gap_ratio) for r in report.strata)
+        assert all(math.isnan(triple.gap_ratio)
+                   for triple in report.per_stratum.values())
 
     def test_solves_no_left_side_until_read(self, monkeypatch):
         from qemlab import spectral
@@ -220,10 +221,16 @@ class TestStratifiedWorkflow:
         monkeypatch.setattr(spectral, "leading_left", fails)
         report = stratified_qem_workflow(self.matrix, self.strata)
         assert report.argmax_key == 2
-        assert all(r.triple is not None for r in report.strata)
+        assert None not in report.per_stratum.values()
         # a failing left solve raises where the left side is first read
         with pytest.raises(spectral.NonConvergenceError):
             report.global_triple.qem
+
+    def test_argmax_is_the_first_of_equal_eigenvalues(self):
+        cells = self.strata[2]
+        report = stratified_qem_workflow(self.matrix, {1: cells, 2: cells})
+        assert report.per_stratum[1].lam == report.per_stratum[2].lam
+        assert report.argmax_key == 2
 
     def test_zero_stratum_recorded_absent(self):
         centers = self.grid.centers()[:, 0]
@@ -231,5 +238,5 @@ class TestStratifiedWorkflow:
         strata = dict(self.strata)
         strata[0] = hole
         report = stratified_qem_workflow(self.matrix, strata)
-        absent = next(r for r in report.strata if r.key == 0)
-        assert absent.triple is None
+        assert report.per_stratum[0] is None
+        assert list(report.per_stratum) == [2, 1, 0]

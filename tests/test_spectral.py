@@ -403,6 +403,36 @@ class TestTripleInvariants:
         support = t.qem > 0
         assert np.all(t.right[support] > 0) and np.all(t.left[support] > 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(core=st.integers(1, 5), extra=st.integers(0, 5),
+           periodic=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_eigenvectors_have_no_negative_entry(self, core, extra, periodic,
+                                                 seed):
+        # power iterates of a nonnegative matrix from the all-ones vector,
+        # and the shift's v * lam, are sums, products and quotients of
+        # nonnegative numbers, so no entry is negative and none is -0.0.
+        # The matrix: one core block that is a weighted cycle (periodic
+        # from 2 cells) or primitive, plus extra cells off every other
+        # cycle, some of them zero rows
+        rng = np.random.default_rng(seed)
+        n = core + extra
+        A = np.zeros((n, n))
+        ring = np.arange(core)
+        A[ring, np.roll(ring, 1)] = rng.uniform(0.1, 1.0, core)
+        if not periodic or core == 1:
+            A[ring, ring] = rng.uniform(0.1, 1.0, core)
+            A[:core, :core] += rng.uniform(0.0, 1.0, (core, core))
+        sparse = rng.uniform(size=(n, n)) < 0.5
+        A[:core, core:] = (rng.uniform(0.0, 1.0, (core, extra))
+                           * sparse[:core, core:])
+        A[core:, :] = np.triu(rng.uniform(0.0, 1.0, (extra, n)) * sparse[core:],
+                              k=core + 1)
+        A[core:][rng.uniform(size=extra) < 0.4] = 0.0
+        t = solve_triple(matrix_from_dense(A, cell_volume=1.0 / n),
+                         with_gap=False)
+        assert not np.signbit(t.right).any()
+        assert not np.signbit(t.left).any()
+
     def test_left_fixed_point_l1_residual(self):
         b = make_system("ternary_hole")
         grid = GridPartition(b.system.domain, 81)
