@@ -16,9 +16,11 @@ the masses at the cell centers, using the metrics of
 :mod:`qemlab.equilibrium`, as ``sweep`` does.
 
 Configs are JSON with a versioned ``schema`` field; see README for the full
-layout.  Exit codes: 0 success, 2 config or usage error, 3 numerical
-failure (no convergence, or a nilpotent operator), 4 ensemble extinct; each
-cause but a usage error prints its own ``error[code]``, none a traceback.
+layout, whose keys ``_KEYS`` holds: any other key is config error
+``unknown-key``.  Exit codes: 0 success, 2 config or usage error, 3
+numerical failure (no convergence, or a nilpotent operator), 4 ensemble
+extinct; each cause but a usage error prints its own ``error[code]``, none
+a traceback.
 Given the same config and seed, re-runs write byte-identical primary
 artifacts.  Only ``sweep`` writes wall-clock timings (``runtimes.csv``, one
 row per epsilon).  Counters go to ``diagnostics.json``: the resampling
@@ -34,7 +36,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -70,109 +71,76 @@ class ConfigError(ValueError):
 # config
 # ---------------------------------------------------------------------------
 
-def _is_int(value, least: int) -> bool:
-    """A JSON integer of at least ``least``: neither a bool nor a float."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+# every config key by section, "" for the top level and "a.b" for the objects
+# under key b of section a, with its default (None where it has none); any
+# other key is config error unknown-key.  Section system is open: it holds the
+# label and the parameters of that builtin, whose constructor checks them.
+_KEYS = {
+    "": {"schema": None, "seed": 0, "samples_per_cell": 3, "system": {},
+         "weight": {}, "region": {}, "grid": {}, "noise": {}, "solver": {},
+         "mc": {}, "reference": None, "filtration": None},
+    "weight": {"kind": "zero", "log_value": None, "cutoff": None},
+    "weight.cutoff": {"boxes": None, "taper_width": 0.0},
+    "region": {"kind": "survivor", "boxes": None, "label": "region:custom"},
+    "grid": {"resolution": 81},
+    "noise": {"epsilon": 0.0},
+    "solver": {"tol": 1e-10, "max_iters": 100_000},
+    "mc": {"n": 1000, "n_particles": 1000, "start": None,
+           "resample_threshold": 0.5, "observables": ["x"]},
+    "reference": {"kind": None, "depth": 7},
+    "filtration": {"nodes": None, "edges": [], "strata": None},
+    "filtration.nodes": {"id": None, "pressure": None},
+}
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number: an integer or a float, neither a bool nor a
-    string, within the float range.  Python's ``json`` reads ``NaN``,
-    ``Infinity`` and ``1e999``, and no comparison with NaN holds."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+class ExperimentConfig(NamedTuple):
+    """A config's JSON object; each value is checked by the code that reads it."""
 
+    raw: dict
 
-@dataclass
-class ExperimentConfig:
-    """Validated, normalized experiment description."""
+    @property
+    def seed(self) -> int:
+        return self.get("seed")
 
-    system: dict
-    weight: dict
-    region: dict
-    grid: dict
-    noise: dict
-    solver: dict
-    mc: dict
-    filtration: dict | None
-    reference: dict | None
-    samples_per_cell: object
-    seed: int
+    def get(self, path: str):
+        """The value at ``path``, such as ``"solver.tol"``, or its default."""
+        *sections, key = path.split(".")
+        values = self.raw
+        for name in sections:
+            values = values[name] if name in values else {}
+        return values[key] if key in values else _KEYS[".".join(sections)][key]
 
-    @staticmethod
-    def from_dict(raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict) or raw.get("schema") != SCHEMA_VERSION:
-            raise ConfigError("schema", f"config must be an object with schema "
-                                        f"{SCHEMA_VERSION}")
-        seed = raw.get("seed", 0)
-        if not (_is_int(seed, 0) and all(
-                isinstance(raw.get(key, {}), dict) for key in (
-                    "system", "weight", "region", "grid", "noise", "solver",
-                    "mc", "filtration", "reference"))):
-            raise ConfigError("schema", "config sections must be objects and "
-                                        "the seed an integer >= 0")
-        system = raw.get("system", {})
-        label = system.get("label")
-        if label is not None and label not in builtin_labels():
-            raise ConfigError("unknown-system", f"unknown system label {label!r}")
-        noise = raw.get("noise", {})
-        eps = noise.get("epsilon", 0.0)
-        eps_list = eps if isinstance(eps, list) else [eps]
-        if not all(_is_number(e) for e in eps_list):
-            raise ConfigError("bad-epsilon", "epsilon must be a finite number "
-                                             "or a list of them")
-        if any(e < 0 for e in eps_list):
-            raise ConfigError("negative-epsilon", "epsilon must be >= 0")
-        weight = raw.get("weight", {"kind": "zero"})
-        if weight.get("kind", "zero") not in ("zero", "constant"):
-            raise ConfigError("unknown-weight",
-                              f"unknown weight kind {weight.get('kind')!r}")
-        return ExperimentConfig(
-            system=system,
-            weight=weight,
-            region=raw.get("region", {"kind": "survivor"}),
-            grid=raw.get("grid", {}),
-            noise=noise,
-            solver=raw.get("solver", {}),
-            mc=raw.get("mc", {}),
-            filtration=raw.get("filtration"),
-            reference=raw.get("reference"),
-            samples_per_cell=raw.get("samples_per_cell", 3),
-            seed=seed,
-        )
+    def read(self, code: str, path: str, reader):
+        """``reader`` of the value at ``path``; a failure in it is config
+        error ``code`` naming the path."""
+        return _checked(code, lambda: reader(self.get(path)), path)
 
     def dynamics(self) -> tuple[Builtin, RegionSpec, WeightField]:
         """Map, region and weight, all the particle route reads; a failing
         step gives its code, and so does an epsilon wider than every box."""
-        label = self.system.get("label")
+        params = dict(self.get("system"))
+        label = params.pop("label", None)
         if label is None:
             raise ConfigError("unknown-system", "config has no system label")
-        params = {k: v for k, v in self.system.items() if k != "label"}
-        if not all(_is_number(v) for v in params.values()):
-            raise ConfigError("bad-system", "system parameters must be finite "
-                                            "numbers")
-        builtin = _checked("bad-system", lambda: make_system(label, **params))
+        builtin = _checked("bad-system", lambda: make_system(label, **{
+            key: _number(value) for key, value in params.items()}), "system")
         widest = max(float(box.widths.max()) for box in builtin.system.domain.boxes)
         if max(self.epsilons(), default=0.0) > widest:
             raise ConfigError("bad-epsilon", f"epsilon must be at most {widest:g}, "
                                              f"the widest side of a domain box")
         return (builtin,
-                _checked("bad-region", lambda: self.region_spec(builtin)),
-                _checked("bad-weight", lambda: self.weight_field(builtin)))
+                _checked("bad-region", lambda: self.region_spec(builtin), "region"),
+                _checked("bad-weight", lambda: self.weight_field(builtin), "weight"))
 
     def problem(self) -> Problem:
         """The dynamics and the grid, built once; a failing step gives its code."""
         builtin, region, weight = self.dynamics()
-        counts = self.samples_per_cell
-        if not all(_is_int(m, 1) for m in (counts if isinstance(counts, list)
-                                            else [counts])):
-            raise ConfigError("bad-strata", "samples_per_cell must be an "
-                                            "integer >= 1 or a list of them")
-        _checked("bad-strata", lambda: _strata_counts(self.samples_per_cell,
-                                                      builtin.system.dimension))
-        resolution = self.grid.get("resolution", 81)
-        if not _is_int(resolution, 1):
-            raise ConfigError("bad-resolution", "resolution must be an integer >= 1")
+        dimension = builtin.system.dimension
+        self.read("bad-strata", "samples_per_cell", lambda counts: _strata_counts(
+            [_integer(m, 1) for m in counts] if isinstance(counts, list)
+            else _integer(counts, 1), dimension))
+        resolution = self.read("bad-resolution", "grid.resolution",
+                               lambda resolution: _integer(resolution, 1))
         problem = Problem(builtin, region, weight,
                           GridPartition(builtin.system.domain, resolution))
         if not np.any(region_fractions(problem.region, problem.grid) > 0):
@@ -180,28 +148,30 @@ class ExperimentConfig:
         return problem
 
     def region_spec(self, builtin: Builtin) -> RegionSpec:
-        kind = self.region.get("kind", "survivor")
+        kind = self.get("region.kind")
         if kind == "survivor":
             return builtin.survivor
         if kind not in ("boxes", "custom"):  # two names for one kind
             raise ConfigError("bad-region", f"unknown region kind {kind!r}")
-        return _parse_region(self.region["boxes"], builtin.system.dimension,
-                             self.region.get("label", "region:custom"))
+        return _parse_region(self.get("region.boxes"), builtin.system.dimension,
+                             self.get("region.label"))
 
     def weight_field(self, builtin: Builtin) -> WeightField:
-        kind = self.weight.get("kind", "zero")
-        log_value = 0.0 if kind == "zero" else _number(self.weight["log_value"])
-        cutoff = self.weight.get("cutoff")
-        if cutoff is None:
+        kind = self.get("weight.kind")
+        log_value = 0.0 if kind == "zero" else _number(self.get("weight.log_value"))
+        if self.get("weight.cutoff") is None:
             return WeightField(log_value)
         return WeightField(log_value, support_cutoff=_parse_region(
-            cutoff["boxes"], builtin.system.dimension, "cutoff"),
-            taper_width=_number(cutoff.get("taper_width", 0.0)),
+            self.get("weight.cutoff.boxes"), builtin.system.dimension, "cutoff"),
+            taper_width=_number(self.get("weight.cutoff.taper_width")),
             domain=builtin.system.domain)
 
     def epsilons(self) -> list[float]:
-        eps = self.noise.get("epsilon", 0.0)
-        return [float(e) for e in eps] if isinstance(eps, list) else [float(eps)]
+        """The noise levels: a finite number >= 0 or a list of them."""
+        epsilons = list(self.read("bad-epsilon", "noise.epsilon", _numbers))
+        if any(eps < 0 for eps in epsilons):
+            raise ConfigError("negative-epsilon", "noise.epsilon must be >= 0")
+        return epsilons
 
     def single_epsilon(self, command: str) -> float:
         epsilons = self.epsilons()
@@ -210,13 +180,11 @@ class ExperimentConfig:
         return epsilons[0]
 
     def solver_kwargs(self) -> dict:
-        tol = self.solver.get("tol", 1e-10)
-        max_iters = self.solver.get("max_iters", 100_000)
-        if not (_is_number(tol) and tol > 0 and _is_int(max_iters, 1)):
-            raise ConfigError("bad-solver", "solver tol must be a finite "
-                                            "number > 0 and max_iters an "
-                                            "integer >= 1")
-        return {"tol": float(tol), "max_iters": max_iters}
+        tol = self.read("bad-solver", "solver.tol", _number)
+        if not tol > 0:
+            raise ConfigError("bad-solver", "solver.tol must be > 0")
+        return {"tol": tol, "max_iters": self.read(
+            "bad-solver", "solver.max_iters", lambda n: _integer(n, 1))}
 
 
 class Problem(NamedTuple):
@@ -226,28 +194,34 @@ class Problem(NamedTuple):
     grid: GridPartition
 
 
-def _checked(code: str, build):
-    """``build()``, with an error in it reported as config error ``code``."""
+def _checked(code: str, build, path: str):
+    """``build()``, with an error in it reported as config error ``code`` of
+    the config key at ``path``."""
     try:
         return build()
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(code, repr(exc)) from None
+        raise ConfigError(code, f"{path}: {exc!r}") from None
 
 
 def _number(value) -> float:
-    """``value`` as a float when it is a finite JSON number, else a TypeError."""
-    if not _is_number(value):
+    """``value`` as a float when it is a finite JSON number, else a TypeError:
+    neither a bool nor a string, and within the float range, for Python's
+    ``json`` reads ``NaN``, ``Infinity`` and ``1e999``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
         raise TypeError(f"want a finite number, got {value!r}")
     return float(value)
 
 
-def _integer(value) -> int:
-    """``value`` when it is a JSON integer, neither a bool nor a float, else
-    a TypeError."""
+def _integer(value, least=-math.inf) -> int:
+    """``value`` when it is a JSON integer of at least ``least``, neither a
+    bool nor a float, else a TypeError or ValueError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"want an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"want an integer >= {least}, got {value}")
     return value
 
 
@@ -265,9 +239,23 @@ def _parse_region(payload, dimension: int, label: str = "region") -> RegionSpec:
     return region
 
 
+def _unknown_keys(values: dict, path: str = ""):
+    """The paths of the keys of section ``path`` and of its sections that the
+    table does not hold."""
+    for key, value in values.items():
+        sub = f"{path}.{key}" if path else key
+        if key not in _KEYS[path]:
+            yield sub
+        elif sub in _KEYS:  # a section, or a list of them
+            for section in value if isinstance(value, list) else [value]:
+                if isinstance(section, dict):
+                    yield from _unknown_keys(section, sub)
+
+
 def load_config(path: str, seed: int | None = None) -> ExperimentConfig:
-    """The validated config at ``path``; a given ``seed`` replaces the file's
-    before validation, so it is checked like one."""
+    """The config at ``path``, with its keys, seed, system label, epsilons and
+    weight kind checked; a given ``seed`` replaces the file's before the
+    check, so it is checked like one."""
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -276,7 +264,21 @@ def load_config(path: str, seed: int | None = None) -> ExperimentConfig:
         raise ConfigError("bad-json", f"cannot parse {path!r}: {exc}")
     if seed is not None and isinstance(raw, dict):
         raw["seed"] = seed
-    return ExperimentConfig.from_dict(raw)
+    if not (isinstance(raw, dict) and raw.get("schema") == SCHEMA_VERSION and all(
+            key not in raw or isinstance(raw[key], dict) for key in _KEYS[""]
+            if key == "system" or key in _KEYS)):
+        raise ConfigError("schema", f"config must be an object with schema "
+                                    f"{SCHEMA_VERSION} whose sections are objects")
+    if unknown := list(_unknown_keys(raw)):
+        raise ConfigError("unknown-key", f"no config key {', '.join(unknown)}")
+    config = ExperimentConfig(raw)
+    config.read("schema", "seed", lambda seed: _integer(seed, 0))
+    if (label := config.get("system").get("label")) not in (None, *builtin_labels()):
+        raise ConfigError("unknown-system", f"unknown system label {label!r}")
+    config.epsilons()
+    if (kind := config.get("weight.kind")) not in ("zero", "constant"):
+        raise ConfigError("unknown-weight", f"unknown weight kind {kind!r}")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +339,7 @@ def _operator(config: ExperimentConfig, problem: Problem, epsilon: float):
     noise = NoiseModel(epsilon)
     try:
         return assemble_operator(builtin.system, noise, weight, region, grid,
-                                 samples_per_cell=config.samples_per_cell)
+                                 samples_per_cell=config.get("samples_per_cell"))
     except DenseOperatorError as exc:
         raise ConfigError("dense-operator", str(exc)) from None
 
@@ -362,9 +364,8 @@ def cmd_mc(config: ExperimentConfig, out: Path, args) -> int:
         raise ConfigError("empty-region", "the region covers no part of the domain")
     dimension = builtin.system.dimension
     noise = NoiseModel(config.single_epsilon("mc"))
-    run = _checked("bad-mc", lambda: _mc_arguments(config.mc, dimension, region))
-    stats = run_conditioned(builtin.system, noise, weight, region,
-                            seed=config.seed, **run)
+    stats = run_conditioned(builtin.system, noise, weight, region, seed=config.seed,
+                            **_mc_arguments(config, dimension, region))
     write_json(out / "mc.json", stats.scalars())
     write_json(out / "diagnostics.json", stats.diagnostics())
     write_csv(out / "mass_series.csv", ["step", "log_mean_mass"],
@@ -372,20 +373,20 @@ def cmd_mc(config: ExperimentConfig, out: Path, args) -> int:
     return EXIT_OK
 
 
-def _mc_arguments(mc: dict, dimension: int, region: RegionSpec) -> dict:
-    """The ensemble arguments of ``run_conditioned`` from the ``mc`` section."""
-    n, n_particles, start = (mc.get("n", 1000), mc.get("n_particles", 1000),
-                             mc.get("start"))
-    start = region if start is None else np.array(_numbers(start))
-    if not (_is_int(n, MIN_STEPS) and _is_int(n_particles, 2)
-            and (start is region or start.shape == (dimension,))):
-        raise ValueError(f"mc needs integers n >= {MIN_STEPS} (the shortest "
-                         f"horizon with a record) and n_particles >= 2 and a "
-                         f"start point with {dimension} coordinates")
-    return {"start": start, "n": n, "n_particles": n_particles,
-            "resample_threshold": _number(mc.get("resample_threshold", 0.5)),
-            "observables": {name: _expression_observable(name, dimension)
-                            for name in mc.get("observables", ["x"])}}
+def _mc_arguments(config: ExperimentConfig, dimension: int,
+                  region: RegionSpec) -> dict:
+    """The ensemble arguments of ``run_conditioned`` from the ``mc`` section;
+    with no start point the particles start on the region."""
+    def mc(key, reader):
+        return config.read("bad-mc", f"mc.{key}", reader)
+
+    return {"start": mc("start", lambda start: region if start is None else
+                        np.array(_numbers(start)).reshape(dimension)),
+            "n": mc("n", lambda n: _integer(n, MIN_STEPS)),  # a record past the start
+            "n_particles": mc("n_particles", lambda n: _integer(n, 2)),
+            "resample_threshold": mc("resample_threshold", _number),
+            "observables": mc("observables", lambda names: {
+                name: _expression_observable(name, dimension) for name in names})}
 
 
 def _expression_observable(expr: str, dimension: int):
@@ -464,26 +465,24 @@ def cmd_sweep(config: ExperimentConfig, out: Path, args) -> int:
 
 def _reference_vector(config: ExperimentConfig, builtin: Builtin,
                       grid: GridPartition):
-    ref = config.reference
-    if ref is None:
+    if config.get("reference") is None:
         return None
-    if ref.get("kind") != "equilibrium":
-        raise ConfigError("unknown-reference",
-                          f"unknown reference kind {ref.get('kind')!r}")
-    model = _checked("no-oracle", lambda: equilibrium.model_for(builtin.label))
-    depth = ref.get("depth", 7)
-    if not _is_int(depth, 1):
-        raise ConfigError("bad-reference", "reference depth must be an integer >= 1")
+    if (kind := config.get("reference.kind")) != "equilibrium":
+        raise ConfigError("unknown-reference", f"unknown reference kind {kind!r}")
+    model = _checked("no-oracle", lambda: equilibrium.model_for(builtin.label),
+                     "system.label")
+    depth = config.read("bad-reference", "reference.depth",
+                        lambda depth: _integer(depth, 1))
     measure = equilibrium.equilibrium_cylinder_measure  # 1-d grids only
     return _checked("bad-reference", lambda: measure(
-        model, depth).grid_projection(grid))
+        model, depth).grid_projection(grid), "reference")
 
 
 def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
-    if config.filtration is None:
+    if config.get("filtration") is None:
         raise ConfigError("missing-graph", "filtration command needs a graph")
-    pressures, edges = _checked("bad-graph", lambda: _graph(config.filtration))
-    strata = config.filtration.get("strata")
+    pressures, edges = _checked("bad-graph", lambda: _graph(config), "filtration")
+    strata = config.get("filtration.strata")
     if strata and not isinstance(strata, dict):
         raise ConfigError("bad-region", "filtration strata must map ids to boxes")
     try:
@@ -496,7 +495,7 @@ def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
         problem = config.problem()
         matrix = _operator(config, problem, config.single_epsilon("filtration"))
         grid = problem.grid  # each stratum holds the cells its boxes center
-        strata_cells = _checked("bad-region", lambda: {
+        strata_cells = config.read("bad-region", "filtration.strata", lambda strata: {
             int(k): np.flatnonzero(_parse_region(v, grid.dimension).contains(
                 grid.centers())) for k, v in strata.items()})
         report = stratified_qem_workflow(matrix, strata_cells,
@@ -519,18 +518,19 @@ def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
     return EXIT_OK
 
 
-def _graph(section: dict) -> tuple[dict[int, float], list[tuple[int, int]]]:
-    """The pressures by node id and the edges of a ``filtration`` section:
+def _graph(config: ExperimentConfig) -> tuple[dict[int, float],
+                                             list[tuple[int, int]]]:
+    """The pressures by node id and the edges of the ``filtration`` section:
     each id given once, each id and edge end a JSON integer and each
     pressure a finite number, else a TypeError or ValueError."""
     pressures = {}
-    for node in section["nodes"]:
+    for node in config.get("filtration.nodes"):
         node_id = _integer(node["id"])
         if node_id in pressures:
             raise ValueError(f"node id {node_id} given twice")
         pressures[node_id] = _number(node["pressure"])
     return pressures, [(_integer(a), _integer(b))
-                       for a, b in section.get("edges", ())]
+                       for a, b in config.get("filtration.edges")]
 
 
 def cmd_compare(args) -> int:

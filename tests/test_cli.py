@@ -267,6 +267,30 @@ MALFORMED_BY_COMMAND = {
             "strata": [[[0.0], [1.0]]]}}, "bad-region"),
 }
 
+# a misspelt key in each section, by its path, and the command and additions
+# that would run without it; before the key table each of these ran, with the
+# key's default in its place where it had one
+UNKNOWN_KEYS = {
+    "solvr": ("spectrum", {"solvr": {"tol": 1e-6}}),
+    "weight.log_valu": ("spectrum", {"weight": {"kind": "constant",
+                                                "log_valu": -0.2}}),
+    "weight.cutoff.taper": ("spectrum", {"weight": {"kind": "zero", "cutoff": {
+        "boxes": [[[0.0], [0.9]]], "taper": 0.05}}}),
+    "region.box": ("spectrum", {"region": {"kind": "boxes",
+                                           "box": [[[0.0], [0.5]]]}}),
+    "grid.resolutoin": ("spectrum", {"grid": {"resolutoin": 27}}),
+    "noise.epsilom": ("spectrum", {"noise": {"epsilom": 0.01}}),
+    "solver.maxiters": ("spectrum", {"solver": {"tol": 1e-10, "maxiters": 10}}),
+    "mc.particles": ("mc", {"mc": {**MC, "particles": 100}}),
+    "reference.dept": ("sweep", {"noise": {"epsilon": [1e-2, 1e-3]},
+                                 "reference": {"kind": "equilibrium", "dept": 3}}),
+    "filtration.edge": ("filtration", {**graph_extras(), "filtration": {
+        **graph_extras()["filtration"], "edge": [[1, 2]]}}),
+    "filtration.nodes.pressur": ("filtration", graph_extras(pressur=-0.3)),
+}
+MALFORMED_BY_COMMAND.update({f"unknown key {key}": (command, extras, "unknown-key")
+                             for key, (command, extras) in UNKNOWN_KEYS.items()})
+
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_BY_COMMAND))
 def test_malformed_command_config_exits_with_its_code(tmp_path, capsys, case):
@@ -276,6 +300,36 @@ def test_malformed_command_config_exits_with_its_code(tmp_path, capsys, case):
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"error[{code}]" in err and "Traceback" not in err
+    if code == "unknown-key":
+        assert case.removeprefix("unknown key ") in err
+
+
+def test_unknown_key_error_names_every_unknown_path(tmp_path):
+    path, _ = write_config(tmp_path, noise={"epsilom": 0.01}, solvr={},
+                           mc={**MC, "particles": 100})
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.code == "unknown-key"
+    assert all(key in str(err.value)
+               for key in ("noise.epsilom", "solvr", "mc.particles"))
+
+
+def test_a_section_the_command_does_not_read_stays_unchecked(tmp_path):
+    # spectrum reads no mc section, so one that mc would reject still runs
+    path, _ = write_config(tmp_path, grid={"resolution": 27},
+                           mc={**MC, "n": 0})
+    assert main(["spectrum", "--config", path,
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
+def test_readme_config_layout_loads(tmp_path):
+    # the layout README documents holds only keys the config table knows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A config is a single JSON object:")[1]
+    layout = block.split("```json\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "config.json").write_text(layout)
+    config = load_config(str(tmp_path / "config.json"))
+    assert config.get("grid.resolution") == 2187 and config.seed == 7
 
 
 # Python's json reads these as floats that are not finite, and the last as an
@@ -568,7 +622,7 @@ class TestMcCommand:
         assert main(["mc", "--config", path,
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "error[bad-mc]" in err and "n >= 11" in err
+        assert "error[bad-mc]: mc.n: " in err and ">= 11" in err
 
     def test_builds_no_grid(self, tmp_path, monkeypatch):
         # the particle route reads no grid, so it neither builds one nor
