@@ -498,6 +498,13 @@ def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
         strata_cells = config.read("bad-region", "filtration.strata", lambda strata: {
             int(k): np.flatnonzero(_parse_region(v, grid.dimension).contains(
                 grid.centers())) for k, v in strata.items()})
+        if len(strata_cells) < len(strata) or strata_cells.keys() - pressures.keys():
+            raise ConfigError("bad-region", f"filtration.strata: each key must name "
+                                            f"a different node of {sorted(pressures)}")
+        # counted by np.bincount: np.unique imports numpy.ma on its first call (17 ms)
+        every = np.concatenate(list(strata_cells.values()))
+        if np.bincount(every, minlength=1).max() > 1:
+            raise ConfigError("bad-region", "filtration.strata: strata share a cell")
         report = stratified_qem_workflow(matrix, strata_cells,
                                          **config.solver_kwargs())
     write_json(out / "order.json", order.to_dict())
@@ -521,14 +528,16 @@ def cmd_filtration(config: ExperimentConfig, out: Path, args) -> int:
 def _graph(config: ExperimentConfig) -> tuple[dict[int, float],
                                              list[tuple[int, int]]]:
     """The pressures by node id and the edges of the ``filtration`` section:
-    each id given once, each id and edge end a JSON integer and each
-    pressure a finite number, else a TypeError or ValueError."""
+    one node or more, each id given once, each id and edge end a JSON integer
+    and each pressure a finite number, else a TypeError or ValueError."""
     pressures = {}
     for node in config.get("filtration.nodes"):
         node_id = _integer(node["id"])
         if node_id in pressures:
             raise ValueError(f"node id {node_id} given twice")
         pressures[node_id] = _number(node["pressure"])
+    if not pressures:
+        raise ValueError("the graph has no node")
     return pressures, [(_integer(a), _integer(b))
                        for a, b in config.get("filtration.edges")]
 

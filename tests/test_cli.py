@@ -200,6 +200,12 @@ def graph_extras(edges=(), **second_node):
         "edges": list(edges)}}
 
 
+def strata_extras(strata):
+    """The filtration config with ``strata`` in place of its own."""
+    extras = SINGLE_EPSILON_EXTRAS["filtration"]
+    return {**extras, "filtration": {**extras["filtration"], "strata": strata}}
+
+
 # config additions that each make a command other than spectrum fail with a
 # config error: (command, additions, diagnostic code)
 MALFORMED_BY_COMMAND = {
@@ -265,6 +271,21 @@ MALFORMED_BY_COMMAND = {
         "filtration", {**SINGLE_EPSILON_EXTRAS["filtration"], "filtration": {
             **SINGLE_EPSILON_EXTRAS["filtration"]["filtration"],
             "strata": [[[0.0], [1.0]]]}}, "bad-region"),
+    "filtration graph with no node": (
+        "filtration", {"filtration": {"nodes": []}}, "bad-graph"),
+    "filtration stratum keyed by no node": (
+        "filtration", strata_extras({"9": [[[0.0], [1.0]]], "1": [[[2.0], [3.0]]]}),
+        "bad-region"),
+    "filtration strata keyed by one node twice": (
+        "filtration", strata_extras({"2": [[[0.0], [1.0]]], "02": [[[2.0], [3.0]]]}),
+        "bad-region"),
+    "filtration strata sharing a cell": (
+        "filtration", strata_extras({"2": [[[0.0], [1.0]]], "1": [[[0.5], [3.0]]]}),
+        "bad-region"),
+    # both at once: before the check this reported argmax_key 9, no node
+    "filtration strata keyed by no node, one inside the other": (
+        "filtration", strata_extras({"9": [[[0], [1]]], "-4": [[[0], [3]]]}),
+        "bad-region"),
 }
 
 # a misspelt key in each section, by its path, and the command and additions
